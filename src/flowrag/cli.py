@@ -9,12 +9,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .chunker import ChunkStrategy, chunk_graph, read_chunks_jsonl, write_chunks_jsonl
-from .embed import ProviderConfig, ProviderKind, embed_batch
+from .embed import ProviderConfig, embed_batch
 from .errors import FlowragError
 from .evalharness import (
     EvalAborted,
@@ -46,16 +45,20 @@ from .vstore import IndexEntry, VectorIndex
 
 
 def _load_provider(path: str | None) -> ProviderConfig:
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = {"kind": "local-hashed"}
-    data = _apply_env_overrides(data)
-    return ProviderConfig.from_dict(data)
+    data = _read_json(path) if path else {"kind": "local-hashed"}
+    return ProviderConfig.from_dict(_apply_env_overrides(data))
+
+
+def _read_json(path: str | Path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FlowragError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _apply_env_overrides(data: dict) -> dict:
+    """EMBED_ENDPOINT / EMBED_MODEL override a provider config dict."""
     endpoint = os.environ.get("EMBED_ENDPOINT")
     model = os.environ.get("EMBED_MODEL")
     if endpoint:
@@ -199,15 +202,9 @@ def _cmd_query(args) -> int:
 def _cmd_eval(args) -> int:
     graphs = read_graphs_jsonl(args.graphs)
     qa = read_qa_jsonl(args.qa)
-    config = EvalConfig.from_file(args.config)
-    overrides: dict = {}
-    if os.environ.get("EMBED_ENDPOINT"):
-        overrides["kind"] = ProviderKind.REMOTE
-        overrides["endpoint"] = os.environ["EMBED_ENDPOINT"]
-    if os.environ.get("EMBED_MODEL"):
-        overrides["model_name"] = os.environ["EMBED_MODEL"]
-    if overrides:
-        config = replace(config, provider=replace(config.provider, **overrides))
+    data = _read_json(args.config)
+    data = {**data, "provider": _apply_env_overrides(data.get("provider", {}))}
+    config = EvalConfig.from_dict(data, base_dir=Path(args.config).parent)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -48,24 +48,41 @@ class ProtocolError(FlowragError):
     pass
 
 
-@dataclass(frozen=True)
 class EmbeddingVector:
-    """Fixed-length sequence of 32-bit reals; values are quantized to
-    float32 on construction so in-memory scoring and snapshots agree."""
+    """Fixed-length vector of 32-bit reals, held as one read-only float32
+    array, so in-memory scoring and snapshots agree."""
 
-    values: tuple[float, ...]
+    __slots__ = ("_array",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(float(np.float32(v)) for v in self.values)
-        )
+    def __init__(self, values):
+        array = np.array(values, dtype=np.float32)
+        if array.ndim != 1:
+            raise EmbedInputError(f"expected a flat vector, got shape {array.shape}")
+        array.flags.writeable = False
+        self._array = array
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
 
     @property
     def dimension(self) -> int:
-        return len(self.values)
+        return len(self._array)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float32)
+        return self._array
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        # Adding zero turns -0.0 into 0.0, which compares equal to it.
+        return hash((self._array + np.float32(0.0)).tobytes())
+
+    def __repr__(self) -> str:
+        return f"EmbeddingVector(values={self.values!r})"
 
 
 class ProviderKind(Enum):
@@ -119,15 +136,15 @@ def _token_hash(token: str, key: bytes) -> int:
 
 
 def _hash_embed(text: str, dimension: int) -> EmbeddingVector:
-    buckets = [0.0] * dimension
+    buckets = np.zeros(dimension, dtype=np.float64)
     for token in _TOKEN_RE.findall(text.casefold()):
         bucket = _token_hash(token, b"bucket") % dimension
-        sign = 1.0 if _token_hash(token, b"sign") & 1 else -1.0
-        buckets[bucket] += sign
-    norm = math.sqrt(sum(v * v for v in buckets))
+        buckets[bucket] += 1.0 if _token_hash(token, b"sign") & 1 else -1.0
+    # Bucket counts are small integers, so the squared norm is exact.
+    norm = math.sqrt(float(np.dot(buckets, buckets)))
     if norm > 0:
-        buckets = [v / norm for v in buckets]
-    return EmbeddingVector(values=tuple(buckets))
+        buckets /= norm
+    return EmbeddingVector(buckets)
 
 
 class _RemoteClient:
@@ -162,13 +179,22 @@ class _RemoteClient:
     def _parse(self, response) -> list[EmbeddingVector]:
         try:
             embeddings = response.json()["embeddings"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
+        if not isinstance(embeddings, list):
+            raise ProtocolError("embeddings must be an array of rows")
         vectors = []
-        for row in embeddings:
+        for i, row in enumerate(embeddings):
             if not isinstance(row, list) or not row:
                 raise ProtocolError("embedding rows must be non-empty arrays")
-            vectors.append(EmbeddingVector(values=tuple(float(v) for v in row)))
+            try:
+                with np.errstate(over="ignore"):  # overflow to inf is rejected below
+                    vector = EmbeddingVector(row)
+            except (TypeError, ValueError, EmbedInputError) as exc:
+                raise ProtocolError(f"embedding row {i} is not numeric: {exc}") from exc
+            if not np.isfinite(vector.as_array()).all():
+                raise ProtocolError(f"embedding row {i} holds a non-finite value")
+            vectors.append(vector)
         return vectors
 
 
@@ -219,8 +245,8 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise EmbedInputError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
         )
-    va = np.asarray(a.values, dtype=np.float64)
-    vb = np.asarray(b.values, dtype=np.float64)
+    va = a.as_array().astype(np.float64)
+    vb = b.as_array().astype(np.float64)
     norm = float(np.linalg.norm(va)) * float(np.linalg.norm(vb))
     if norm == 0.0:
         return 0.0

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .chunker import Chunk, ChunkStrategy, chunk_graph, chunk_text
 from .embed import ProviderConfig, TransportError, embed_batch
 from .errors import FlowragError
@@ -278,6 +280,8 @@ def run_eval(
         question_vectors = embed_batch(config.provider, [item.question for item in qa])
     except TransportError as exc:
         raise EvalAborted(f"question embedding failed: {exc}", partial=None) from exc
+    questions = np.stack([v.as_array() for v in question_vectors])
+    del question_vectors
 
     for strategy in config.strategies:
         chunks: list[Chunk] = []
@@ -295,8 +299,8 @@ def run_eval(
         index.upsert(
             [IndexEntry(chunk=c, vector=v) for c, v in zip(chunks, vectors)]
         )
-        for item, question_vector in zip(qa, question_vectors):
-            hits = index.query(question_vector, kmax)
+        del vectors
+        for item, hits in zip(qa, index.query_batch(questions, kmax)):
             judgments = {}
             for k in config.ks:
                 correct = judge(

@@ -1,8 +1,13 @@
 """In-memory vector index with exact cosine top-k retrieval.
 
-Search is a full scan: corpora here are hundreds of chunks, and evaluation
-reproducibility matters more than speed. Ties break by ascending chunk id so
-runs are deterministic.
+The index keeps one row matrix (float64, holding float32-exact values) and a
+vector of row norms. ``query_batch`` scores up to ``_QUERY_BLOCK`` queries
+with one matrix product. For each query, every row whose approximate cosine
+comes within ``_CANDIDATE_SLACK`` of the k-th is a candidate, and each
+candidate is rescored with the row-at-a-time formula
+``np.dot(row, q) / (norm * qnorm)``; byte-identical candidates share one
+rescoring. Reported scores are therefore bit-identical to a linear scan's,
+and ties break by ascending chunk id so runs are deterministic.
 
 Snapshot format (single file):
   line 1   JSON header {"format", "version", "dimension", "count"}
@@ -12,7 +17,6 @@ Snapshot format (single file):
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -25,6 +29,12 @@ from .errors import FlowragError
 
 _SNAPSHOT_FORMAT = "flowrag-vstore"
 _SNAPSHOT_VERSION = 1
+# Queries scored per matrix product; bounds the (block, rows) score matrix.
+_QUERY_BLOCK = 64
+# A matrix product differs from a row-at-a-time dot product only in the last
+# bits; rows whose approximate cosine lies this close to the k-th are
+# rescored exactly.
+_CANDIDATE_SLACK = 1e-9
 
 
 class DimensionMismatchError(FlowragError):
@@ -58,15 +68,31 @@ class RetrievalHit:
         return obj
 
 
+def _first_non_finite(rows: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    return int(bad[0]) if len(bad) else None
+
+
+def _header_int(header: dict, key: str) -> int:
+    if key not in header:
+        raise SnapshotError(f"snapshot header lacks {key!r}")
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SnapshotError(f"snapshot header {key!r} must be an integer, found {value!r}")
+    return value
+
+
 class VectorIndex:
     """Exact cosine index over chunks; one writer, then many readers."""
 
     def __init__(self):
         self._chunks: list[Chunk] = []
-        self._vectors: list[np.ndarray] = []
-        self._norms: list[float] = []
         self._by_id: dict[str, int] = {}
         self._dimension: int | None = None
+        self._rows = np.zeros((0, 0))
+        self._norms = np.zeros(0)
+        self._inv_norms = np.zeros(0)
+        self._id_rank: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -94,21 +120,57 @@ class VectorIndex:
                     f"chunk {entry.chunk.chunk_id!r} has dimension "
                     f"{entry.vector.dimension}, index uses {dimension}"
                 )
+        if dimension == 0:
+            raise DimensionMismatchError("vectors need at least one component")
+        rows = np.empty((len(entries), dimension))
+        for row, entry in zip(rows, entries):
+            row[:] = entry.vector.as_array()
+        bad = _first_non_finite(rows)
+        if bad is not None:
+            raise FlowragError(
+                f"chunk {entries[bad].chunk.chunk_id!r} has a non-finite vector value"
+            )
         self._dimension = dimension
-        for entry in entries:
-            vector = entry.vector.as_array()
-            norm = float(np.linalg.norm(np.asarray(vector, dtype=np.float64)))
-            position = self._by_id.get(entry.chunk.chunk_id)
-            if position is None:
-                self._by_id[entry.chunk.chunk_id] = len(self._chunks)
-                self._chunks.append(entry.chunk)
-                self._vectors.append(vector)
-                self._norms.append(norm)
-            else:
-                self._chunks[position] = entry.chunk
-                self._vectors[position] = vector
-                self._norms[position] = norm
+        self._put([entry.chunk for entry in entries], rows)
         return len(entries)
+
+    def _put(self, chunks: list[Chunk], rows: np.ndarray) -> None:
+        """Write validated float64 rows: replace known chunk ids in place,
+        append the rest in one step."""
+        # The norm of a 1-D row is sqrt(dot(row, row)); an axis=1 norm would
+        # sum in another order and break bit-identity with a linear scan.
+        norms = np.array([np.linalg.norm(row) for row in rows], dtype=np.float64)
+        was_empty = not self._chunks
+        if was_empty:
+            self._rows, self._norms = rows, norms
+        fresh = []
+        for i, chunk in enumerate(chunks):
+            position = self._by_id.get(chunk.chunk_id)
+            if position is None:
+                self._by_id[chunk.chunk_id] = len(self._chunks)
+                self._chunks.append(chunk)
+                fresh.append(i)
+            else:
+                self._chunks[position] = chunk
+                self._rows[position] = rows[i]
+                self._norms[position] = norms[i]
+        if fresh and not was_empty:
+            self._rows = np.concatenate([self._rows, rows[fresh]])
+            self._norms = np.concatenate([self._norms, norms[fresh]])
+        if fresh:
+            self._id_rank = None
+        self._inv_norms = np.divide(
+            1.0, self._norms, out=np.zeros_like(self._norms), where=self._norms > 0
+        )
+
+    def _chunk_id_rank(self) -> np.ndarray:
+        """Each row's position in ascending chunk-id order."""
+        if self._id_rank is None:
+            order = sorted(range(len(self._chunks)), key=lambda i: self._chunks[i].chunk_id)
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order))
+            self._id_rank = rank
+        return self._id_rank
 
     def query(
         self,
@@ -117,37 +179,91 @@ class VectorIndex:
         chunk_filter: Callable[[Chunk], bool] | None = None,
     ) -> list[RetrievalHit]:
         """Exact top-k by cosine among entries passing the filter."""
+        return self.query_batch(vector.as_array()[np.newaxis, :], k, chunk_filter)[0]
+
+    def query_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        chunk_filter: Callable[[Chunk], bool] | None = None,
+    ) -> list[list[RetrievalHit]]:
+        """``[query(q, k, chunk_filter) for q in queries]`` for an
+        (n, dimension) array of queries, one matrix product per block."""
         if not self._chunks:
             raise FlowragError("query on an empty index")
         if k < 1:
             raise FlowragError(f"k must be positive, got {k}")
-        if vector.dimension != self._dimension:
+        with np.errstate(over="ignore"):  # overflow to inf is rejected below
+            queries = np.asarray(queries, dtype=np.float32)
+        if queries.ndim != 2:
+            raise FlowragError(f"queries must form a 2-D array, got shape {queries.shape}")
+        if queries.shape[1] != self._dimension:
             raise DimensionMismatchError(
-                f"query dimension {vector.dimension}, index uses {self._dimension}"
+                f"query dimension {queries.shape[1]}, index uses {self._dimension}"
             )
-        query = np.asarray(vector.values, dtype=np.float64)
+        bad = _first_non_finite(queries)
+        if bad is not None:
+            raise FlowragError(f"query {bad} has a non-finite vector value")
+        positions = np.arange(len(self._chunks))
+        rows, inv_norms, id_rank = self._rows, self._inv_norms, self._chunk_id_rank()
+        if chunk_filter is not None:
+            positions = positions[[bool(chunk_filter(chunk)) for chunk in self._chunks]]
+            rows, inv_norms, id_rank = rows[positions], inv_norms[positions], id_rank[positions]
+        results: list[list[RetrievalHit]] = []
+        for start in range(0, len(queries), _QUERY_BLOCK):
+            block = queries[start : start + _QUERY_BLOCK].astype(np.float64)
+            approx = (block @ rows.T) * inv_norms
+            for query, scores in zip(block, approx):
+                results.append(self._top_k(query, scores, k, positions, id_rank))
+        return results
+
+    def _top_k(
+        self,
+        query: np.ndarray,
+        approx: np.ndarray,
+        k: int,
+        positions: np.ndarray,
+        id_rank: np.ndarray,
+    ) -> list[RetrievalHit]:
+        """Exact top-k of one query among the rows at ``positions``, given
+        ``approx[i]``, an approximation of row . query / row norm."""
+        count = len(positions)
         query_norm = float(np.linalg.norm(query))
-        scored: list[tuple[float, str, int]] = []
-        for position, chunk in enumerate(self._chunks):
-            if chunk_filter is not None and not chunk_filter(chunk):
-                continue
-            denom = self._norms[position] * query_norm
-            if denom == 0.0:
-                score = 0.0
+        if query_norm == 0.0:
+            # Every score is zero: the chunk-id order alone decides.
+            candidates = np.arange(count)
+            scores = np.zeros(count)
+        else:
+            if count > k:
+                kth = np.partition(approx, count - k)[count - k]
+                candidates = np.flatnonzero(approx >= kth - _CANDIDATE_SLACK * query_norm)
             else:
-                score = float(
-                    np.dot(np.asarray(self._vectors[position], dtype=np.float64), query)
-                    / denom
-                )
-            scored.append((score, chunk.chunk_id, position))
-        scored.sort(key=lambda item: (-item[0], item[1]))
+                candidates = np.arange(count)
+            # Rows with the same bytes score the same. Such rows share an
+            # approximate score, so each row is rescored unless it has the
+            # bytes of the first candidate with its approximate score.
+            rows = self._rows[positions[candidates]]
+            _, first, group = np.unique(
+                approx[candidates], return_index=True, return_inverse=True
+            )
+            leader = first[group]
+            bits = rows.view(np.int64)
+            copies = (bits == bits[leader]).all(axis=1)
+            copies[first] = False
+            norms = self._norms[positions[candidates]]
+            scores = np.empty(len(candidates))
+            for i in np.flatnonzero(~copies):
+                denom = norms[i] * query_norm
+                scores[i] = 0.0 if denom == 0.0 else np.dot(rows[i], query) / denom
+            scores[copies] = scores[leader[copies]]
+        order = np.lexsort((id_rank[candidates], -scores))[:k]
         hits = []
-        for rank, (score, chunk_id, position) in enumerate(scored[:k], start=1):
-            chunk = self._chunks[position]
+        for rank, i in enumerate(order, start=1):
+            chunk = self._chunks[positions[candidates[i]]]
             hits.append(
                 RetrievalHit(
-                    chunk_id=chunk_id,
-                    score=score,
+                    chunk_id=chunk.chunk_id,
+                    score=float(scores[i]),
                     rank=rank,
                     graph_id=chunk.graph_id,
                     node_id=chunk.node_id,
@@ -175,8 +291,7 @@ class VectorIndex:
                     ).encode("utf-8")
                 )
                 fh.write(b"\n")
-            for vector in self._vectors:
-                fh.write(struct.pack(f"<{dimension}f", *[float(v) for v in vector]))
+            fh.write(self._rows.astype("<f4"))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -187,6 +302,8 @@ class VectorIndex:
                 header = json.loads(header_line)
             except json.JSONDecodeError as exc:
                 raise SnapshotError(f"unreadable snapshot header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise SnapshotError("snapshot header must be a JSON object")
             if header.get("format") != _SNAPSHOT_FORMAT:
                 raise SnapshotError(
                     f"expected format {_SNAPSHOT_FORMAT!r}, found {header.get('format')!r}"
@@ -196,9 +313,14 @@ class VectorIndex:
                     f"expected snapshot version {_SNAPSHOT_VERSION}, "
                     f"found {header.get('version')}"
                 )
-            count = header["count"]
-            dimension = header["dimension"]
-            entries = []
+            count = _header_int(header, "count")
+            dimension = _header_int(header, "dimension")
+            if count < 0:
+                raise SnapshotError(f"snapshot count must be >= 0, found {count}")
+            if dimension < (1 if count else 0):
+                raise SnapshotError(f"snapshot dimension {dimension} is invalid")
+            chunks = []
+            seen: set[str] = set()
             for i in range(count):
                 line = fh.readline()
                 if not line:
@@ -207,17 +329,25 @@ class VectorIndex:
                     chunk = Chunk.from_dict(json.loads(line))
                 except (json.JSONDecodeError, KeyError, ValueError) as exc:
                     raise SnapshotError(f"bad chunk record {i}: {exc}") from exc
-                entries.append(chunk)
-            for chunk in entries:
-                blob = fh.read(4 * dimension)
-                if len(blob) != 4 * dimension:
-                    raise SnapshotError(
-                        f"truncated snapshot: missing vector for {chunk.chunk_id!r}"
-                    )
-                values = struct.unpack(f"<{dimension}f", blob)
-                index.upsert([
-                    IndexEntry(chunk=chunk, vector=EmbeddingVector(values=values))
-                ])
+                if chunk.chunk_id in seen:
+                    raise SnapshotError(f"duplicate chunk_id {chunk.chunk_id!r} in snapshot")
+                seen.add(chunk.chunk_id)
+                chunks.append(chunk)
+            row_bytes = 4 * dimension
+            blob = fh.read(row_bytes * count)
+            if len(blob) != row_bytes * count:
+                raise SnapshotError(
+                    f"truncated snapshot: missing vector for "
+                    f"{chunks[len(blob) // row_bytes].chunk_id!r}"
+                )
             if fh.read(1):
                 raise SnapshotError("trailing bytes after snapshot payload")
+        if not count:
+            return index
+        rows = np.frombuffer(blob, dtype="<f4").reshape(count, dimension).astype(np.float64)
+        bad = _first_non_finite(rows)
+        if bad is not None:
+            raise SnapshotError(f"chunk {chunks[bad].chunk_id!r} has a non-finite vector value")
+        index._dimension = dimension
+        index._put(chunks, rows)
         return index

@@ -332,6 +332,30 @@ class TestEnvOverrides:
             assert server.requests
             assert all(r["model"] == "env-model" for r in server.requests)
 
+    def test_eval_applies_env_overrides(self, tmp_path, monkeypatch):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+        config_path = tmp_path / "eval.json"
+        config_path.write_text(
+            json.dumps({"provider": {"kind": "local-hashed", "dimension": 256}})
+        )
+        with StubEmbedServer(dimension=8) as server:
+            monkeypatch.setenv("EMBED_ENDPOINT", server.endpoint)
+            monkeypatch.setenv("EMBED_MODEL", "env-model")
+            out_dir = tmp_path / "eval-out"
+            assert main(
+                [
+                    "eval",
+                    "--graphs", str(graphs_path),
+                    "--qa", str(qa_path),
+                    "--config", str(config_path),
+                    "--out-dir", str(out_dir),
+                ]
+            ) == 0
+            assert server.requests
+            assert all(r["model"] == "env-model" for r in server.requests)
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["metadata"]["provider"] == f"remote(env-model@{server.endpoint})"
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import flowrag.embed as embed_module
@@ -15,6 +16,14 @@ from flowrag.embed import (
 )
 
 from helpers import StubEmbedServer, stub_vector
+
+
+class FakeResponse:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def json(self):
+        return self.payload
 
 LOCAL64 = ProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=64)
 LOCAL256 = ProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=256)
@@ -78,6 +87,37 @@ class TestLocalHashed:
     def test_tokenless_text_gives_zero_vector(self):
         (vector,) = embed_batch(LOCAL64, ["!!!"])
         assert all(v == 0.0 for v in vector.values)
+
+
+class TestEmbeddingVector:
+    def test_values_quantized_to_float32(self):
+        vector = EmbeddingVector(values=(0.1, 1 / 3))
+        assert vector.values == (float(np.float32(0.1)), float(np.float32(1 / 3)))
+        assert all(type(v) is float for v in vector.values)
+        assert vector.as_array().dtype == np.float32
+
+    def test_array_is_read_only(self):
+        vector = EmbeddingVector(values=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            vector.as_array()[0] = 5.0
+
+    def test_source_copied(self):
+        source = np.array([1.0, 2.0], dtype=np.float32)
+        vector = EmbeddingVector(source)
+        source[0] = 9.0
+        assert vector.values == (1.0, 2.0)
+
+    def test_equality_and_hash(self):
+        a = EmbeddingVector(values=(0.0, 1.0))
+        b = EmbeddingVector(np.array([-0.0, 1.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != EmbeddingVector(values=(0.0, 1.0, 0.0))
+        assert a != EmbeddingVector(values=(1.0, 0.0))
+        assert len({a, b}) == 1
+
+    def test_nested_values_rejected(self):
+        with pytest.raises(EmbedInputError):
+            EmbeddingVector([[1.0, 2.0]])
 
 
 class TestCosine:
@@ -162,6 +202,19 @@ class TestRemote:
         with StubEmbedServer(dimension=4, ragged=True) as server:
             with pytest.raises(ProtocolError):
                 embed_batch(remote_config(server.endpoint), ["a", "b"])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e39, None])
+    def test_non_finite_row_is_protocol_error(self, bad):
+        client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
+        with pytest.raises(ProtocolError) as excinfo:
+            client._parse(FakeResponse({"embeddings": [[0.5, 0.5], [0.1, bad]]}))
+        assert "row 1" in str(excinfo.value)
+
+    @pytest.mark.parametrize("row", [["a", 1.0], [[1.0], [2.0]], [{"x": 1}]])
+    def test_non_numeric_row_is_protocol_error(self, row):
+        client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
+        with pytest.raises(ProtocolError):
+            client._parse(FakeResponse({"embeddings": [row]}))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrag.chunker import Chunk, ChunkStrategy, SourceKind
 from flowrag.embed import EmbeddingVector
@@ -85,6 +88,12 @@ class TestUpsert:
             index.upsert(bad)
         assert "c0002" in str(excinfo.value)
         assert len(index) == 1
+
+    def test_zero_dimension_rejected(self):
+        index = VectorIndex()
+        with pytest.raises(DimensionMismatchError):
+            index.upsert([IndexEntry(chunk=make_chunk(0), vector=EmbeddingVector(values=()))])
+        assert len(index) == 0
 
     def test_duplicate_ids_within_call_rejected(self):
         rng = random.Random(3)
@@ -242,3 +251,248 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(SnapshotError):
             VectorIndex.load(path)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def hits_key(hits):
+    return [(h.chunk_id, h.score, h.rank) for h in hits]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_upsert_rejects_all_or_nothing(self, bad):
+        rng = random.Random(20)
+        index = build_index(rng, 3, dim=4)
+        probe = random_vector(rng, 4)
+        before = hits_key(index.query(probe, k=3))
+        entries = [
+            IndexEntry(chunk=make_chunk(1), vector=random_vector(rng, 4)),
+            IndexEntry(chunk=make_chunk(7), vector=EmbeddingVector(values=(0.5, bad, 0.1, 0.2))),
+        ]
+        with pytest.raises(FlowragError) as excinfo:
+            index.upsert(entries)
+        assert "c0007" in str(excinfo.value)
+        assert len(index) == 3
+        assert hits_key(index.query(probe, k=3)) == before
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejected_first_upsert_leaves_index_empty(self, bad):
+        index = VectorIndex()
+        with pytest.raises(FlowragError):
+            index.upsert(
+                [IndexEntry(chunk=make_chunk(0), vector=EmbeddingVector(values=(bad, 1.0)))]
+            )
+        assert len(index) == 0
+        assert index.dimension is None
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_query_rejects(self, bad):
+        index = build_index(random.Random(22), 5, dim=3)
+        with pytest.raises(FlowragError):
+            index.query(EmbeddingVector(values=(1.0, bad, 0.0)), k=2)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_query_batch_rejects(self, bad):
+        index = build_index(random.Random(23), 5, dim=3)
+        queries = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, bad]])
+        with pytest.raises(FlowragError) as excinfo:
+            index.query_batch(queries, k=2)
+        assert "query 1" in str(excinfo.value)
+
+    def test_float32_overflow_rejected(self):
+        index = build_index(random.Random(24), 5, dim=3)
+        with pytest.raises(FlowragError):
+            index.query_batch(np.array([[1e39, 0.0, 0.0]]), k=2)
+
+
+def rewrite_header(path, **changes):
+    header_line, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+
+
+class TestSnapshotHeader:
+    def test_negative_dimension(self, tmp_path):
+        path = tmp_path / "index.snap"
+        VectorIndex().save(path)
+        rewrite_header(path, dimension=-3)
+        with pytest.raises(SnapshotError):
+            VectorIndex.load(path)
+
+    def test_zero_dimension_with_entries(self, tmp_path):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(30), 2, dim=4).save(path)
+        rewrite_header(path, dimension=0)
+        with pytest.raises(SnapshotError):
+            VectorIndex.load(path)
+
+    def test_missing_count(self, tmp_path):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(31), 2, dim=4).save(path)
+        rewrite_header(path, count=None)
+        with pytest.raises(SnapshotError) as excinfo:
+            VectorIndex.load(path)
+        assert "count" in str(excinfo.value)
+
+    def test_string_dimension(self, tmp_path):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(32), 2, dim=4).save(path)
+        rewrite_header(path, dimension="4")
+        with pytest.raises(SnapshotError):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize("changes", [{"count": True}, {"count": -1}, {"count": 2.0}])
+    def test_bad_count(self, tmp_path, changes):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(33), 2, dim=4).save(path)
+        rewrite_header(path, **changes)
+        with pytest.raises(SnapshotError):
+            VectorIndex.load(path)
+
+    def test_duplicate_chunk_id(self, tmp_path):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(35), 2, dim=4).save(path)
+        header, first, second, blob = path.read_bytes().split(b"\n", 3)
+        path.write_bytes(b"\n".join([header, first, first, blob]))
+        with pytest.raises(SnapshotError) as excinfo:
+            VectorIndex.load(path)
+        assert "duplicate" in str(excinfo.value)
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(34), 2, dim=4).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+        with pytest.raises(SnapshotError) as excinfo:
+            VectorIndex.load(path)
+        assert "c0001" in str(excinfo.value)
+
+
+# Vectors drawn from a small pool, so the index holds many exact duplicates;
+# the pool may hold the zero vector.
+_COMPONENT = st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.25, -3.0]) | st.floats(
+    min_value=-4.0, max_value=4.0, allow_nan=False, width=32
+)
+
+
+@st.composite
+def index_and_queries(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    vector = st.lists(_COMPONENT, min_size=dim, max_size=dim)
+    pool = draw(st.lists(vector, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        pool.append([0.0] * dim)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    extra = draw(st.lists(vector, max_size=3))
+    queries = [pool[i] for i in draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=90)
+    )] + extra + [[0.0] * dim]
+    k = draw(st.integers(min_value=1, max_value=len(picks) + 3))
+    keep = draw(st.none() | st.frozensets(st.integers(0, len(picks) - 1)))
+    ids = draw(st.permutations(range(len(picks))))
+    entries = [
+        (make_chunk(ids[i]), EmbeddingVector(values=tuple(pool[p])))
+        for i, p in enumerate(picks)
+    ]
+    return entries, queries, k, keep
+
+
+class TestQueryBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(index_and_queries())
+    def test_matches_single_queries_and_scan_bit_for_bit(self, case):
+        entries, queries, k, keep = case
+        index = VectorIndex()
+        index.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
+        chunk_filter = None
+        kept = entries
+        if keep is not None:
+            kept_ids = {entries[i][0].chunk_id for i in keep}
+            chunk_filter = lambda chunk: chunk.chunk_id in kept_ids  # noqa: E731
+            kept = [(c, v) for c, v in entries if c.chunk_id in kept_ids]
+        batch = index.query_batch(np.array(queries, dtype=np.float32), k, chunk_filter)
+        single = [
+            index.query(EmbeddingVector(values=tuple(q)), k, chunk_filter) for q in queries
+        ]
+        assert [hits_key(h) for h in batch] == [hits_key(h) for h in single]
+        for query, hits in zip(queries, batch):
+            expected = scan_oracle(kept, EmbeddingVector(values=tuple(query)), k)
+            assert [(h.score, h.chunk_id) for h in hits] == expected
+            assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+
+    def test_dense_gaussian_rows_match_scan(self):
+        rng = random.Random(40)
+        entries = [(make_chunk(i), random_vector(rng, 256)) for i in range(400)]
+        index = VectorIndex()
+        index.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
+        queries = [random_vector(rng, 256) for _ in range(150)]
+        batch = index.query_batch(np.stack([q.as_array() for q in queries]), 5)
+        for query, hits in zip(queries, batch):
+            assert [(h.score, h.chunk_id) for h in hits] == scan_oracle(entries, query, 5)
+
+    def test_near_ties_from_rounding_match_scan(self):
+        # Permutations of one set of values score equally in exact
+        # arithmetic against the all-ones query; the wide exponent range
+        # makes every summation order round differently.
+        rng = random.Random(50)
+        values = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-40, 40) for _ in range(64)]
+        entries = []
+        for i in range(200):
+            rng.shuffle(values)
+            entries.append((make_chunk(i), EmbeddingVector(values=tuple(values))))
+        index = VectorIndex()
+        index.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
+        query = EmbeddingVector(values=(1.0,) * 64)
+        for k in (1, 3, 5):
+            hits = index.query(query, k)
+            assert [(h.score, h.chunk_id) for h in hits] == scan_oracle(entries, query, k)
+
+    def test_zero_query_ranks_by_chunk_id(self):
+        rng = random.Random(41)
+        index = build_index(rng, 12, dim=4)
+        hits = index.query(EmbeddingVector(values=(0.0,) * 4), k=3)
+        assert [(h.chunk_id, h.score) for h in hits] == [
+            ("c0000", 0.0), ("c0001", 0.0), ("c0002", 0.0)
+        ]
+
+    def test_filter_excluding_everything(self):
+        index = build_index(random.Random(42), 4, dim=4)
+        assert index.query_batch(np.ones((2, 4)), 3, lambda chunk: False) == [[], []]
+
+    def test_dimension_mismatch(self):
+        index = build_index(random.Random(43), 4, dim=4)
+        with pytest.raises(DimensionMismatchError):
+            index.query_batch(np.ones((2, 5)), 3)
+
+    def test_incremental_upserts_rank_like_one_bulk_upsert(self, tmp_path):
+        rng = random.Random(44)
+        pool = [random_vector(rng, 8) for _ in range(40)]
+        final = {i: rng.choice(pool) for i in range(500)}
+        incremental = VectorIndex()
+        for i in range(500):
+            incremental.upsert([IndexEntry(chunk=make_chunk(i), vector=rng.choice(pool))])
+        for i in range(0, 500, 3):
+            incremental.upsert([IndexEntry(chunk=make_chunk(i), vector=final[i])])
+        replaced = list(range(1, 500, 3))
+        incremental.upsert(
+            [IndexEntry(chunk=make_chunk(i), vector=final[i]) for i in replaced]
+        )
+        for i in range(2, 500, 3):
+            incremental.upsert([IndexEntry(chunk=make_chunk(i), vector=final[i])])
+        bulk = VectorIndex()
+        bulk.upsert([IndexEntry(chunk=make_chunk(i), vector=final[i]) for i in range(500)])
+        assert len(incremental) == len(bulk) == 500
+        queries = np.stack([v.as_array() for v in pool[:10]] + [random_vector(rng, 8).as_array()])
+        assert [hits_key(h) for h in incremental.query_batch(queries, 7)] == [
+            hits_key(h) for h in bulk.query_batch(queries, 7)
+        ]
+        incremental.save(tmp_path / "a.snap")
+        bulk.save(tmp_path / "b.snap")
+        assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
