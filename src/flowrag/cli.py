@@ -111,10 +111,21 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _warn_ids(what: str, ids: list[str], consequence: str) -> None:
+    """One warning for all offenders: their count and the first few ids."""
+    if ids:
+        distinct = list(dict.fromkeys(ids))
+        shown = ", ".join(repr(i) for i in distinct[:5])
+        more = ", ..." if len(distinct) > 5 else ""
+        print(f"warning: {len(ids)} {what} ({shown}{more}); {consequence}", file=sys.stderr)
+
+
 def _read_predictions(path: str) -> dict[str, object]:
     """Prediction JSONL: {"graph_id": ..., "predicted": <graph document>}.
-    Unparseable lines or graphs map to None so they score as full cost."""
+    Unparseable lines or graphs map to None so they score as full cost. When
+    a graph_id repeats, the last line wins."""
     predictions: dict[str, object] = {}
+    repeated: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -123,9 +134,13 @@ def _read_predictions(path: str) -> dict[str, object]:
             try:
                 record = json.loads(line)
                 graph_id = record["graph_id"]
+                if not isinstance(graph_id, str):
+                    raise TypeError(f"graph_id must be a string, got {graph_id!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 print(f"{path}:{line_no}: unreadable prediction: {exc}", file=sys.stderr)
                 continue
+            if graph_id in predictions:
+                repeated.append(graph_id)
             try:
                 predictions[graph_id] = parse_json(
                     json.dumps(record["predicted"]).encode("utf-8")
@@ -136,6 +151,9 @@ def _read_predictions(path: str) -> dict[str, object]:
                     file=sys.stderr,
                 )
                 predictions[graph_id] = None
+    _warn_ids(
+        "prediction lines repeat an earlier graph_id", repeated, "the last line wins"
+    )
     return predictions
 
 
@@ -151,14 +169,22 @@ def _cmd_ged(args) -> int:
         if truth.graph_id not in predictions:
             print(f"no prediction for {truth.graph_id!r}; scoring as missing", file=sys.stderr)
         pairs.append((predictions.get(truth.graph_id), truth))
+    truth_ids = {truth.graph_id for truth in truths}
+    _warn_ids(
+        "predictions have a graph_id not among the truths",
+        [graph_id for graph_id in predictions if graph_id not in truth_ids],
+        "they are ignored",
+    )
     report = evaluate_predictions(pairs, costs=costs, node_budget=args.budget)
     out_path = Path(args.report)
     if out_path.suffix == ".csv":
         out_path.write_text(render_ged_report_csv(report), encoding="utf-8")
     else:
         out_path.write_text(render_ged_report_markdown(report), encoding="utf-8")
+    approx = sum(not score.result.exact for score in report.pair_scores)
     print(
-        f"scored {len(pairs)} pairs; average edit distance "
+        f"scored {len(pairs)} pairs ({approx} above the node budget of "
+        f"{args.budget}, by ged_approx); average edit distance "
         f"{report.avg_distance:.2f}",
         file=sys.stderr,
     )

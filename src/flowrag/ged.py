@@ -7,13 +7,19 @@ Two solvers over the same cost semantics:
   the edges induced by an assignment are compared by direction class and
   value. Bidirectional edges only ever match bidirectional edges, as an
   unordered endpoint pair. Node shapes and edge line styles never enter the
-  cost. Two admissible lower bounds guide the search: a cheap label-multiset
-  relaxation, and an assignment bound that prices edges anchored to
-  already-decided nodes exactly; branches are also pruned against the
-  ``ged_approx`` upper bound. All three preserve minimality. Ties between
-  minimum-cost solutions break toward the assignment vector that maps each
-  node (in input order) to the lexicographically smallest truth id, with
-  deletion ordered last.
+  cost. One table, built once per pair, prices the edges between every
+  pair of predicted nodes against the edges between every pair of truth
+  nodes. Both the step cost of the search and its admissible lower bound
+  read it; the bound is a linear assignment that prices edges anchored to
+  already-decided nodes exactly. Branches are also pruned against the
+  ``ged_approx`` upper bound. Neither the bound nor the pruning loses a
+  minimum. Ties between minimum-cost solutions break toward the assignment
+  vector that maps each node (in input order) to the lexicographically
+  smallest truth id, with deletion ordered last. That tie-break is exact
+  only when the costs sum exactly in binary floating point, as unit costs
+  and halves or quarters do; otherwise rounding can make one of two
+  equal-cost solutions look cheaper, and the search may return another
+  mapping of the same distance.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate), then prices the
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
@@ -90,6 +97,8 @@ class CostModel:
             "edge_delete",
             "edge_substitute",
         ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.node_substitute > self.node_insert + self.node_delete + 1e-12:
@@ -107,9 +116,14 @@ class CostModel:
             "edge_delete",
             "edge_substitute",
         }
+        if not isinstance(data, dict):
+            raise ValueError(f"a cost model is a mapping, got {type(data).__name__}")
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown cost keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         return cls(**{k: float(v) for k, v in data.items()})
 
 
@@ -172,33 +186,6 @@ class _View:
                     bi[b][normalize_label(edge.value)] += 1
         return list(zip(out, inc, bi))
 
-    def neighbor_maps(self):
-        """Per node: edge-value Counters keyed by the other endpoint, split
-        by class (out, in, bidirectional), plus self-loop Counters. Drives
-        the anchored-edge terms of the exact solver's heuristic."""
-        out = [defaultdict(Counter) for _ in self.nodes]
-        inc = [defaultdict(Counter) for _ in self.nodes]
-        bi = [defaultdict(Counter) for _ in self.nodes]
-        loop_directed = [Counter() for _ in self.nodes]
-        loop_bidir = [Counter() for _ in self.nodes]
-        for (si, di), edges in self.directed.items():
-            for edge in edges:
-                value = normalize_label(edge.value)
-                if si == di:
-                    loop_directed[si][value] += 1
-                else:
-                    out[si][di][value] += 1
-                    inc[di][si][value] += 1
-        for (a, b), edges in self.bidir.items():
-            for edge in edges:
-                value = normalize_label(edge.value)
-                if a == b:
-                    loop_bidir[a][value] += 1
-                else:
-                    bi[a][b][value] += 1
-                    bi[b][a][value] += 1
-        return out, inc, bi, loop_directed, loop_bidir
-
 
 def _counter_bound(
     c1: Counter, c2: Counter, substitute: float, delete: float, insert: float
@@ -218,18 +205,55 @@ def _edge_counter(edges: list[FlowEdge]) -> Counter:
     return Counter(normalize_label(e.value) for e in edges)
 
 
-def _group_cost(
-    pred_edges: list[FlowEdge], truth_edges: list[FlowEdge], costs: CostModel
-) -> float:
-    if not pred_edges and not truth_edges:
-        return 0.0
-    return _counter_bound(
-        _edge_counter(pred_edges),
-        _edge_counter(truth_edges),
-        costs.edge_substitute,
-        costs.edge_delete,
-        costs.edge_insert,
-    )
+def _anchor_costs(
+    pv: _View, tv: _View, costs: CostModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge costs of every pairing of a pred node pair with a truth node pair.
+
+    ``pair[u, a, t, j]`` is the cost of matching the edges between pred nodes
+    u and a to the edges between truth nodes t and j: u->a against t->j,
+    a->u against j->t, and bidirectional against bidirectional. The diagonal
+    u == a, t == j prices the self-loops, directed loops counted once.
+    ``deleted[u, a]`` and ``inserted[t, j]`` price deleting or inserting all
+    edges between the two nodes. ``pair`` holds n1**2 * n2**2 floats: at
+    most 166 KB at the default node budget of 12.
+    """
+    n1, n2 = len(pv.nodes), len(tv.nodes)
+
+    def class_costs(pred_groups, truth_groups):
+        # One edge class keyed by ordered node pair: delete-all plus
+        # insert-all by broadcasting, the multiset bound where both groups
+        # hold edges.
+        pred = {key: _edge_counter(edges) for key, edges in pred_groups.items()}
+        truth = {key: _edge_counter(edges) for key, edges in truth_groups.items()}
+        deleted = np.zeros((n1, n1))
+        inserted = np.zeros((n2, n2))
+        for (u, a), values in pred.items():
+            deleted[u, a] = costs.edge_delete * sum(values.values())
+        for (t, j), values in truth.items():
+            inserted[t, j] = costs.edge_insert * sum(values.values())
+        table = deleted[:, :, None, None] + inserted[None, None, :, :]
+        for (u, a), c1 in pred.items():
+            for (t, j), c2 in truth.items():
+                table[u, a, t, j] = _counter_bound(
+                    c1, c2, costs.edge_substitute, costs.edge_delete, costs.edge_insert
+                )
+        return table, deleted, inserted
+
+    def both_ways(groups):
+        return {**groups, **{(b, a): edges for (a, b), edges in groups.items()}}
+
+    directed, d_deleted, d_inserted = class_costs(pv.directed, tv.directed)
+    bidir, b_deleted, b_inserted = class_costs(both_ways(pv.bidir), both_ways(tv.bidir))
+    pair = directed + directed.transpose(1, 0, 3, 2) + bidir
+    deleted = d_deleted + d_deleted.T + b_deleted
+    inserted = d_inserted + d_inserted.T + b_inserted
+    # The transposed terms count every directed self-loop twice.
+    u, t = np.ix_(np.arange(n1), np.arange(n2))
+    pair[u, u, t, t] = directed[u, u, t, t] + bidir[u, u, t, t]
+    np.fill_diagonal(deleted, d_deleted.diagonal() + b_deleted.diagonal())
+    np.fill_diagonal(inserted, d_inserted.diagonal() + b_inserted.diagonal())
+    return pair, deleted, inserted
 
 
 def _edge_sort_key(edge: FlowEdge):
@@ -427,31 +451,11 @@ def ged_exact(
     if max(n1, n2) > node_budget:
         raise GraphTooLargeError(max(n1, n2), node_budget)
 
-    # Truth candidates in id order: drives the deterministic tie-break.
-    cand_order = sorted(range(n2), key=lambda j: tv.ids[j])
-
     # Any feasible edit cost bounds the optimum; children whose lower bound
     # exceeds it can never be minimal and are never pushed.
     upper_bound = (
         ged_approx(predicted, truth, costs).distance + 1e-6 if n1 and n2 else None
     )
-
-    # Pred edges whose group is not yet resolved at depth k, as value
-    # multisets per direction class. Group (a, b) resolves once both
-    # endpoints are decided, i.e. max(a, b) < k.
-    suffix_directed: list[Counter] = [Counter() for _ in range(n1 + 1)]
-    suffix_bidir: list[Counter] = [Counter() for _ in range(n1 + 1)]
-    for groups, suffix in ((pv.directed, suffix_directed), (pv.bidir, suffix_bidir)):
-        for (a, b), edges in groups.items():
-            top = max(a, b)
-            for edge in edges:
-                value = normalize_label(edge.value)
-                for k in range(top + 1):
-                    suffix[k][value] += 1
-    suffix_nodes: list[Counter] = [Counter() for _ in range(n1 + 1)]
-    for k in range(n1 - 1, -1, -1):
-        suffix_nodes[k] = suffix_nodes[k + 1].copy()
-        suffix_nodes[k][pv.norm[k]] += 1
 
     # Pred edges with both endpoints undecided at depth k, loops excluded:
     # the part of the edge set the assignment bound cannot anchor.
@@ -474,86 +478,38 @@ def ged_exact(
         for edge in edges:
             truth_edge_items.append((a, b, normalize_label(edge.value), True))
 
-    p_out, p_in, p_bi, p_loop_dir, p_loop_bi = pv.neighbor_maps()
-    t_out, t_in, t_bi, t_loop_dir, t_loop_bi = tv.neighbor_maps()
-    empty: Counter = Counter()
+    pair, deleted, inserted = _anchor_costs(pv, tv, costs)
+    # Substituting pred node u by truth node t, self-loops included.
+    node_cost = np.array(
+        [[0.0 if pn == tn else costs.node_substitute for tn in tv.norm] for pn in pv.norm]
+    ).reshape(n1, n2)
+    base = node_cost + np.einsum("uutt->ut", pair)
+    edge_costs = (costs.edge_substitute, costs.edge_delete, costs.edge_insert)
     big = 1e6
 
-    def edge_bound(c1: Counter, c2: Counter) -> float:
-        return _counter_bound(
-            c1, c2, costs.edge_substitute, costs.edge_delete, costs.edge_insert
-        )
-
-    def cheap_heuristic(k: int, used_mask: int) -> float:
-        """Label-multiset relaxation over everything unresolved."""
-        unused = [j for j in range(n2) if not used_mask & (1 << j)]
-        node_bound = _counter_bound(
-            suffix_nodes[k],
-            Counter(tv.norm[j] for j in unused),
-            costs.node_substitute,
-            costs.node_delete,
-            costs.node_insert,
-        )
-        pending_directed: Counter = Counter()
-        pending_bidir: Counter = Counter()
-        for a, b, value, is_bidir in truth_edge_items:
-            if not used_mask & (1 << a) or not used_mask & (1 << b):
-                (pending_bidir if is_bidir else pending_directed)[value] += 1
-        return (
-            node_bound
-            + edge_bound(suffix_directed[k], pending_directed)
-            + edge_bound(suffix_bidir[k], pending_bidir)
-        )
-
-    def strong_heuristic(decisions: tuple[int | None, ...], used_mask: int) -> float:
-        """Assignment lower bound. Edges between a remaining node and an
-        already-decided one are priced exactly per candidate pairing (they
-        resolve the moment the remaining node is decided); edges with both
-        endpoints open fall back to the multiset relaxation. All three parts
-        cover disjoint edge sets, so the sum stays admissible."""
+    def lower_bound(decisions: tuple[int | None, ...], used_mask: int) -> float:
+        """Assignment lower bound. Edges between a remaining node and a
+        mapped one resolve the moment the remaining node is decided, so the
+        table prices them exactly per candidate pairing; edges to deleted
+        nodes are a constant; edges with both endpoints open fall back to
+        the multiset relaxation. The three parts cover disjoint edge sets,
+        so the sum stays admissible."""
         k = len(decisions)
-        remaining = list(range(k, n1))
         unused = [j for j in range(n2) if not used_mask & (1 << j)]
-        mapped = [(a, j) for a, j in enumerate(decisions) if j is not None]
-        deleted = [a for a, j in enumerate(decisions) if j is None]
-        constant = 0.0
-        for u in remaining:
-            for a in deleted:
-                constant += costs.edge_delete * (
-                    sum(p_out[u].get(a, empty).values())
-                    + sum(p_in[u].get(a, empty).values())
-                    + sum(p_bi[u].get(a, empty).values())
-                )
-        m1, m2 = len(remaining), len(unused)
-        matrix = np.full((m1 + m2, m1 + m2), big, dtype=np.float64)
+        mapped = [a for a, j in enumerate(decisions) if j is not None]
+        images = [decisions[a] for a in mapped]
+        dropped = [a for a, j in enumerate(decisions) if j is None]
+        m1, m2 = n1 - k, len(unused)
+        matrix = np.full((m1 + m2, m1 + m2), big)
         matrix[m1:, m2:] = 0.0
-        for i, u in enumerate(remaining):
-            anchored = sum(p_loop_dir[u].values()) + sum(p_loop_bi[u].values())
-            for a, _j in mapped:
-                anchored += (
-                    sum(p_out[u].get(a, empty).values())
-                    + sum(p_in[u].get(a, empty).values())
-                    + sum(p_bi[u].get(a, empty).values())
-                )
-            matrix[i, m2 + i] = costs.node_delete + costs.edge_delete * anchored
-            for jj, t in enumerate(unused):
-                cost = 0.0 if pv.norm[u] == tv.norm[t] else costs.node_substitute
-                cost += edge_bound(p_loop_dir[u], t_loop_dir[t])
-                cost += edge_bound(p_loop_bi[u], t_loop_bi[t])
-                for a, j in mapped:
-                    cost += edge_bound(p_out[u].get(a, empty), t_out[t].get(j, empty))
-                    cost += edge_bound(p_in[u].get(a, empty), t_in[t].get(j, empty))
-                    cost += edge_bound(p_bi[u].get(a, empty), t_bi[t].get(j, empty))
-                matrix[i, jj] = cost
-        for jj, t in enumerate(unused):
-            anchored = sum(t_loop_dir[t].values()) + sum(t_loop_bi[t].values())
-            for _a, j in mapped:
-                anchored += (
-                    sum(t_out[t].get(j, empty).values())
-                    + sum(t_in[t].get(j, empty).values())
-                    + sum(t_bi[t].get(j, empty).values())
-                )
-            matrix[m1 + jj, jj] = costs.node_insert + costs.edge_insert * anchored
+        matrix[:m1, :m2] = (base[k:] + pair[k:, mapped, :, images].sum(0))[:, unused]
+        rows, cols = np.arange(m1), np.arange(m2)
+        matrix[rows, m2 + rows] = costs.node_delete + (
+            deleted.diagonal() + deleted[:, mapped].sum(1)
+        )[k:]
+        matrix[m1 + cols, cols] = costs.node_insert + (
+            inserted.diagonal() + inserted[:, images].sum(1)
+        )[unused]
         rows, cols = linear_sum_assignment(matrix)
         lap = float(matrix[rows, cols].sum())
         pending_directed: Counter = Counter()
@@ -561,51 +517,19 @@ def ged_exact(
         for a, b, value, is_bidir in truth_edge_items:
             if a != b and not used_mask & (1 << a) and not used_mask & (1 << b):
                 (pending_bidir if is_bidir else pending_directed)[value] += 1
-        free = edge_bound(free_directed[k], pending_directed) + edge_bound(
-            free_bidir[k], pending_bidir
-        )
-        return constant + lap + free
-
-    def heuristic(decisions: tuple[int | None, ...], used_mask: int) -> float:
-        cheap = cheap_heuristic(len(decisions), used_mask)
-        if upper_bound is not None and cheap > upper_bound:
-            return cheap
-        return max(cheap, strong_heuristic(decisions, used_mask))
+        free = _counter_bound(free_directed[k], pending_directed, *edge_costs)
+        free += _counter_bound(free_bidir[k], pending_bidir, *edge_costs)
+        return float(deleted[k:, dropped].sum()) + lap + free
 
     def extension_cost(decisions: tuple[int | None, ...], j: int | None) -> float:
         """Cost added by deciding pred node k = len(decisions) as j."""
         k = len(decisions)
-        cost = 0.0
         if j is None:
-            cost += costs.node_delete
-        else:
-            cost += 0.0 if pv.norm[k] == tv.norm[j] else costs.node_substitute
-        for a in range(k + 1):
-            phi_a = j if a == k else decisions[a]
-            if a == k:
-                group_keys = [((k, k), (j, j) if j is not None else None)]
-                bidir_keys = [((k, k), (j, j) if j is not None else None)]
-            else:
-                if j is None or phi_a is None:
-                    group_keys = [((k, a), None), ((a, k), None)]
-                    bidir_keys = [((min(a, k), max(a, k)), None)]
-                else:
-                    group_keys = [((k, a), (j, phi_a)), ((a, k), (phi_a, j))]
-                    bidir_keys = [
-                        (
-                            (min(a, k), max(a, k)),
-                            (min(j, phi_a), max(j, phi_a)),
-                        )
-                    ]
-            for pkey, tkey in group_keys:
-                pred_edges = pv.directed.get(pkey, [])
-                truth_edges = tv.directed.get(tkey, []) if tkey is not None else []
-                cost += _group_cost(pred_edges, truth_edges, costs)
-            for pkey, tkey in bidir_keys:
-                pred_edges = pv.bidir.get(pkey, [])
-                truth_edges = tv.bidir.get(tkey, []) if tkey is not None else []
-                cost += _group_cost(pred_edges, truth_edges, costs)
-        return cost
+            return costs.node_delete + float(deleted[k, : k + 1].sum())
+        cost = base[k, j]
+        for a, phi_a in enumerate(decisions):
+            cost += deleted[k, a] if phi_a is None else pair[k, a, j, phi_a]
+        return float(cost)
 
     def completion_cost(decisions: tuple[int | None, ...]) -> float:
         used = {j for j in decisions if j is not None}
@@ -615,6 +539,7 @@ def ged_exact(
                 cost += costs.edge_insert
         return cost
 
+    # Equal f values pop in order of these keys: the deterministic tie-break.
     def decision_key(j: int | None):
         return (1, "") if j is None else (0, tv.ids[j])
 
@@ -622,7 +547,7 @@ def ged_exact(
     # Depth n1 states carry their completion cost; the empty-pred graph is
     # terminal immediately, so it gets the completion up front.
     start_g = completion_cost(()) if n1 == 0 else 0.0
-    start_f = start_g + (0.0 if n1 == 0 else heuristic((), 0))
+    start_f = start_g + (0.0 if n1 == 0 else lower_bound((), 0))
     heap: list = [(start_f, (), next(counter), (), 0, start_g)]
     while heap:
         f, keys, _seq, decisions, used_mask, g = heapq.heappop(heap)
@@ -631,9 +556,7 @@ def ged_exact(
             result = _result_from_mapping(pv, tv, list(decisions), costs, exact=True)
             assert abs(result.distance - g) < 1e-6, "internal cost mismatch"
             return result
-        candidates: list[int | None] = [
-            j for j in cand_order if not used_mask & (1 << j)
-        ]
+        candidates: list[int | None] = [j for j in range(n2) if not used_mask & (1 << j)]
         candidates.append(None)
         for j in candidates:
             new_decisions = decisions + (j,)
@@ -645,7 +568,7 @@ def ged_exact(
                 new_g += completion_cost(new_decisions)
                 h = 0.0
             else:
-                h = heuristic(new_decisions, new_mask)
+                h = lower_bound(new_decisions, new_mask)
             if upper_bound is not None and new_g + h > upper_bound:
                 continue
             heapq.heappush(

@@ -92,7 +92,10 @@ def _group_min_cost(pred_values, truth_values, costs) -> float:
     return best[0]
 
 
-def oracle_ged(pred: FlowGraph, truth: FlowGraph, costs) -> float:
+def oracle_mappings(pred: FlowGraph, truth: FlowGraph, costs):
+    """Every injective partial node mapping with its edit cost, as
+    (assign, cost) pairs: assign[i] is the truth index of pred node i, or
+    None for a deletion."""
     p_nodes, t_nodes = list(pred.nodes), list(truth.nodes)
     n1, n2 = len(p_nodes), len(t_nodes)
     p_index = {n.id: i for i, n in enumerate(p_nodes)}
@@ -123,21 +126,37 @@ def oracle_ged(pred: FlowGraph, truth: FlowGraph, costs) -> float:
                 cost += len(t_values) * costs.edge_insert
         return cost
 
-    best = [float("inf")]
-
-    def enumerate_mappings(i: int, assign: list, used: frozenset) -> None:
+    def enumerate_mappings(i: int, assign: list, used: frozenset):
         if i == n1:
-            total = mapping_cost(assign)
-            if total < best[0]:
-                best[0] = total
+            yield assign, mapping_cost(assign)
             return
-        enumerate_mappings(i + 1, assign + [None], used)
+        yield from enumerate_mappings(i + 1, assign + [None], used)
         for j in range(n2):
             if j not in used:
-                enumerate_mappings(i + 1, assign + [j], used | {j})
+                yield from enumerate_mappings(i + 1, assign + [j], used | {j})
 
-    enumerate_mappings(0, [], frozenset())
-    return best[0]
+    return enumerate_mappings(0, [], frozenset())
+
+
+def oracle_ged(pred: FlowGraph, truth: FlowGraph, costs) -> float:
+    return min(cost for _assign, cost in oracle_mappings(pred, truth, costs))
+
+
+def oracle_tie_break(pred: FlowGraph, truth: FlowGraph, costs) -> tuple:
+    """The minimum-cost mapping whose truth ids, read in pred node order with
+    deletion last, are lexicographically smallest; as (pred id, truth id)
+    pairs. Costs compare exactly, so only costs that sum exactly in binary
+    floating point give a meaningful reference."""
+    t_ids = [n.id for n in truth.nodes]
+    mappings = list(oracle_mappings(pred, truth, costs))
+    best = min(cost for _assign, cost in mappings)
+    assign = min(
+        (assign for assign, cost in mappings if cost == best),
+        key=lambda assign: [(1, "") if j is None else (0, t_ids[j]) for j in assign],
+    )
+    return tuple(
+        (node.id, t_ids[j]) for node, j in zip(pred.nodes, assign) if j is not None
+    )
 
 
 # ---------------------------------------------------------------------------

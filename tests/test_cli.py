@@ -6,7 +6,7 @@ import pytest
 import flowrag.embed as embed_module
 from flowrag.cli import build_parser, main
 from flowrag.ged import GED_REPORT_COLUMNS
-from flowrag.graph_model import parse_json, read_graphs_jsonl, serialize_json
+from flowrag.graph_model import FlowGraph, parse_json, read_graphs_jsonl, serialize_json
 from flowrag.synthgen import read_qa_jsonl
 
 from helpers import StubEmbedServer, disjoint_corpus
@@ -139,6 +139,94 @@ class TestGed:
         assert "no prediction for" in err
         rows = report_path.read_text().splitlines()
         assert rows[0].startswith("Model,")
+
+    def test_repeated_and_unknown_ids_warn_once(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=3)
+
+        def record(graph_id, graph):
+            return json.dumps(
+                {"graph_id": graph_id, "predicted": json.loads(serialize_json(graph))}
+            )
+
+        empty = FlowGraph()
+        lines = [record(g.graph_id, g) for g in graphs]
+        # Two repeats of the first graph, the last one empty: the last wins.
+        lines += [record(graphs[0].graph_id, graphs[0]), record(graphs[0].graph_id, empty)]
+        lines += [record(f"stray{i}", graphs[1]) for i in range(7)]
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("\n".join(lines) + "\n")
+        report_path = tmp_path / "out.csv"
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 2
+        assert warnings[0].startswith("warning: 2 prediction lines repeat")
+        assert repr(graphs[0].graph_id) in warnings[0]
+        assert "last line wins" in warnings[0]
+        assert warnings[1].startswith("warning: 7 predictions have a graph_id not among")
+        assert "'stray4'" in warnings[1] and "'stray5'" not in warnings[1]
+        assert "scored 3 pairs (0 above the node budget of 12, by ged_approx)" in err
+
+        # The report equals one scored from the deduplicated file.
+        clean_path = tmp_path / "clean.jsonl"
+        clean_path.write_text(
+            "\n".join([record(graphs[0].graph_id, empty)] + lines[1:3]) + "\n"
+        )
+        clean_report = tmp_path / "clean.csv"
+        argv = ["ged", "--pred", str(clean_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(clean_report)]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert report_path.read_text() == clean_report.read_text()
+
+    def test_non_string_graph_id_is_unreadable(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text(
+            json.dumps({"graph_id": [graphs[0].graph_id], "predicted": {"nodes": [], "edges": []}})
+            + "\n"
+        )
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(tmp_path / "out.md")]) == 0
+        assert "preds.jsonl:1: unreadable prediction: graph_id must be a string" in (
+            capsys.readouterr().err
+        )
+
+    def test_summary_counts_pairs_above_budget(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=3)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text(
+            json.dumps({"graph_id": graphs[0].graph_id, "predicted": {"nodes": [], "edges": []}})
+            + "\n"
+        )
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--budget", "3", "--report", str(tmp_path / "out.md")]) == 0
+        err = capsys.readouterr().err
+        assert "scored 3 pairs (3 above the node budget of 3, by ged_approx)" in err
+
+    def test_bad_costs_exit_1(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("")
+        costs_path = tmp_path / "costs.json"
+        costs_path.write_text('{"edge_insert": Infinity}')
+        report_path = tmp_path / "out.md"
+        code = main(
+            ["ged", "--pred", str(preds_path), "--truth", str(graphs_path),
+             "--costs", str(costs_path), "--report", str(report_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: edge_insert must be finite" in err
+        assert not report_path.exists()
+
+        costs_path.write_text('{"edge_insert": null}')
+        code = main(
+            ["ged", "--pred", str(preds_path), "--truth", str(graphs_path),
+             "--costs", str(costs_path), "--report", str(report_path)]
+        )
+        assert code == 1
+        assert "error: edge_insert must be a number" in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -23,9 +23,19 @@ from flowrag.ged import (
     GED_REPORT_COLUMNS,
 )
 
-from helpers import oracle_ged, random_graph
+from helpers import oracle_ged, oracle_tie_break, random_graph
 
 UNIT = CostModel()
+# Every cost a small multiple of a power of two: sums stay exact in floating
+# point, so equal-cost mappings really tie.
+DYADIC = CostModel(
+    node_insert=2.0,
+    node_delete=1.5,
+    node_substitute=0.5,
+    edge_insert=0.75,
+    edge_delete=1.25,
+    edge_substitute=1.0,
+)
 
 
 def chain(values: list[str], ids: list[str] | None = None) -> FlowGraph:
@@ -59,6 +69,26 @@ class TestCostModel:
         assert model.node_substitute == 0.5
         with pytest.raises(ValueError):
             CostModel.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["node_insert", "node_delete", "edge_substitute"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CostModel(**{name: value})
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_from_dict_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="edge_insert"):
+            CostModel.from_dict({"edge_insert": float(value)})
+        with pytest.raises(ValueError, match="node_insert"):
+            CostModel.from_dict({"node_insert": float(value), "node_delete": float(value)})
+
+    @pytest.mark.parametrize(
+        "data", [{"edge_insert": None}, {"edge_insert": True}, {"edge_insert": "1"}, [1.0], 2.0]
+    )
+    def test_from_dict_malformed_rejected(self, data):
+        with pytest.raises(ValueError):
+            CostModel.from_dict(data)
 
 
 class TestGedExact:
@@ -155,6 +185,15 @@ class TestGedExact:
         assert result.mapping == (("A", "T1"),)
         again = ged_exact(pred, truth)
         assert again == result
+
+    @pytest.mark.parametrize("costs", [UNIT, DYADIC], ids=["unit", "dyadic"])
+    def test_tie_break_is_lexicographic_minimum(self, costs):
+        # Against brute force: of all minimum-cost mappings, the one whose
+        # truth ids in pred node order (deletion last) are smallest.
+        rng = pair_rng(4)
+        for _ in range(60):
+            a, b = random_graph(rng), random_graph(rng)
+            assert ged_exact(a, b, costs).mapping == oracle_tie_break(a, b, costs)
 
 
 class TestGedApprox:
