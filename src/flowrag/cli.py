@@ -61,6 +61,8 @@ def _apply_env_overrides(data: dict) -> dict:
     """EMBED_ENDPOINT / EMBED_MODEL override a provider config dict."""
     endpoint = os.environ.get("EMBED_ENDPOINT")
     model = os.environ.get("EMBED_MODEL")
+    if not isinstance(data, dict):
+        return data  # ProviderConfig.from_dict rejects it
     if endpoint:
         data = {**data, "kind": "remote", "endpoint": endpoint}
     if model:

@@ -17,19 +17,34 @@ The remote protocol is deliberately minimal:
 Requests are sent in batches of at most ``batch_size``; transport failures
 and HTTP 5xx are retried three times with exponential backoff starting at
 250 ms, HTTP 4xx is never retried.
+
+The client is built on ``http.client`` and keeps HTTP/1.1 connections alive:
+each distinct ``ProviderConfig`` gets one client per process, holding at most
+``max_concurrency`` idle connections that later ``embed_batch`` calls reuse.
+A reused connection that the server closed while it sat idle fails before
+any response arrives; the request is then sent again at once on a fresh
+connection, and that re-send is not one of the three attempts. Proxy
+environment variables (``HTTP(S)_PROXY``, ``NO_PROXY``) are not consulted.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
+import json
 import math
 import re
+import ssl
+import threading
 import time
+import weakref
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import FlowragError
 
@@ -101,13 +116,26 @@ class ProviderConfig:
     max_concurrency: int = 4
 
     def __post_init__(self):
+        if not isinstance(self.kind, ProviderKind):
+            raise ValueError(f"kind must be a ProviderKind, got {self.kind!r}")
+        for name in ("dimension", "batch_size", "max_concurrency"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        timeout = self.timeout_s
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout <= 0
+        ):
+            raise ValueError(f"timeout_s must be a finite number > 0, got {timeout!r}")
         if self.kind is ProviderKind.REMOTE:
             if not self.endpoint or not self.model_name:
                 raise ValueError("remote provider requires endpoint and model_name")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            if not isinstance(self.endpoint, str) or not isinstance(self.model_name, str):
+                raise ValueError("endpoint and model_name must be strings")
+            _split_endpoint(self.endpoint)
 
     def describe(self) -> str:
         if self.kind is ProviderKind.LOCAL_HASHED:
@@ -115,7 +143,11 @@ class ProviderConfig:
         return f"remote({self.model_name}@{self.endpoint})"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ProviderConfig":
+    def from_dict(cls, data: Mapping) -> "ProviderConfig":
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"provider config must be a JSON object, got {type(data).__name__}"
+            )
         kind = ProviderKind(data.get("kind", "local-hashed"))
         kwargs: dict = {"kind": kind}
         for key in ("dimension", "endpoint", "model_name", "timeout_s", "batch_size", "max_concurrency"):
@@ -147,21 +179,124 @@ def _hash_embed(text: str, dimension: int) -> EmbeddingVector:
     return EmbeddingVector(buckets)
 
 
+def _split_endpoint(endpoint: str):
+    """The endpoint's URL parts; ValueError unless it is an http:// or
+    https:// URL with a host and no credentials, query or fragment."""
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises ValueError on a malformed port
+    except ValueError as exc:
+        raise ValueError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(
+            f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
+        )
+    if parts.username is not None or parts.query or parts.fragment:
+        raise ValueError(
+            f"endpoint {endpoint!r} must not carry credentials, a query or a fragment"
+        )
+    return parts
+
+
+class _Response:
+    """Status and body of one finished HTTP exchange."""
+
+    __slots__ = ("status_code", "body")
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self.body = body
+
+    @property
+    def text(self) -> str:
+        return self.body.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.body)
+
+
+# A reused connection the server closed while idle fails with one of these
+# before any response arrives (http.client.RemoteDisconnected is a
+# ConnectionResetError).
+_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
+
+
 class _RemoteClient:
+    """Posts to one endpoint over HTTP/1.1 keep-alive connections. Idle
+    connections wait in a lock-guarded list for the next request; at most
+    ``max_concurrency`` are kept, extra ones are closed."""
+
     def __init__(self, config: ProviderConfig):
         self.config = config
-        self.session = requests.Session()
+        parts = _split_endpoint(config.endpoint)
+        https = parts.scheme == "https"
+        self._host = parts.hostname
+        # Explicit, because http.client would read the tail of a bare IPv6
+        # host such as "::1" as a port.
+        self._port = parts.port or (443 if https else 80)
+        self._path = parts.path.rstrip("/") + "/embed"
+        self._ssl = ssl.create_default_context() if https else None
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        # Close the idle connections once the client is dropped from the cache.
+        weakref.finalize(self, _close_all, self._idle)
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        if self._ssl is not None:
+            return http.client.HTTPSConnection(
+                self._host, self._port, timeout=self.config.timeout_s, context=self._ssl
+            )
+        return http.client.HTTPConnection(
+            self._host, self._port, timeout=self.config.timeout_s
+        )
+
+    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < self.config.max_concurrency:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> _Response:
+        # A connection that is already open was used before; one the server
+        # answered with "Connection: close" has no socket and reconnects.
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+        except _STALE_CONNECTION:
+            if not reused:
+                raise
+            conn.close()
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+        return _Response(response.status, response.read())
+
+    def _post(self, body: bytes) -> _Response:
+        conn = self._checkout()
+        try:
+            response = self._exchange(conn, body)
+        except BaseException:
+            conn.close()
+            raise
+        self._checkin(conn)
+        return response
 
     def embed_one_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        url = self.config.endpoint.rstrip("/") + "/embed"
-        payload = {"model": self.config.model_name, "inputs": texts}
+        body = json.dumps({"model": self.config.model_name, "inputs": texts}).encode()
         last_error = ""
         for attempt in range(1, _RETRY_ATTEMPTS + 1):
             try:
-                response = self.session.post(
-                    url, json=payload, timeout=self.config.timeout_s
-                )
-            except requests.RequestException as exc:
+                response = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport failure: {exc}"
             else:
                 if response.status_code == 200:
@@ -200,9 +335,19 @@ class _RemoteClient:
 
 def _error_text(response) -> str:
     try:
-        return response.json().get("error", response.text[:200])
+        payload = response.json()
     except ValueError:
-        return response.text[:200]
+        payload = None
+    if isinstance(payload, dict):
+        return payload.get("error", response.text[:200])
+    return response.text[:200]
+
+
+@functools.lru_cache(maxsize=16)
+def _client(config: ProviderConfig) -> _RemoteClient:
+    """One client per distinct config, so later calls in the process reuse
+    its warm connections."""
+    return _RemoteClient(config)
 
 
 def embed_batch(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVector]:
@@ -215,7 +360,7 @@ def embed_batch(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVec
     if provider.kind is ProviderKind.LOCAL_HASHED:
         return [_hash_embed(text, provider.dimension) for text in texts]
 
-    client = _RemoteClient(provider)
+    client = _client(provider)
     batches = [
         texts[i : i + provider.batch_size]
         for i in range(0, len(texts), provider.batch_size)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -242,9 +243,16 @@ def stub_vector(text: str, dimension: int) -> list[float]:
 class StubEmbedServer:
     """Serves POST /embed. ``status_plan`` is a list of statuses to emit for
     successive requests (200 means serve normally); once exhausted every
-    request succeeds. ``truncate`` drops the last embedding of each response
-    and ``ragged`` varies the dimension per row, for protocol-error tests.
-    Records each request body for assertions."""
+    request succeeds. ``error_body`` replaces the JSON error object sent with
+    a planned non-200 status. ``truncate`` drops the last embedding of each
+    response and ``ragged`` varies the dimension per row, for protocol-error
+    tests. Records each request body for assertions.
+
+    By default it answers in HTTP/1.0 and closes each connection after one
+    response. ``keep_alive`` answers in HTTP/1.1 and keeps connections open;
+    ``connections`` counts the TCP connections accepted, and
+    ``drop_connections`` closes the open ones without a ``Connection: close``
+    header, as a server does with connections left idle too long."""
 
     def __init__(
         self,
@@ -252,16 +260,40 @@ class StubEmbedServer:
         status_plan: list[int] | None = None,
         truncate: bool = False,
         ragged: bool = False,
+        error_body: bytes | None = None,
+        keep_alive: bool = False,
     ):
         self.dimension = dimension
         self.status_plan = list(status_plan or [])
         self.truncate = truncate
         self.ragged = ragged
+        self.error_body = error_body
         self.requests: list[dict] = []
+        self.connections = 0
+        self._open: set[socket.socket] = set()
         self._lock = threading.Lock()
+        self._closed = threading.Condition(self._lock)
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            # Headers and body go out in two writes; on a kept-alive
+            # connection Nagle's algorithm would hold the body back until
+            # the client's delayed ACK of the headers.
+            disable_nagle_algorithm = keep_alive
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.connections += 1
+                    outer._open.add(self.connection)
+
+            def finish(self):
+                with outer._lock:
+                    outer._open.discard(self.connection)
+                    outer._closed.notify_all()
+                super().finish()
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
@@ -269,7 +301,9 @@ class StubEmbedServer:
                     outer.requests.append(body)
                     status = outer.status_plan.pop(0) if outer.status_plan else 200
                 if status != 200:
-                    payload = json.dumps({"error": f"injected {status}"}).encode()
+                    payload = outer.error_body
+                    if payload is None:
+                        payload = json.dumps({"error": f"injected {status}"}).encode()
                     self.send_response(status)
                 else:
                     embeddings = [
@@ -294,6 +328,17 @@ class StubEmbedServer:
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
+    def drop_connections(self, timeout_s: float = 5.0) -> None:
+        """Close every open connection and wait until its handler has ended."""
+        with self._lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            if not self._closed.wait_for(lambda: not self._open, timeout_s):
+                raise TimeoutError("stub server connections did not close")
+
     @property
     def endpoint(self) -> str:
         host, port = self._server.server_address
@@ -305,4 +350,7 @@ class StubEmbedServer:
 
     def __exit__(self, *exc_info):
         self._server.shutdown()
+        # Handler threads are joined on close; a kept-alive connection would
+        # hold its handler open until the client let go.
+        self.drop_connections()
         self._server.server_close()

@@ -404,6 +404,40 @@ class TestIdempotence:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"dimension": "256"}, {"max_concurrency": 0}, {"timeout_s": 0},
+         {"batch_size": True}, {"endpoint": "localhost:8080"}],
+    )
+    def test_invalid_provider_field_is_data_error(self, tmp_path, capsys, overrides):
+        _, graphs_path, _ = write_corpus(tmp_path, count=2)
+        chunks_path = tmp_path / "chunks.jsonl"
+        main(["chunk", "--graphs", str(graphs_path), "--strategy", "per-node",
+              "--out", str(chunks_path)])
+        capsys.readouterr()
+        bad = tmp_path / "provider.json"
+        bad.write_text(json.dumps({"kind": "remote", "endpoint": "http://127.0.0.1:1",
+                                   "model_name": "m", **overrides}))
+        code = main(["ingest", "--chunks", str(chunks_path),
+                     "--provider-config", str(bad), "--snapshot", str(tmp_path / "x.snap")])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and next(iter(overrides)) in line
+        assert not (tmp_path / "x.snap").exists()
+
+    def test_provider_config_not_an_object_is_data_error(self, tmp_path, capsys, monkeypatch):
+        _, graphs_path, _ = write_corpus(tmp_path, count=2)
+        chunks_path = tmp_path / "chunks.jsonl"
+        main(["chunk", "--graphs", str(graphs_path), "--strategy", "per-node",
+              "--out", str(chunks_path)])
+        monkeypatch.setenv("EMBED_MODEL", "env-model")
+        bad = tmp_path / "provider.json"
+        bad.write_text("[1]")
+        code = main(["ingest", "--chunks", str(chunks_path),
+                     "--provider-config", str(bad), "--snapshot", str(tmp_path / "x.snap")])
+        assert code == 1
+        assert "error: provider config must be a JSON object" in capsys.readouterr().err
+
 
 class TestEnvOverrides:
     def test_embed_endpoint_env(self, tmp_path, monkeypatch, capsys):

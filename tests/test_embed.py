@@ -1,4 +1,9 @@
+import json
 import math
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,8 +24,9 @@ from helpers import StubEmbedServer, stub_vector
 
 
 class FakeResponse:
-    def __init__(self, payload):
+    def __init__(self, payload, text=""):
         self.payload = payload
+        self.text = text
 
     def json(self):
         return self.payload
@@ -237,3 +243,186 @@ class TestRemote:
         assert config.batch_size == 9
         local = ProviderConfig.from_dict({"kind": "local-hashed", "dimension": 32})
         assert local.dimension == 32
+
+
+class TestErrorText:
+    def test_error_field_of_an_object(self):
+        response = FakeResponse({"error": "overloaded"}, text='{"error": "overloaded"}')
+        assert embed_module._error_text(response) == "overloaded"
+
+    @pytest.mark.parametrize("payload", [[1], "busy", 3, None, {"detail": "x"}])
+    def test_other_json_falls_back_to_raw_text(self, payload):
+        body = json.dumps(payload)
+        assert embed_module._error_text(FakeResponse(payload, text=body)) == body
+
+    @pytest.mark.parametrize("body", [b"[1]", b'"busy"'])
+    def test_5xx_with_non_object_body_is_retried(self, fast_backoff, body):
+        with StubEmbedServer(status_plan=[500], error_body=body) as server:
+            (vector,) = embed_batch(remote_config(server.endpoint), ["hello"])
+            assert len(server.requests) == 2
+        assert vector.values == EmbeddingVector(stub_vector("hello", 8)).values
+
+    def test_non_object_body_named_in_transport_error(self, fast_backoff):
+        with StubEmbedServer(status_plan=[503, 503, 503], error_body=b"[1]") as server:
+            with pytest.raises(TransportError, match=r"HTTP 503: \[1\]"):
+                embed_batch(remote_config(server.endpoint), ["hello"])
+
+
+REMOTE = dict(kind=ProviderKind.REMOTE, endpoint="http://x", model_name="m")
+
+
+class TestProviderConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dimension", "256"),
+            ("dimension", 0),
+            ("dimension", True),
+            ("dimension", 2.0),
+            ("batch_size", True),
+            ("batch_size", 0),
+            ("max_concurrency", 0),
+            ("max_concurrency", -1),
+            ("max_concurrency", False),
+            ("timeout_s", 0),
+            ("timeout_s", -1.0),
+            ("timeout_s", float("nan")),
+            ("timeout_s", float("inf")),
+            ("timeout_s", True),
+            ("timeout_s", "10"),
+            ("endpoint", "localhost:8080"),
+            ("endpoint", "ftp://x"),
+            ("endpoint", "http://"),
+            ("endpoint", "http://x:port"),
+            ("endpoint", "http://user:pw@x"),
+            ("endpoint", "http://x/?key=1"),
+            ("endpoint", 8080),
+            ("model_name", 5),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ProviderConfig(**{**REMOTE, field: value})
+        with pytest.raises(ValueError):
+            ProviderConfig.from_dict({**REMOTE, "kind": "remote", field: value})
+
+    def test_string_kind_rejected(self):
+        with pytest.raises(ValueError):
+            ProviderConfig(kind="remote", endpoint="http://x", model_name="m")
+
+    @pytest.mark.parametrize("data", [[1], "remote", None, 3])
+    def test_from_dict_rejects_non_mapping(self, data):
+        with pytest.raises(ValueError):
+            ProviderConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "endpoint", ["http://x", "https://x:8443", "http://127.0.0.1:1/api/", "http://[::1]:80"]
+    )
+    def test_valid_endpoints_accepted(self, endpoint):
+        config = ProviderConfig(**{**REMOTE, "endpoint": endpoint, "timeout_s": 5})
+        assert config.endpoint == endpoint
+
+    @pytest.mark.parametrize(
+        "endpoint, host, port",
+        [("http://[::1]", "::1", 80), ("https://[::1]", "::1", 443), ("http://x:81/a/", "x", 81)],
+    )
+    def test_client_connects_to_endpoint_host_and_port(self, endpoint, host, port):
+        conn = embed_module._RemoteClient(remote_config(endpoint))._checkout()
+        assert (conn.host, conn.port) == (host, port)
+
+    def test_local_provider_ignores_endpoint(self):
+        config = ProviderConfig(kind=ProviderKind.LOCAL_HASHED, endpoint="localhost:8080")
+        assert config.describe() == "local-hashed(dim=256)"
+
+
+class TestKeepAlive:
+    @pytest.fixture(autouse=True)
+    def fresh_clients(self):
+        embed_module._client.cache_clear()
+        yield
+        embed_module._client.cache_clear()
+
+    def test_sequential_calls_share_one_connection(self):
+        with StubEmbedServer(keep_alive=True) as server:
+            config = remote_config(server.endpoint)
+            for i in range(20):
+                (vector,) = embed_batch(config, [f"question {i}"])
+                assert vector.values == EmbeddingVector(stub_vector(f"question {i}", 8)).values
+            assert len(server.requests) == 20
+            assert server.connections == 1
+
+    def test_concurrent_batches_reuse_at_most_max_concurrency(self):
+        texts = [f"text number {i}" for i in range(40)]
+        with StubEmbedServer(keep_alive=True) as server:
+            config = remote_config(server.endpoint, batch_size=2, max_concurrency=3)
+            for _ in range(3):
+                vectors = embed_batch(config, texts)
+            assert [v.values for v in vectors] == [
+                EmbeddingVector(stub_vector(t, 8)).values for t in texts
+            ]
+            assert len(server.requests) == 60
+            assert server.connections <= 3
+
+    def test_threads_sharing_a_client(self):
+        texts = [f"text number {i}" for i in range(12)]
+        expected = [EmbeddingVector(stub_vector(t, 8)).values for t in texts]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StubEmbedServer(keep_alive=True) as server:
+                config = remote_config(server.endpoint, batch_size=3, max_concurrency=2)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(embed_batch, config, texts) for _ in range(16)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert len(server.requests) == 16 * 4
+                assert len(embed_module._client(config)._idle) <= 2
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert all([v.values for v in vectors] == expected for vectors in results)
+
+    def test_connection_per_call_when_server_closes(self):
+        with StubEmbedServer() as server:
+            config = remote_config(server.endpoint)
+            for i in range(3):
+                embed_batch(config, [f"question {i}"])
+            assert server.connections == 3
+
+    def test_dropped_idle_connection_is_replaced_without_retry(self, monkeypatch):
+        with StubEmbedServer(keep_alive=True) as server:
+            config = remote_config(server.endpoint)
+            embed_batch(config, ["first"])
+            server.drop_connections()
+
+            def no_sleep(seconds):
+                raise AssertionError(f"backoff of {seconds} s: the re-send counted as an attempt")
+
+            monkeypatch.setattr(embed_module.time, "sleep", no_sleep)
+            (vector,) = embed_batch(config, ["second"])
+            assert [r["inputs"] for r in server.requests] == [["first"], ["second"]]
+            assert server.connections == 2
+        assert vector.values == EmbeddingVector(stub_vector("second", 8)).values
+
+    def test_runs_without_requests_installed(self):
+        with StubEmbedServer(keep_alive=True) as server:
+            script = textwrap.dedent(
+                f"""
+                import json, sys
+                sys.modules["requests"] = None
+                import flowrag
+                import flowrag.cli
+                from flowrag.embed import ProviderConfig, ProviderKind, embed_batch
+                config = ProviderConfig(
+                    kind=ProviderKind.REMOTE, endpoint={server.endpoint!r},
+                    model_name="m", dimension=8,
+                )
+                vectors = embed_batch(config, ["alpha", "beta"])
+                print(json.dumps([list(v.values) for v in vectors]))
+                """
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+            )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [
+            list(EmbeddingVector(stub_vector(t, 8)).values) for t in ("alpha", "beta")
+        ]
