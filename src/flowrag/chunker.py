@@ -11,7 +11,6 @@ deliberate: the two strategies embed different slices of the graph.
 """
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import FlowragError
-from .graph_model import FlowGraph, GraphIntegrityError, serialize_json, validate
+from .graph_model import FlowGraph, require_valid, serialize_json
+from .jsonio import expect, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -65,12 +65,13 @@ class Chunk:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Chunk":
+        expect(data, dict, "a chunk")
         return cls(
-            chunk_id=data["chunk_id"],
-            text=data["text"],
+            chunk_id=expect(data["chunk_id"], str, "chunk_id"),
+            text=expect(data["text"], str, "text"),
             source_kind=SourceKind(data["source_kind"]),
-            graph_id=data.get("graph_id"),
-            node_id=data.get("node_id"),
+            graph_id=expect(data.get("graph_id"), (str, type(None)), "graph_id"),
+            node_id=expect(data.get("node_id"), (str, type(None)), "node_id"),
             strategy=ChunkStrategy(data["strategy"]) if data.get("strategy") else None,
         )
 
@@ -82,9 +83,7 @@ def chunk_graph(graph: FlowGraph, strategy: ChunkStrategy) -> list[Chunk]:
     per-node they are skipped with a warning, and the other strategies
     ignore them.
     """
-    violations = validate(graph)
-    if violations:
-        raise GraphIntegrityError(violations)
+    require_valid(graph)
     if strategy is ChunkStrategy.PER_NODE:
         chunks = []
         for node in graph.nodes:
@@ -205,24 +204,8 @@ def chunk_text(
 
 
 def write_chunks_jsonl(chunks: Iterable[Chunk], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(json.dumps(chunk.to_dict(), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_jsonl(path, (chunk.to_dict() for chunk in chunks))
 
 
 def read_chunks_jsonl(path: str | Path) -> list[Chunk]:
-    chunks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                chunks.append(Chunk.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise FlowragError(f"{path}:{line_no}: bad chunk record: {exc}") from exc
-    return chunks
+    return read_jsonl(path, Chunk.from_dict, "chunk")

@@ -31,6 +31,7 @@ from .ged import (
     render_ged_report_markdown,
 )
 from .graph_model import parse_json, read_graphs_jsonl, serialize_json
+from .jsonio import read_json
 from .mermaid import DIRECTIONS, parse_mermaid, render_mermaid
 from .synthgen import (
     GenSpec,
@@ -45,16 +46,8 @@ from .vstore import IndexEntry, VectorIndex
 
 
 def _load_provider(path: str | None) -> ProviderConfig:
-    data = _read_json(path) if path else {"kind": "local-hashed"}
+    data = read_json(path) if path else {"kind": "local-hashed"}
     return ProviderConfig.from_dict(_apply_env_overrides(data))
-
-
-def _read_json(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FlowragError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _apply_env_overrides(data: dict) -> dict:
@@ -162,10 +155,7 @@ def _read_predictions(path: str) -> dict[str, object]:
 def _cmd_ged(args) -> int:
     truths = read_graphs_jsonl(args.truth)
     predictions = _read_predictions(args.pred)
-    costs = CostModel()
-    if args.costs:
-        with open(args.costs, "r", encoding="utf-8") as fh:
-            costs = CostModel.from_dict(json.load(fh))
+    costs = CostModel.from_dict(read_json(args.costs)) if args.costs else CostModel()
     pairs = []
     for truth in truths:
         if truth.graph_id not in predictions:
@@ -230,8 +220,9 @@ def _cmd_query(args) -> int:
 def _cmd_eval(args) -> int:
     graphs = read_graphs_jsonl(args.graphs)
     qa = read_qa_jsonl(args.qa)
-    data = _read_json(args.config)
-    data = {**data, "provider": _apply_env_overrides(data.get("provider", {}))}
+    data = read_json(args.config)
+    if isinstance(data, dict):  # EvalConfig.from_dict rejects anything else
+        data = {**data, "provider": _apply_env_overrides(data.get("provider", {}))}
     config = EvalConfig.from_dict(data, base_dir=Path(args.config).parent)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,8 +252,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        report = EvalReport.from_dict(json.load(fh))
+    report = EvalReport.from_dict(read_json(args.infile))
     fmt = {"md": ReportFormat.MARKDOWN, "markdown": ReportFormat.MARKDOWN,
            "csv": ReportFormat.CSV, "json": ReportFormat.JSON}[args.format]
     sys.stdout.write(render_report(report, fmt))

@@ -38,7 +38,6 @@ import ssl
 import threading
 import time
 import weakref
-from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +46,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import FlowragError
+from .jsonio import config_kwargs
 
 
 class EmbedInputError(FlowragError):
@@ -143,16 +143,9 @@ class ProviderConfig:
         return f"remote({self.model_name}@{self.endpoint})"
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ProviderConfig":
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"provider config must be a JSON object, got {type(data).__name__}"
-            )
-        kind = ProviderKind(data.get("kind", "local-hashed"))
-        kwargs: dict = {"kind": kind}
-        for key in ("dimension", "endpoint", "model_name", "timeout_s", "batch_size", "max_concurrency"):
-            if key in data:
-                kwargs[key] = data[key]
+    def from_dict(cls, data: dict) -> "ProviderConfig":
+        kwargs = config_kwargs(cls, data, "provider config")
+        kwargs["kind"] = ProviderKind(kwargs.get("kind", "local-hashed"))
         return cls(**kwargs)
 
 

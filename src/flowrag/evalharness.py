@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .chunker import Chunk, ChunkStrategy, chunk_graph, chunk_text
 from .embed import ProviderConfig, TransportError, embed_batch
 from .errors import FlowragError
 from .graph_model import FlowGraph, serialize_json
+from .jsonio import config_kwargs, expect, expect_list, read_json, write_jsonl
 from .synthgen import QaCategory, QaItem
 from .vstore import IndexEntry, RetrievalHit, VectorIndex
 
@@ -84,37 +86,34 @@ class EvalConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str | Path = ".") -> "EvalConfig":
-        provider = ProviderConfig.from_dict(data.get("provider", {}))
-        kwargs: dict = {"provider": provider}
-        if "ks" in data:
-            kwargs["ks"] = tuple(int(k) for k in data["ks"])
-        if "strategies" in data:
-            kwargs["strategies"] = tuple(ChunkStrategy(s) for s in data["strategies"])
-        if "scenario" in data:
-            kwargs["scenario"] = Scenario(data["scenario"])
-        if "text_documents" in data:
+        kwargs = config_kwargs(cls, data, "eval config")
+        kwargs["provider"] = ProviderConfig.from_dict(kwargs.get("provider", {}))
+        if "ks" in kwargs:
+            expect_list(kwargs["ks"], int, "ks")
+        if "strategies" in kwargs:
+            names = expect_list(kwargs["strategies"], str, "strategies")
+            kwargs["strategies"] = [ChunkStrategy(name) for name in names]
+        if "scenario" in kwargs:
+            kwargs["scenario"] = Scenario(kwargs["scenario"])
+        if "text_documents" in kwargs:
             texts = []
-            for rel in data["text_documents"]:
+            for rel in expect_list(kwargs["text_documents"], str, "text_documents"):
                 doc_path = Path(base_dir) / rel
                 try:
                     texts.append(doc_path.read_text(encoding="utf-8"))
                 except OSError as exc:
                     raise DatasetError(f"cannot read text document {doc_path}: {exc}") from exc
-            kwargs["text_documents"] = tuple(texts)
-        for key in ("allnodes_union", "text_max_chars", "text_overlap_chars"):
-            if key in data:
-                kwargs[key] = data[key]
+            kwargs["text_documents"] = texts
+        for key, kind in (
+            ("allnodes_union", bool), ("text_max_chars", int), ("text_overlap_chars", int)
+        ):
+            if key in kwargs:
+                expect(kwargs[key], kind, key)
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EvalConfig":
-        path = Path(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FlowragError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(data, base_dir=path.parent)
+        return cls.from_dict(read_json(path), base_dir=Path(path).parent)
 
 
 @dataclass
@@ -164,20 +163,34 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
-        cells = {}
-        for row in data["cells"]:
-            key = (ChunkStrategy(row["strategy"]), int(row["k"]), row["category"])
-            cells[key] = Cell(
-                numerator=int(row["numerator"]), denominator=int(row["denominator"])
+        """The report :meth:`to_dict` wrote; anything else is a FlowragError."""
+        expect(data, dict, "an evaluation report")
+        try:
+            cells = {}
+            for row in data["cells"]:
+                key = (ChunkStrategy(row["strategy"]), int(row["k"]), row["category"])
+                cells[key] = Cell(
+                    numerator=int(row["numerator"]), denominator=int(row["denominator"])
+                )
+            report = cls(
+                scenario=Scenario(data["scenario"]),
+                ks=tuple(int(k) for k in data["ks"]),
+                strategies=tuple(ChunkStrategy(s) for s in data["strategies"]),
+                categories=tuple(data["categories"]),
+                cells=cells,
+                metadata=dict(data.get("metadata", {})),
             )
-        return cls(
-            scenario=Scenario(data["scenario"]),
-            ks=tuple(int(k) for k in data["ks"]),
-            strategies=tuple(ChunkStrategy(s) for s in data["strategies"]),
-            categories=tuple(data["categories"]),
-            cells=cells,
-            metadata=dict(data.get("metadata", {})),
-        )
+        except KeyError as exc:
+            raise FlowragError(f"evaluation report lacks {exc}") from exc
+        except TypeError as exc:
+            raise FlowragError(f"malformed evaluation report: {exc}") from exc
+        categories = report.categories + (ALL_CATEGORY,)
+        for strategy, k, category in product(report.strategies, report.ks, categories):
+            if (strategy, k, category) not in cells:
+                raise FlowragError(
+                    f"evaluation report lacks the cell ({strategy.value}, k={k}, {category})"
+                )
+        return report
 
 
 def judge(
@@ -405,10 +418,4 @@ def render_report(report: EvalReport, fmt: ReportFormat = ReportFormat.MARKDOWN)
 
 
 def write_trace_jsonl(report: EvalReport, path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in report.trace:
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_jsonl(path, report.trace)

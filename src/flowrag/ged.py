@@ -38,13 +38,14 @@ import heapq
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import FlowragError
 from .graph_model import FlowEdge, FlowGraph, FlowNode
+from .jsonio import NUMBER, config_kwargs, expect
 
 # Column headings for the aggregate report, in output order.
 GED_REPORT_COLUMNS = (
@@ -89,14 +90,7 @@ class CostModel:
     edge_substitute: float = 1.0
 
     def __post_init__(self):
-        for name in (
-            "node_insert",
-            "node_delete",
-            "node_substitute",
-            "edge_insert",
-            "edge_delete",
-            "edge_substitute",
-        ):
+        for name in (f.name for f in fields(self)):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
             if getattr(self, name) < 0:
@@ -108,23 +102,8 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostModel":
-        known = {
-            "node_insert",
-            "node_delete",
-            "node_substitute",
-            "edge_insert",
-            "edge_delete",
-            "edge_substitute",
-        }
-        if not isinstance(data, dict):
-            raise ValueError(f"a cost model is a mapping, got {type(data).__name__}")
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown cost keys: {sorted(unknown)}")
-        for key, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        kwargs = config_kwargs(cls, data, "cost model")
+        return cls(**{key: float(expect(value, NUMBER, key)) for key, value in kwargs.items()})
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import FlowragError
+from .jsonio import encode, read_jsonl, write_jsonl
 
 
 class NodeShape(Enum):
@@ -129,7 +130,8 @@ def validate(graph: FlowGraph) -> list[str]:
     return violations
 
 
-def _require_valid(graph: FlowGraph) -> None:
+def require_valid(graph: FlowGraph) -> None:
+    """Raise :class:`GraphIntegrityError` listing every violated invariant."""
     violations = validate(graph)
     if violations:
         raise GraphIntegrityError(violations)
@@ -201,6 +203,10 @@ def parse_json(text: bytes | str) -> FlowGraph:
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise GraphJsonParseError(exc.msg, offset) from exc
+    return _graph_from_doc(doc)
+
+
+def _graph_from_doc(doc) -> FlowGraph:
     _expect(doc, dict, "$", "object")
     graph_id = doc.get("graph_id", "")
     _expect(graph_id, str, "$.graph_id", "string")
@@ -215,7 +221,7 @@ def parse_json(text: bytes | str) -> FlowGraph:
         _edge_from_obj(obj, f"$.edges[{i}]") for i, obj in enumerate(doc["edges"])
     )
     graph = FlowGraph(nodes=nodes, edges=edges, graph_id=graph_id)
-    _require_valid(graph)
+    require_valid(graph)
     return graph
 
 
@@ -237,19 +243,23 @@ def _edge_to_obj(edge: FlowEdge) -> dict:
     return obj
 
 
+def _graph_to_doc(graph: FlowGraph) -> dict:
+    require_valid(graph)
+    doc: dict = {}
+    if graph.graph_id:
+        doc["graph_id"] = graph.graph_id
+    doc["nodes"] = [_node_to_obj(n) for n in graph.nodes]
+    doc["edges"] = [_edge_to_obj(e) for e in graph.edges]
+    return doc
+
+
 def serialize_json(graph: FlowGraph) -> bytes:
     """Serialize to the canonical compact document; deterministic bytes.
 
     Fields at their defaults are omitted so that the output is minimal and
     ``parse_json(serialize_json(g)) == g`` holds field-for-field.
     """
-    _require_valid(graph)
-    doc: dict = {}
-    if graph.graph_id:
-        doc["graph_id"] = graph.graph_id
-    doc["nodes"] = [_node_to_obj(n) for n in graph.nodes]
-    doc["edges"] = [_edge_to_obj(e) for e in graph.edges]
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return encode(_graph_to_doc(graph))
 
 
 def collapse_whitespace(text: str) -> str:
@@ -264,7 +274,7 @@ def _edge_sort_key(edge: FlowEdge):
 def canonicalize(graph: FlowGraph) -> FlowGraph:
     """Sort nodes by id and edges by (from, to, value); collapse runs of
     whitespace in node values. Idempotent."""
-    _require_valid(graph)
+    require_valid(graph)
     nodes = tuple(
         FlowNode(id=n.id, value=collapse_whitespace(n.value), shape=n.shape)
         for n in sorted(graph.nodes, key=lambda n: n.id)
@@ -280,27 +290,9 @@ def stats(graph: FlowGraph) -> GraphStats:
 
 def write_graphs_jsonl(graphs: Iterable[FlowGraph], path: str | Path) -> int:
     """Write a corpus file, one serialized graph per line. Returns count."""
-    count = 0
-    with open(path, "wb") as fh:
-        for graph in graphs:
-            fh.write(serialize_json(graph))
-            fh.write(b"\n")
-            count += 1
-    return count
+    return write_jsonl(path, map(_graph_to_doc, graphs))
 
 
 def read_graphs_jsonl(path: str | Path) -> list[FlowGraph]:
     """Read a corpus file written by :func:`write_graphs_jsonl`."""
-    return list(iter_graphs_jsonl(path))
-
-
-def iter_graphs_jsonl(path: str | Path) -> Iterator[FlowGraph]:
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield parse_json(line)
-            except FlowragError as exc:
-                raise FlowragError(f"{path}:{line_no}: {exc}") from exc
+    return read_jsonl(path, _graph_from_doc, "graph")

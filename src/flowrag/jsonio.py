@@ -1,0 +1,96 @@
+"""The one JSON boundary: JSON-Lines record files and JSON config files.
+
+A record file holds one compact UTF-8 JSON value per line, with non-ASCII
+text written raw. Reading one skips blank lines, and a record that does not
+decode is an error naming ``path:line``. A config file holds one JSON object
+whose keys are fields of a config dataclass; any other key is an error.
+"""
+from __future__ import annotations
+
+import dataclasses
+import json
+from collections.abc import Mapping
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+from .errors import ConfigError, FlowragError
+
+T = TypeVar("T")
+
+NUMBER = (int, float)
+_NAMES = {
+    str: "a string",
+    int: "an integer",
+    bool: "true or false",
+    list: "an array",
+    dict: "an object",
+    NUMBER: "a number",
+    (str, type(None)): "a string or null",
+}
+
+
+def encode(obj) -> bytes:
+    """The one record encoding: compact separators, non-ASCII kept raw."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def write_jsonl(path: str | Path, objs: Iterable) -> int:
+    """Write each object as one encoded line. Returns the count."""
+    count = 0
+    with open(path, "wb") as fh:
+        for obj in objs:
+            fh.write(encode(obj))
+            fh.write(b"\n")
+            count += 1
+    return count
+
+
+def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> list[T]:
+    """``decode`` of every record in a JSON-Lines file, blank lines skipped."""
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(decode(json.loads(line)))
+            except KeyError as exc:
+                raise FlowragError(f"{path}:{line_no}: bad {what} record: missing {exc}") from exc
+            except (ValueError, FlowragError) as exc:
+                raise FlowragError(f"{path}:{line_no}: bad {what} record: {exc}") from exc
+    return out
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise FlowragError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def config_kwargs(cls, data, what: str) -> dict:
+    """``data`` as keyword arguments for the dataclass ``cls``: it must be a
+    JSON object, and each of its keys must name a field of ``cls``."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(data)
+
+
+def expect(value, kinds, what: str):
+    """``value`` if it is one of ``kinds``, a key of ``_NAMES``; a bool is
+    not an integer or a number."""
+    types = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigError(f"{what} must be {_NAMES[kinds]}, got {value!r}")
+    return value
+
+
+def expect_list(value, kinds, what: str) -> list:
+    """``value`` if it is a JSON array whose every item is one of ``kinds``."""
+    for item in expect(value, list, what):
+        expect(item, kinds, f"each item of {what}")
+    return value

@@ -24,13 +24,10 @@ from .graph_model import (
     FlowEdge,
     FlowGraph,
     FlowNode,
-    GraphIntegrityError,
     LineStyle,
     NodeShape,
-    validate,
+    require_valid,
 )
-
-MermaidScript = str
 
 DIRECTIONS = ("TD", "TB", "LR", "RL", "BT")
 
@@ -145,9 +142,7 @@ class _Builder:
     def build(self) -> FlowGraph:
         nodes = tuple(self.nodes[i] for i in self.order)
         graph = FlowGraph(nodes=nodes, edges=tuple(self.edges))
-        violations = validate(graph)
-        if violations:
-            raise GraphIntegrityError(violations)
+        require_valid(graph)
         return graph
 
 
@@ -205,7 +200,7 @@ def _parse_link_line(builder: _Builder, line: str, line_no: int) -> None:
     )
 
 
-def parse_mermaid(script: MermaidScript, graph_id: str = "") -> FlowGraph:
+def parse_mermaid(script: str, graph_id: str = "") -> FlowGraph:
     """Parse a flowchart script into a FlowGraph.
 
     The direction header is required and recorded nowhere: graph content is
@@ -269,12 +264,10 @@ _STYLE_ARROWS = {
 }
 
 
-def render_mermaid(graph: FlowGraph, direction: str = "TD") -> MermaidScript:
+def render_mermaid(graph: FlowGraph, direction: str = "TD") -> str:
     """Render a valid FlowGraph as a flowchart script (UTF-8, LF, trailing
     newline). Unspecified shapes render as process boxes."""
-    violations = validate(graph)
-    if violations:
-        raise GraphIntegrityError(violations)
+    require_valid(graph)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     lines = [f"flowchart {direction}"]

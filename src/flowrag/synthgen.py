@@ -15,19 +15,16 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .errors import FlowragError
+from .errors import ConfigError
 from .graph_model import (
     FlowEdge,
     FlowGraph,
     FlowNode,
     LineStyle,
     NodeShape,
-    serialize_json,
+    write_graphs_jsonl,
 )
-
-
-class ConfigError(FlowragError):
-    pass
+from .jsonio import NUMBER, config_kwargs, expect, expect_list, read_json, read_jsonl, write_jsonl
 
 
 DEFAULT_VOCABULARY = (
@@ -90,15 +87,18 @@ class GenSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
-        lo, hi = self.node_count_range
-        if lo < 1 or hi < lo:
-            raise ConfigError(f"node_count_range must satisfy 1 <= min <= max, got {lo}..{hi}")
+        bounds = tuple(self.node_count_range)
+        object.__setattr__(self, "node_count_range", bounds)
+        if len(bounds) != 2 or not 1 <= bounds[0] <= bounds[1]:
+            raise ConfigError(
+                f"node_count_range must be [min, max] with 1 <= min <= max, got {list(bounds)}"
+            )
         for name in ("decision_fraction", "edge_value_probability", "bidirectional_probability"):
-            p = getattr(self, name)
+            p = expect(getattr(self, name), NUMBER, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")
         for name, mix in (("style_mix", self.style_mix), ("shape_mix", self.shape_mix)):
-            if any(w < 0 for w in mix.values()):
+            if any(expect(w, NUMBER, f"each {name} weight") < 0 for w in mix.values()):
                 raise ConfigError(f"{name} weights must be non-negative")
             if not any(w > 0 for w in mix.values()):
                 raise ConfigError(f"{name} weights must not all be zero")
@@ -117,51 +117,25 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
-        kwargs: dict = {}
-        if "node_count_range" in data:
-            kwargs["node_count_range"] = tuple(data["node_count_range"])
-        for key in (
-            "decision_fraction",
-            "edge_value_probability",
-            "bidirectional_probability",
-            "seed",
-        ):
-            if key in data:
-                kwargs[key] = data[key]
-        if "style_mix" in data:
-            try:
-                kwargs["style_mix"] = {LineStyle(k): v for k, v in data["style_mix"].items()}
-            except ValueError as exc:
-                raise ConfigError(f"unknown line style in style_mix: {exc}") from exc
-        if "shape_mix" in data:
-            try:
-                kwargs["shape_mix"] = {NodeShape(k): v for k, v in data["shape_mix"].items()}
-            except ValueError as exc:
-                raise ConfigError(f"unknown shape in shape_mix: {exc}") from exc
-        if "vocabulary" in data:
-            kwargs["vocabulary"] = tuple(data["vocabulary"])
-        unknown = set(data) - {
-            "node_count_range",
-            "decision_fraction",
-            "edge_value_probability",
-            "bidirectional_probability",
-            "style_mix",
-            "shape_mix",
-            "vocabulary",
-            "seed",
-        }
-        if unknown:
-            raise ConfigError(f"unknown generator spec keys: {sorted(unknown)}")
+        kwargs = config_kwargs(cls, data, "generator spec")
+        if "node_count_range" in kwargs:
+            expect_list(kwargs["node_count_range"], int, "node_count_range")
+        if "vocabulary" in kwargs:
+            expect_list(kwargs["vocabulary"], str, "vocabulary")
+        if "seed" in kwargs:
+            expect(kwargs["seed"], int, "seed")
+        for key, kind in (("style_mix", LineStyle), ("shape_mix", NodeShape)):
+            if key in kwargs:
+                mix = expect(kwargs[key], dict, key)
+                try:
+                    kwargs[key] = {kind(name): weight for name, weight in mix.items()}
+                except ValueError as exc:
+                    raise ConfigError(f"unknown {kind.__name__} in {key}: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GenSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -194,10 +168,11 @@ class QaItem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QaItem":
+        expect(data, dict, "a QA item")
         return cls(
-            question=data["question"],
-            graph_id=data["graph_id"],
-            gold_node_ids=frozenset(data["gold_node_ids"]),
+            question=expect(data["question"], str, "question"),
+            graph_id=expect(data["graph_id"], str, "graph_id"),
+            gold_node_ids=frozenset(expect_list(data["gold_node_ids"], str, "gold_node_ids")),
             category=QaCategory(data["category"]),
         )
 
@@ -373,24 +348,11 @@ def generate_corpus(
         "validation": "graphs.val.jsonl",
         "test": "graphs.test.jsonl",
     }
-    handles = {}
-    try:
-        for name, filename in files.items():
-            handles[name] = open(out_dir / filename, "wb")
-        for index in range(count):
-            graph = generate_graph(spec, index)
-            if index < n_train:
-                split_name = "train"
-            elif index < n_train + n_val:
-                split_name = "validation"
-            else:
-                split_name = "test"
-            handles[split_name].write(serialize_json(graph) + b"\n")
-    except OSError as exc:
-        raise FlowragError(f"corpus write failed: {exc}") from exc
-    finally:
-        for fh in handles.values():
-            fh.close()
+    start = 0
+    for filename, size in zip(files.values(), (n_train, n_val, n_test)):
+        graphs = (generate_graph(spec, index) for index in range(start, start + size))
+        write_graphs_jsonl(graphs, out_dir / filename)
+        start += size
     manifest = CorpusManifest(
         seed=spec.seed,
         spec_hash=spec.content_hash(),
@@ -488,24 +450,8 @@ def generate_qa(graph: FlowGraph, per_graph: int, seed: int) -> list[QaItem]:
 
 
 def write_qa_jsonl(items: Iterable[QaItem], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_dict(), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_jsonl(path, (item.to_dict() for item in items))
 
 
 def read_qa_jsonl(path: str | Path) -> list[QaItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(QaItem.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise FlowragError(f"{path}:{line_no}: bad QA record: {exc}") from exc
-    return items
+    return read_jsonl(path, QaItem.from_dict, "QA")

@@ -26,6 +26,7 @@ import numpy as np
 from .chunker import Chunk
 from .embed import EmbeddingVector
 from .errors import FlowragError
+from .jsonio import encode
 
 _SNAPSHOT_FORMAT = "flowrag-vstore"
 _SNAPSHOT_VERSION = 1
@@ -276,20 +277,16 @@ class VectorIndex:
             raise SnapshotError("index dimension is unset")
         dimension = self._dimension or 0
         with open(path, "wb") as fh:
+            # Keys in sorted order: the header bytes are part of the format.
             header = {
+                "count": len(self._chunks),
+                "dimension": dimension,
                 "format": _SNAPSHOT_FORMAT,
                 "version": _SNAPSHOT_VERSION,
-                "dimension": dimension,
-                "count": len(self._chunks),
             }
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-            fh.write(b"\n")
+            fh.write(encode(header) + b"\n")
             for chunk in self._chunks:
-                fh.write(
-                    json.dumps(
-                        chunk.to_dict(), ensure_ascii=False, separators=(",", ":")
-                    ).encode("utf-8")
-                )
+                fh.write(encode(chunk.to_dict()))
                 fh.write(b"\n")
             fh.write(self._rows.astype("<f4"))
 
@@ -327,8 +324,8 @@ class VectorIndex:
                     raise SnapshotError(f"truncated snapshot: missing chunk {i}")
                 try:
                     chunk = Chunk.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise SnapshotError(f"bad chunk record {i}: {exc}") from exc
+                except (KeyError, ValueError, FlowragError) as exc:
+                    raise SnapshotError(f"{path}:{i + 2}: bad chunk record: {exc}") from exc
                 if chunk.chunk_id in seen:
                     raise SnapshotError(f"duplicate chunk_id {chunk.chunk_id!r} in snapshot")
                 seen.add(chunk.chunk_id)

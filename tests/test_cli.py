@@ -479,6 +479,143 @@ class TestEnvOverrides:
         assert report["metadata"]["provider"] == f"remote(env-model@{server.endpoint})"
 
 
+class TestMalformedFiles:
+    """Each malformed input exits 1 with one ``error:`` line, no traceback."""
+
+    def one_error(self, capsys, code) -> str:
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([1], "eval config must be a JSON object"),
+            ({"ks": 5}, "ks must be an array"),
+            ({"ks": [1.7]}, "each item of ks must be an integer, got 1.7"),
+            ({"ks": [True]}, "each item of ks must be an integer, got True"),
+            ({"dimention": 64}, "unknown eval config keys: ['dimention']"),
+            ({"provider": {"dimention": 64}}, "unknown provider config keys: ['dimention']"),
+        ],
+    )
+    def test_bad_eval_config(self, tmp_path, capsys, config, message):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+        config_path = tmp_path / "eval.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["eval", "--graphs", str(graphs_path), "--qa", str(qa_path),
+                     "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+        assert message in self.one_error(capsys, code)
+
+    def test_env_model_completes_remote_eval_config(self, tmp_path, monkeypatch):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+        config_path = tmp_path / "eval.json"
+        with StubEmbedServer(dimension=8) as server:
+            config_path.write_text(
+                json.dumps({"provider": {"kind": "remote", "endpoint": server.endpoint}})
+            )
+            monkeypatch.setenv("EMBED_MODEL", "env-model")
+            assert main(["eval", "--graphs", str(graphs_path), "--qa", str(qa_path),
+                         "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 0
+            assert all(r["model"] == "env-model" for r in server.requests)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1], "a chunk must be an object"),
+            ({"chunk_id": "x", "text": 5, "source_kind": "graph"}, "text must be a string"),
+        ],
+    )
+    def test_bad_chunk_record(self, tmp_path, capsys, record, message):
+        chunks_path = tmp_path / "chunks.jsonl"
+        good = {"chunk_id": "c", "text": "t", "source_kind": "text"}
+        chunks_path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        code = main(["ingest", "--chunks", str(chunks_path),
+                     "--provider-config", str(local_provider_file(tmp_path)),
+                     "--snapshot", str(tmp_path / "x.snap")])
+        assert f"error: {chunks_path}:2: bad chunk record: {message}" in self.one_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1], "a QA item must be an object"),
+            ({"question": "q", "graph_id": "g", "gold_node_ids": 5, "category": "N"},
+             "gold_node_ids must be an array"),
+            ({"question": "q", "graph_id": "g", "gold_node_ids": [5], "category": "N"},
+             "each item of gold_node_ids must be a string"),
+        ],
+    )
+    def test_bad_qa_record(self, tmp_path, capsys, record, message):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+        qa_path.write_text(qa_path.read_text() + "\n" + json.dumps(record) + "\n")
+        line_no = len(qa_path.read_text().splitlines())
+        config_path = tmp_path / "eval.json"
+        config_path.write_text("{}")
+        code = main(["eval", "--graphs", str(graphs_path), "--qa", str(qa_path),
+                     "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+        assert f"error: {qa_path}:{line_no}: bad QA record: {message}" in self.one_error(
+            capsys, code
+        )
+
+    def test_bad_snapshot_chunk_record(self, tmp_path, capsys):
+        chunks_path = tmp_path / "chunks.jsonl"
+        chunks_path.write_text(json.dumps({"chunk_id": "c", "text": "t", "source_kind": "text"}))
+        provider = local_provider_file(tmp_path)
+        snapshot = tmp_path / "index.snap"
+        assert main(["ingest", "--chunks", str(chunks_path), "--provider-config",
+                     str(provider), "--snapshot", str(snapshot)]) == 0
+        header, _, blob = snapshot.read_bytes().split(b"\n", 2)
+        snapshot.write_bytes(header + b"\n[1]\n" + blob)
+        capsys.readouterr()
+        code = main(["query", "--snapshot", str(snapshot), "--text", "t",
+                     "--provider-config", str(provider)])
+        assert f"error: {snapshot}:2: bad chunk record: a chunk must be an object" in (
+            self.one_error(capsys, code)
+        )
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ({"cells": []}, "evaluation report lacks 'scenario'"),
+            ({"scenario": "graph-only", "ks": [1], "strategies": ["per-node"],
+              "categories": [], "cells": []},
+             "evaluation report lacks the cell (per-node, k=1, All)"),
+        ],
+    )
+    def test_malformed_report(self, tmp_path, capsys, report, message):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        code = main(["report", "--in", str(report_path)])
+        assert message in self.one_error(capsys, code)
+
+    def test_invalid_costs_json_names_the_file(self, tmp_path, capsys):
+        _, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("")
+        costs_path = tmp_path / "costs.json"
+        costs_path.write_text("{edge_insert: 1}")
+        code = main(["ged", "--pred", str(preds_path), "--truth", str(graphs_path),
+                     "--costs", str(costs_path), "--report", str(tmp_path / "out.md")])
+        assert f"error: {costs_path}: invalid JSON: Expecting property name" in (
+            self.one_error(capsys, code)
+        )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1], "generator spec must be a JSON object, got list"),
+            ({"node_count_range": "ab"}, "node_count_range must be an array, got 'ab'"),
+            ({"node_count_range": [2, 3, 4]}, "node_count_range must be [min, max]"),
+        ],
+    )
+    def test_bad_gen_spec(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = main(["gen", "--count", "3", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "corpus")])
+        assert message in self.one_error(capsys, code)
+
+
 class TestUsage:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,0 +1,105 @@
+import json
+
+import pytest
+
+from flowrag.chunker import Chunk, SourceKind, read_chunks_jsonl, write_chunks_jsonl
+from flowrag.embed import ProviderConfig
+from flowrag.errors import FlowragError
+from flowrag.evalharness import EvalConfig, EvalReport, Scenario, write_trace_jsonl
+from flowrag.ged import CostModel
+from flowrag.graph_model import (
+    FlowEdge,
+    FlowGraph,
+    FlowNode,
+    read_graphs_jsonl,
+    write_graphs_jsonl,
+)
+from flowrag.jsonio import read_jsonl
+from flowrag.synthgen import GenSpec, QaCategory, QaItem, read_qa_jsonl, write_qa_jsonl
+
+TEXT = "Prüfe Zelle → 信号"
+
+
+def write_trace(records, path):
+    report = EvalReport(
+        scenario=Scenario.GRAPH_ONLY, ks=(1,), strategies=(), categories=(), trace=records
+    )
+    return write_trace_jsonl(report, path)
+
+
+def read_trace(path):
+    return read_jsonl(path, lambda record: record, "trace")
+
+
+WRITERS = {
+    "graph": (
+        write_graphs_jsonl,
+        read_graphs_jsonl,
+        [
+            FlowGraph(
+                nodes=(FlowNode("A", TEXT), FlowNode("B", "b")),
+                edges=(FlowEdge("A", "B", "ja, weiter"),),
+                graph_id="g1",
+            ),
+            FlowGraph(nodes=(FlowNode("A", "x"),), graph_id="g2"),
+        ],
+    ),
+    "chunk": (
+        write_chunks_jsonl,
+        read_chunks_jsonl,
+        [
+            Chunk(chunk_id="c1", text=TEXT, source_kind=SourceKind.TEXT),
+            Chunk(chunk_id="c2", text="a: b, c", source_kind=SourceKind.GRAPH, graph_id="g"),
+        ],
+    ),
+    "qa": (
+        write_qa_jsonl,
+        read_qa_jsonl,
+        [
+            QaItem(TEXT, "g1", frozenset({"A", "B"}), QaCategory.NODE),
+            QaItem("q", "g2", frozenset(), QaCategory.EDGE),
+        ],
+    ),
+    "trace": (
+        write_trace,
+        read_trace,
+        (
+            {"question": TEXT, "hits": [{"chunk_id": "c1", "rank": 1}], "judgments": {"1": True}},
+            {"question": "q", "hits": [], "judgments": {"1": False}},
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_record_files_share_one_encoding(tmp_path, kind):
+    write, read, records = WRITERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    assert write(records, path) == len(records)
+    data = path.read_bytes()
+    assert TEXT.encode("utf-8") in data and b"\\u" not in data
+    lines = data.split(b"\n")
+    assert lines[-1] == b"" and len(lines) == len(records) + 1
+    for line in lines[:-1]:
+        compact = json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":"))
+        assert line == compact.encode("utf-8")
+    assert read(path) == list(records)
+    path.write_bytes(lines[0] + b"\n \n\n" + b"\n".join(lines[1:]))
+    assert read(path) == list(records)
+
+
+@pytest.mark.parametrize(
+    "from_dict",
+    [ProviderConfig.from_dict, EvalConfig.from_dict, GenSpec.from_dict, CostModel.from_dict],
+    ids=["provider", "eval", "spec", "costs"],
+)
+def test_configs_reject_unknown_keys_and_non_objects(from_dict):
+    with pytest.raises(FlowragError, match="unknown .* keys: \\['dimention'\\]"):
+        from_dict({"dimention": 64})
+    with pytest.raises(FlowragError, match="must be a JSON object, got list"):
+        from_dict([1])
+
+
+def test_eval_config_rejects_unknown_provider_key():
+    with pytest.raises(FlowragError, match="unknown provider config keys"):
+        EvalConfig.from_dict({"provider": {"kind": "local-hashed", "dimention": 64}})
