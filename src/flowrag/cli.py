@@ -97,7 +97,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    graph = parse_json(Path(args.graph).read_bytes())
+    try:
+        graph = parse_json(Path(args.graph).read_bytes())
+    except FlowragError as exc:
+        raise FlowragError(f"{args.graph}: {exc}") from exc
     script = render_mermaid(graph, args.direction)
     if args.out:
         Path(args.out).write_text(script, encoding="utf-8")
@@ -115,12 +118,23 @@ def _warn_ids(what: str, ids: list[str], consequence: str) -> None:
         print(f"warning: {len(ids)} {what} ({shown}{more}); {consequence}", file=sys.stderr)
 
 
+def _warn_first(what: str, messages: list[str], consequence: str) -> None:
+    """One warning for all offenders: their count and the first one's message."""
+    if messages:
+        print(
+            f"warning: {len(messages)} {what} (first: {messages[0]}); {consequence}",
+            file=sys.stderr,
+        )
+
+
 def _read_predictions(path: str) -> dict[str, object]:
     """Prediction JSONL: {"graph_id": ..., "predicted": <graph document>}.
     Unparseable lines or graphs map to None so they score as full cost. When
     a graph_id repeats, the last line wins."""
     predictions: dict[str, object] = {}
     repeated: list[str] = []
+    unreadable: list[str] = []
+    unparsed: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -132,7 +146,7 @@ def _read_predictions(path: str) -> dict[str, object]:
                 if not isinstance(graph_id, str):
                     raise TypeError(f"graph_id must be a string, got {graph_id!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                print(f"{path}:{line_no}: unreadable prediction: {exc}", file=sys.stderr)
+                unreadable.append(f"{path}:{line_no}: unreadable prediction: {exc}")
                 continue
             if graph_id in predictions:
                 repeated.append(graph_id)
@@ -141,11 +155,14 @@ def _read_predictions(path: str) -> dict[str, object]:
                     json.dumps(record["predicted"]).encode("utf-8")
                 )
             except (FlowragError, KeyError, TypeError) as exc:
-                print(
-                    f"{path}:{line_no}: prediction for {graph_id!r} does not parse: {exc}",
-                    file=sys.stderr,
+                unparsed.append(
+                    f"{path}:{line_no}: prediction for {graph_id!r} does not parse: {exc}"
                 )
                 predictions[graph_id] = None
+    _warn_first("prediction lines are unreadable", unreadable, "they are skipped")
+    _warn_first(
+        "prediction lines do not parse", unparsed, "they score as full reconstruction of the truth"
+    )
     _warn_ids(
         "prediction lines repeat an earlier graph_id", repeated, "the last line wins"
     )
@@ -156,11 +173,12 @@ def _cmd_ged(args) -> int:
     truths = read_graphs_jsonl(args.truth)
     predictions = _read_predictions(args.pred)
     costs = CostModel.from_dict(read_json(args.costs)) if args.costs else CostModel()
-    pairs = []
-    for truth in truths:
-        if truth.graph_id not in predictions:
-            print(f"no prediction for {truth.graph_id!r}; scoring as missing", file=sys.stderr)
-        pairs.append((predictions.get(truth.graph_id), truth))
+    pairs = [(predictions.get(truth.graph_id), truth) for truth in truths]
+    _warn_ids(
+        "truths have no prediction for their graph_id",
+        [truth.graph_id for truth in truths if truth.graph_id not in predictions],
+        "they score as missing",
+    )
     truth_ids = {truth.graph_id for truth in truths}
     _warn_ids(
         "predictions have a graph_id not among the truths",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chunker import Chunk, ChunkStrategy, chunk_graph, chunk_text
 from .embed import ProviderConfig, TransportError, embed_batch
-from .errors import FlowragError
+from .errors import ConfigError, FlowragError
 from .graph_model import FlowGraph, serialize_json
 from .jsonio import config_kwargs, expect, expect_list, read_json, write_jsonl
 from .synthgen import QaCategory, QaItem
@@ -167,23 +167,32 @@ class EvalReport:
         expect(data, dict, "an evaluation report")
         try:
             cells = {}
-            for row in data["cells"]:
-                key = (ChunkStrategy(row["strategy"]), int(row["k"]), row["category"])
+            for row in expect_list(data["cells"], dict, "cells"):
+                key = (
+                    ChunkStrategy(row["strategy"]),
+                    expect(row["k"], int, "k"),
+                    expect(row["category"], str, "category"),
+                )
                 cells[key] = Cell(
-                    numerator=int(row["numerator"]), denominator=int(row["denominator"])
+                    numerator=expect(row["numerator"], int, "numerator"),
+                    denominator=expect(row["denominator"], int, "denominator"),
                 )
             report = cls(
                 scenario=Scenario(data["scenario"]),
-                ks=tuple(int(k) for k in data["ks"]),
-                strategies=tuple(ChunkStrategy(s) for s in data["strategies"]),
-                categories=tuple(data["categories"]),
+                ks=tuple(expect_list(data["ks"], int, "ks")),
+                strategies=tuple(
+                    map(ChunkStrategy, expect_list(data["strategies"], str, "strategies"))
+                ),
+                categories=tuple(expect_list(data["categories"], str, "categories")),
                 cells=cells,
                 metadata=dict(data.get("metadata", {})),
             )
         except KeyError as exc:
             raise FlowragError(f"evaluation report lacks {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise FlowragError(f"malformed evaluation report: {exc}") from exc
+        if not report.ks or not report.strategies:
+            raise FlowragError("malformed evaluation report: ks and strategies must not be empty")
         categories = report.categories + (ALL_CATEGORY,)
         for strategy, k, category in product(report.strategies, report.ks, categories):
             if (strategy, k, category) not in cells:

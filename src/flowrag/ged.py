@@ -26,19 +26,26 @@ Two solvers over the same cost semantics:
   edit script induced by that assignment. The result is always a feasible
   edit path, hence an upper bound on the exact distance.
 
-Edit paths contain only operations that change something: costed inserts,
-deletes, and substitutions, plus zero-cost substitutions that rewrite an id,
-a raw value, or a bidirectional edge's stored orientation. Applying a path
-with ``apply_edit_path`` and comparing ``content_signature`` values checks a
-result end to end.
+Both report the edit path induced by their node assignment. It contains only
+operations that change something: costed inserts, deletes, and
+substitutions, plus zero-cost substitutions that rewrite an id, a raw value,
+or a bidirectional edge's stored orientation. Its order is fixed: edge
+deletes, node deletes, node substitutions, node inserts, edge substitutions,
+edge inserts; node ops sort by predicted id (inserts by truth id), edge ops
+by (src, dst, value, bidirectional) of the predicted edge, or of the truth
+edge for inserts. Applying a path with ``apply_edit_path`` and comparing
+``content_signature`` values checks a result end to end.
 """
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -59,6 +66,16 @@ GED_REPORT_COLUMNS = (
 # Favor assignments that keep matching node ids when costs tie; small enough
 # to never flip a real cost difference at unit scale.
 _ID_TIE_EPS = 1e-9
+
+# Edit-path phases, in path order.
+_PATH_ORDER = (
+    "delete-edge",
+    "delete-node",
+    "substitute-node",
+    "insert-node",
+    "substitute-edge",
+    "insert-edge",
+)
 
 
 class GraphTooLargeError(FlowragError):
@@ -270,6 +287,15 @@ def _match_group(
     return pairs, leftover_pred[paired:], leftover_truth[paired:]
 
 
+def _path_key(op: EditOp):
+    """Place of an op in the canonical edit path: its phase, then its id or
+    its edge."""
+    edge = op.pred_edge or op.truth_edge
+    if edge is None:
+        return _PATH_ORDER.index(op.kind), op.truth_id if op.pred_id is None else op.pred_id
+    return _PATH_ORDER.index(op.kind), (edge.src, edge.dst, edge.value or "", edge.bidirectional)
+
+
 def _result_from_mapping(
     pred_view: _View,
     truth_view: _View,
@@ -278,129 +304,58 @@ def _result_from_mapping(
     exact: bool,
 ) -> GedResult:
     """Price a node assignment and emit its canonical edit path."""
-    distance = 0.0
-    node_deletes: list[EditOp] = []
-    node_subs: list[EditOp] = []
-    node_inserts: list[EditOp] = []
-    edge_deletes: list[EditOp] = []
-    edge_subs: list[EditOp] = []
-    edge_inserts: list[EditOp] = []
-    nodes_detected = 0
-    edges_detected = 0
-
-    used_truth = {j for j in mapping if j is not None}
+    ops: list[EditOp] = []
+    nodes_detected = edges_detected = 0
     for i, j in enumerate(mapping):
         pn = pred_view.nodes[i]
         if j is None:
-            distance += costs.node_delete
-            node_deletes.append(
-                EditOp(kind="delete-node", cost=costs.node_delete, pred_id=pn.id)
-            )
+            ops.append(EditOp("delete-node", costs.node_delete, pred_id=pn.id))
             continue
         tn = truth_view.nodes[j]
         nodes_detected += 1
         cost = 0.0 if pred_view.norm[i] == truth_view.norm[j] else costs.node_substitute
-        distance += cost
         if cost > 0 or pn.id != tn.id or pn.value != tn.value:
-            node_subs.append(
-                EditOp(
-                    kind="substitute-node",
-                    cost=cost,
-                    pred_id=pn.id,
-                    truth_id=tn.id,
-                    value=tn.value,
-                )
+            ops.append(
+                EditOp("substitute-node", cost, pred_id=pn.id, truth_id=tn.id, value=tn.value)
             )
+    used_truth = set(mapping)
     for j, tn in enumerate(truth_view.nodes):
         if j not in used_truth:
-            distance += costs.node_insert
-            node_inserts.append(
-                EditOp(
-                    kind="insert-node",
-                    cost=costs.node_insert,
-                    truth_id=tn.id,
-                    value=tn.value,
-                )
-            )
+            ops.append(EditOp("insert-node", costs.node_insert, truth_id=tn.id, value=tn.value))
 
-    def resolve_groups(pred_groups, truth_groups, truth_key):
-        nonlocal distance, edges_detected
-        handled_truth: set[tuple[int, int]] = set()
-        for key in sorted(pred_groups.keys()):
-            pred_edges = pred_groups[key]
-            tkey = truth_key(key)
-            truth_edges = truth_groups.get(tkey, []) if tkey is not None else []
-            if tkey is not None:
-                handled_truth.add(tkey)
-            pairs, deleted, inserted = _match_group(pred_edges, truth_edges)
+    # A directed group maps to its ordered truth key, a bidirectional group
+    # to the (min, max) key it is stored under.
+    for bidirectional in (False, True):
+        pred_groups = pred_view.bidir if bidirectional else pred_view.directed
+        truth_groups = truth_view.bidir if bidirectional else truth_view.directed
+        unhandled = set(truth_groups)
+        for a, b in sorted(pred_groups):
+            ta, tb = mapping[a], mapping[b]
+            truth_edges = []
+            if ta is not None and tb is not None:
+                tkey = (min(ta, tb), max(ta, tb)) if bidirectional else (ta, tb)
+                truth_edges = truth_groups.get(tkey, [])
+                unhandled.discard(tkey)
+            pairs, deleted, inserted = _match_group(pred_groups[(a, b)], truth_edges)
             for pe, te in pairs:
                 edges_detected += 1
-                cost = (
-                    0.0
-                    if normalize_label(pe.value) == normalize_label(te.value)
-                    else costs.edge_substitute
-                )
-                distance += cost
+                same = normalize_label(pe.value) == normalize_label(te.value)
+                cost = 0.0 if same else costs.edge_substitute
                 mapped_src = truth_view.ids[mapping[pred_view.index[pe.src]]]
                 mapped_dst = truth_view.ids[mapping[pred_view.index[pe.dst]]]
-                if cost > 0 or pe.value != te.value or (mapped_src, mapped_dst) != (
-                    te.src,
-                    te.dst,
-                ):
-                    edge_subs.append(
-                        EditOp(
-                            kind="substitute-edge",
-                            cost=cost,
-                            pred_edge=pe,
-                            truth_edge=te,
-                        )
-                    )
-            for pe in deleted:
-                distance += costs.edge_delete
-                edge_deletes.append(
-                    EditOp(kind="delete-edge", cost=costs.edge_delete, pred_edge=pe)
-                )
-            for te in inserted:
-                distance += costs.edge_insert
-                edge_inserts.append(
-                    EditOp(kind="insert-edge", cost=costs.edge_insert, truth_edge=te)
-                )
-        for tkey in sorted(truth_groups.keys()):
-            if tkey in handled_truth:
-                continue
+                if cost > 0 or pe.value != te.value or (mapped_src, mapped_dst) != (te.src, te.dst):
+                    ops.append(EditOp("substitute-edge", cost, pred_edge=pe, truth_edge=te))
+            ops.extend(EditOp("delete-edge", costs.edge_delete, pred_edge=pe) for pe in deleted)
+            ops.extend(EditOp("insert-edge", costs.edge_insert, truth_edge=te) for te in inserted)
+        for tkey in sorted(unhandled):
             for te in sorted(truth_groups[tkey], key=_edge_sort_key):
-                distance += costs.edge_insert
-                edge_inserts.append(
-                    EditOp(kind="insert-edge", cost=costs.edge_insert, truth_edge=te)
-                )
+                ops.append(EditOp("insert-edge", costs.edge_insert, truth_edge=te))
 
-    def directed_key(key: tuple[int, int]) -> tuple[int, int] | None:
-        a, b = mapping[key[0]], mapping[key[1]]
-        if a is None or b is None:
-            return None
-        return (a, b)
-
-    def bidir_key(key: tuple[int, int]) -> tuple[int, int] | None:
-        a, b = mapping[key[0]], mapping[key[1]]
-        if a is None or b is None:
-            return None
-        return (min(a, b), max(a, b))
-
-    resolve_groups(pred_view.directed, truth_view.directed, directed_key)
-    resolve_groups(pred_view.bidir, truth_view.bidir, bidir_key)
-
-    def edge_op_key(op: EditOp):
-        edge = op.pred_edge or op.truth_edge
-        return (edge.src, edge.dst, edge.value or "", edge.bidirectional)
-
-    path = (
-        sorted(edge_deletes, key=edge_op_key)
-        + sorted(node_deletes, key=lambda op: op.pred_id)
-        + sorted(node_subs, key=lambda op: op.pred_id)
-        + sorted(node_inserts, key=lambda op: op.truth_id)
-        + sorted(edge_subs, key=edge_op_key)
-        + sorted(edge_inserts, key=edge_op_key)
-    )
+    # Summed in the order the ops were made, which fixes the float result;
+    # ops left out of the path cost nothing.
+    distance = 0.0
+    for op in ops:
+        distance += op.cost
     pairs = tuple(
         (pred_view.ids[i], truth_view.ids[j])
         for i, j in enumerate(mapping)
@@ -408,7 +363,7 @@ def _result_from_mapping(
     )
     return GedResult(
         distance=distance,
-        edit_path=tuple(path),
+        edit_path=tuple(sorted(ops, key=_path_key)),
         exact=exact,
         nodes_detected=nodes_detected,
         edges_detected=edges_detected,
@@ -587,15 +542,12 @@ def ged_approx(
     unmapped_pair = costs.node_delete + costs.node_insert
     base = np.empty((n1, n2), dtype=np.float64)
     matrix = np.empty((n1, n2), dtype=np.float64)
+    edge_costs = (costs.edge_substitute, costs.edge_delete, costs.edge_insert)
     for i in range(n1):
-        p_out, p_in, p_bi = pred_sigs[i]
         for j in range(n2):
-            t_out, t_in, t_bi = truth_sigs[j]
             sub = 0.0 if pv.norm[i] == tv.norm[j] else costs.node_substitute
-            local = (
-                _counter_bound(p_out, t_out, costs.edge_substitute, costs.edge_delete, costs.edge_insert)
-                + _counter_bound(p_in, t_in, costs.edge_substitute, costs.edge_delete, costs.edge_insert)
-                + _counter_bound(p_bi, t_bi, costs.edge_substitute, costs.edge_delete, costs.edge_insert)
+            local = sum(
+                _counter_bound(p, t, *edge_costs) for p, t in zip(pred_sigs[i], truth_sigs[j])
             )
             base[i, j] = sub + local
             entry = min(base[i, j], unmapped_pair)
@@ -676,37 +628,25 @@ class PairScore:
     result: GedResult
 
 
+def _mean(attribute: str) -> property:
+    """Read-only average of one ``PairScore`` attribute over a report."""
+    value = operator.attrgetter(attribute)
+    return property(lambda self: sum(map(value, self.pair_scores)) / len(self.pair_scores))
+
+
 @dataclass(frozen=True)
 class GedReport:
     label: str
     pair_scores: tuple[PairScore, ...]
-    avg_truth_nodes: float = field(init=False)
-    avg_truth_edges: float = field(init=False)
-    avg_nodes_detected: float = field(init=False)
-    avg_edges_detected: float = field(init=False)
-    avg_distance: float = field(init=False)
+    avg_truth_nodes = _mean("truth_nodes")
+    avg_truth_edges = _mean("truth_edges")
+    avg_nodes_detected = _mean("result.nodes_detected")
+    avg_edges_detected = _mean("result.edges_detected")
+    avg_distance = _mean("result.distance")
 
     def __post_init__(self):
-        n = len(self.pair_scores)
-        object.__setattr__(
-            self, "avg_truth_nodes", sum(p.truth_nodes for p in self.pair_scores) / n
-        )
-        object.__setattr__(
-            self, "avg_truth_edges", sum(p.truth_edges for p in self.pair_scores) / n
-        )
-        object.__setattr__(
-            self,
-            "avg_nodes_detected",
-            sum(p.result.nodes_detected for p in self.pair_scores) / n,
-        )
-        object.__setattr__(
-            self,
-            "avg_edges_detected",
-            sum(p.result.edges_detected for p in self.pair_scores) / n,
-        )
-        object.__setattr__(
-            self, "avg_distance", sum(p.result.distance for p in self.pair_scores) / n
-        )
+        if not self.pair_scores:
+            raise ValueError("a GED report needs at least one pair")
 
     def row(self) -> tuple[float, float, float, float, float]:
         return (
@@ -761,9 +701,6 @@ def render_ged_report_markdown(report: GedReport) -> str:
 
 
 def render_ged_report_csv(report: GedReport) -> str:
-    import csv
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("Model",) + GED_REPORT_COLUMNS)

@@ -192,6 +192,23 @@ class TestGed:
             capsys.readouterr().err
         )
 
+    def test_chunks_file_as_predictions_warns_once(self, tmp_path, capsys):
+        _, graphs_path, _ = write_corpus(tmp_path, count=14)
+        chunks_path = tmp_path / "chunks.jsonl"
+        assert main(["chunk", "--graphs", str(graphs_path), "--strategy", "all-nodes",
+                     "--out", str(chunks_path)]) == 0
+        assert len(chunks_path.read_text().splitlines()) == 14
+        capsys.readouterr()
+        argv = ["ged", "--pred", str(chunks_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(tmp_path / "out.md")]) == 0
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "does not parse" in line]
+        assert line.startswith(
+            f"warning: 14 prediction lines do not parse (first: {chunks_path}:1: prediction for "
+        )
+        assert line.endswith("; they score as full reconstruction of the truth")
+        assert "scored 14 pairs" in err
+
     def test_summary_counts_pairs_above_budget(self, tmp_path, capsys):
         graphs, graphs_path, _ = write_corpus(tmp_path, count=3)
         preds_path = tmp_path / "preds.jsonl"
@@ -587,6 +604,37 @@ class TestMalformedFiles:
         report_path.write_text(json.dumps(report))
         code = main(["report", "--in", str(report_path)])
         assert message in self.one_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ks": [1.5]}, "each item of ks must be an integer, got 1.5"),
+            ({"cells": [{"strategy": "per-node", "k": 1, "category": "All",
+                         "numerator": "1", "denominator": 2}]},
+             "numerator must be an integer, got '1'"),
+            ({"categories": "DNE"}, "categories must be an array, got 'DNE'"),
+            ({"ks": []}, "ks and strategies must not be empty"),
+            ({"strategies": []}, "ks and strategies must not be empty"),
+        ],
+    )
+    def test_mistyped_report(self, tmp_path, capsys, change, message):
+        report = {"scenario": "graph-only", "ks": [1], "strategies": ["per-node"],
+                  "categories": [], "cells": [{"strategy": "per-node", "k": 1, "category": "All",
+                                               "numerator": 1, "denominator": 2}]}
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps({**report, **change}))
+        code = main(["report", "--in", str(report_path)])
+        assert f"error: malformed evaluation report: {message}" in self.one_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{bad", "Expecting property name"), ("{}", "missing required key 'nodes'")],
+    )
+    def test_bad_render_graph_names_the_file(self, tmp_path, capsys, text, message):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(text)
+        line = self.one_error(capsys, main(["render", "--graph", str(graph_path)]))
+        assert line.startswith(f"error: {graph_path}: ") and message in line
 
     def test_invalid_costs_json_names_the_file(self, tmp_path, capsys):
         _, graphs_path, _ = write_corpus(tmp_path, count=2)

@@ -12,6 +12,7 @@ from flowrag.graph_model import (
 )
 from flowrag.ged import (
     CostModel,
+    GedReport,
     GraphTooLargeError,
     apply_edit_path,
     content_signature,
@@ -280,6 +281,44 @@ class TestEditPaths:
                     sum(op.cost for op in result.edit_path), abs=1e-9
                 )
 
+    def test_path_order(self):
+        """Edge deletes, node deletes, node substitutions, node inserts, edge
+        substitutions, edge inserts; node ops by id, edge ops by edge. Unit
+        costs make one substitution cheaper than a delete plus an insert, so
+        the exact solver never emits both; ged_approx unmaps C and D here."""
+        pred = FlowGraph(
+            nodes=(FlowNode("F", "first"), FlowNode("E", "end"), FlowNode("C", "old"),
+                   FlowNode("B", "check"), FlowNode("A", "start")),
+            edges=(FlowEdge("A", "E", "ok"), FlowEdge("A", "B", "go"),
+                   FlowEdge("C", "C", "x"), FlowEdge("C", "C", "w")),
+        )
+        truth = FlowGraph(
+            nodes=(FlowNode("A", "start"), FlowNode("B", "verify"), FlowNode("D", "new"),
+                   FlowNode("E", "end"), FlowNode("F", "last")),
+            edges=(FlowEdge("A", "B", "go"), FlowEdge("A", "E", "fine"),
+                   FlowEdge("D", "D", "z"), FlowEdge("D", "D", "v")),
+        )
+        result = ged_approx(pred, truth, UNIT)
+
+        def step(op):
+            edge = op.pred_edge or op.truth_edge
+            if edge is None:
+                return op.kind, op.pred_id or op.truth_id
+            return op.kind, (edge.src, edge.dst, edge.value)
+
+        assert [step(op) for op in result.edit_path] == [
+            ("delete-edge", ("C", "C", "w")),
+            ("delete-edge", ("C", "C", "x")),
+            ("delete-node", "C"),
+            ("substitute-node", "B"),
+            ("substitute-node", "F"),
+            ("insert-node", "D"),
+            ("substitute-edge", ("A", "E", "ok")),
+            ("insert-edge", ("D", "D", "v")),
+            ("insert-edge", ("D", "D", "z")),
+        ]
+        assert result.distance == 9.0
+
     def test_zero_cost_rename_included(self):
         a = FlowGraph(nodes=(FlowNode("P", "same"),))
         b = FlowGraph(nodes=(FlowNode("T", "same"),))
@@ -347,6 +386,10 @@ class TestEvaluatePredictions:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             evaluate_predictions([])
+
+    def test_empty_report_rejected(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            GedReport(label="empty", pair_scores=())
 
     def test_report_renderers(self):
         a = chain(["start", "check", "end"])
