@@ -79,20 +79,15 @@ class Chunk:
 def chunk_graph(graph: FlowGraph, strategy: ChunkStrategy) -> list[Chunk]:
     """Chunk one valid graph under the given strategy.
 
-    Nodes with empty values (connectors) carry nothing to embed: under
-    per-node they are skipped with a warning, and the other strategies
-    ignore them.
+    Nodes with empty values (connectors) carry nothing to embed: per-node
+    skips them silently (``chunk_graphs`` warns once for a whole corpus),
+    and the other strategies ignore them.
     """
     require_valid(graph)
     if strategy is ChunkStrategy.PER_NODE:
         chunks = []
         for node in graph.nodes:
             if not node.value:
-                logger.warning(
-                    "skipping empty-value node %r of graph %r under per-node chunking",
-                    node.id,
-                    graph.graph_id,
-                )
                 continue
             chunks.append(
                 Chunk(
@@ -155,6 +150,26 @@ def _segments(document: str, limit: int) -> list[str]:
         if seg:
             out.append(seg)
     return out
+
+
+def chunk_graphs(graphs: Iterable[FlowGraph], strategy: ChunkStrategy) -> list[Chunk]:
+    """Chunk every graph under one strategy, in order. Empty-value nodes
+    skipped under per-node get one warning for the whole call: their count
+    and the first one's graph and node id."""
+    chunks: list[Chunk] = []
+    skipped: list[tuple[str, str]] = []
+    for graph in graphs:
+        chunks.extend(chunk_graph(graph, strategy))
+        if strategy is ChunkStrategy.PER_NODE:
+            skipped.extend((graph.graph_id, node.id) for node in graph.nodes if not node.value)
+    if skipped:
+        logger.warning(
+            "skipped %d empty-value nodes under per-node chunking (first: node %r of graph %r)",
+            len(skipped),
+            skipped[0][1],
+            skipped[0][0],
+        )
+    return chunks
 
 
 def chunk_text(

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chunker import ChunkStrategy, chunk_graph, read_chunks_jsonl, write_chunks_jsonl
+from .chunker import ChunkStrategy, chunk_graphs, read_chunks_jsonl, write_chunks_jsonl
 from .embed import ProviderConfig, embed_batch
 from .errors import FlowragError
 from .evalharness import (
@@ -204,10 +204,7 @@ def _cmd_ged(args) -> int:
 def _cmd_chunk(args) -> int:
     graphs = read_graphs_jsonl(args.graphs)
     strategy = ChunkStrategy(args.strategy)
-    chunks = []
-    for graph in graphs:
-        chunks.extend(chunk_graph(graph, strategy))
-    count = write_chunks_jsonl(chunks, args.out)
+    count = write_chunks_jsonl(chunk_graphs(graphs, strategy), args.out)
     print(f"wrote {count} chunks to {args.out}", file=sys.stderr)
     return 0
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chunker import Chunk, ChunkStrategy, chunk_graph, chunk_text
+from .chunker import Chunk, ChunkStrategy, chunk_graphs, chunk_text
 from .embed import ProviderConfig, TransportError, embed_batch
 from .errors import ConfigError, FlowragError
 from .graph_model import FlowGraph, serialize_json
@@ -306,10 +306,7 @@ def run_eval(
     del question_vectors
 
     for strategy in config.strategies:
-        chunks: list[Chunk] = []
-        for graph in graphs:
-            chunks.extend(chunk_graph(graph, strategy))
-        chunks.extend(text_chunks)
+        chunks = chunk_graphs(graphs, strategy) + text_chunks
         try:
             vectors = embed_batch(config.provider, [c.text for c in chunks])
         except TransportError as exc:

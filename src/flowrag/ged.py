@@ -11,7 +11,14 @@ Two solvers over the same cost semantics:
   pair of predicted nodes against the edges between every pair of truth
   nodes. Both the step cost of the search and its admissible lower bound
   read it; the bound is a linear assignment that prices edges anchored to
-  already-decided nodes exactly. Branches are also pruned against the
+  already-decided nodes exactly. The bound is lazy: a child enters the queue
+  keyed by its path cost g, which is never above its f, and gets its bound
+  only when it is popped, so children that are never popped are never
+  bounded, and bounded states pop in the order they would if every child
+  were bounded when made. Each bounded state carries its anchor sums, one
+  (n1 + 1) x (n2 + 1) array (about 1.3 KB at 12 nodes) holding the
+  table's slices summed over its mapped nodes; a child adds one slice
+  instead of gathering them all again. States are also pruned against the
   ``ged_approx`` upper bound. Neither the bound nor the pruning loses a
   minimum. Ties between minimum-cost solutions break toward the assignment
   vector that maps each node (in input order) to the lexicographically
@@ -22,7 +29,8 @@ Two solvers over the same cost semantics:
   mapping of the same distance.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
-  substitution plus a local edge-label mismatch estimate), then prices the
+  substitution plus a local edge-label mismatch estimate, computed for all
+  node pairs at once from per-node label-count arrays), then prices the
   edit script induced by that assignment. The result is always a feasible
   edit path, hence an upper bound on the exact distance.
 
@@ -41,10 +49,9 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-import itertools
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -165,44 +172,72 @@ class _View:
             else:
                 self.directed[(si, di)].append(edge)
 
-    def node_signatures(self) -> list[tuple[Counter, Counter, Counter]]:
-        """Per node: Counters of outgoing, incoming, and bidirectional edge
-        values, for the local estimate used by the approximate solver."""
-        out: list[Counter] = [Counter() for _ in self.nodes]
-        inc: list[Counter] = [Counter() for _ in self.nodes]
-        bi: list[Counter] = [Counter() for _ in self.nodes]
-        for (si, di), edges in self.directed.items():
-            for edge in edges:
-                out[si][normalize_label(edge.value)] += 1
-                inc[di][normalize_label(edge.value)] += 1
-        for (a, b), edges in self.bidir.items():
-            for edge in edges:
-                bi[a][normalize_label(edge.value)] += 1
-                if b != a:
-                    bi[b][normalize_label(edge.value)] += 1
-        return list(zip(out, inc, bi))
+
+def _label_vocab(*views: _View) -> dict[str, int]:
+    """Column of every normalized edge value in the given graphs, for the
+    label-count arrays."""
+    vocab: dict[str, int] = {}
+    for view in views:
+        for edge in view.graph.edges:
+            vocab.setdefault(normalize_label(edge.value), len(vocab))
+    return vocab
 
 
-def _counter_bound(
-    c1: Counter, c2: Counter, substitute: float, delete: float, insert: float
-) -> float:
-    """Optimal matching cost of two value multisets: equal values pair for
-    free, leftovers pair as substitutions, the remainder is deleted or
-    inserted. This is exact for a {0, substitute} cost matrix because
-    substitute <= delete + insert."""
-    common = sum((c1 & c2).values())
-    m1 = sum(c1.values()) - common
-    m2 = sum(c2.values()) - common
-    paired = min(m1, m2)
-    return paired * substitute + (m1 - paired) * delete + (m2 - paired) * insert
+def _group_counts(groups: dict, vocab: dict[str, int]) -> np.ndarray:
+    """Counts of normalized edge values per edge group, in group order:
+    shape (groups, labels)."""
+    counts = np.zeros((len(groups), len(vocab)), dtype=np.int64)
+    for g, edges in enumerate(groups.values()):
+        for edge in edges:
+            counts[g, vocab[normalize_label(edge.value)]] += 1
+    return counts
 
 
-def _edge_counter(edges: list[FlowEdge]) -> Counter:
-    return Counter(normalize_label(e.value) for e in edges)
+def _signature_counts(view: _View, vocab: dict[str, int]) -> np.ndarray:
+    """Per node: counts of outgoing, incoming, and bidirectional edge values,
+    shape (3, nodes, labels), for the local estimate of the approximate
+    solver."""
+    counts = np.zeros((3, len(view.nodes), len(vocab)), dtype=np.int64)
+    for (si, di), edges in view.directed.items():
+        for edge in edges:
+            value = vocab[normalize_label(edge.value)]
+            counts[0, si, value] += 1
+            counts[1, di, value] += 1
+    for (a, b), edges in view.bidir.items():
+        for edge in edges:
+            value = vocab[normalize_label(edge.value)]
+            counts[2, a, value] += 1
+            if b != a:
+                counts[2, b, value] += 1
+    return counts
+
+
+def _multiset_cost(c1: np.ndarray, c2: np.ndarray, costs: CostModel) -> np.ndarray:
+    """Optimal matching cost of value multisets given as label counts (last
+    axis; the other axes broadcast): equal values pair for free, leftovers
+    pair as substitutions, the remainder is deleted or inserted. This is
+    exact for a {0, substitute} cost matrix because substitute <= delete +
+    insert."""
+    common = np.minimum(c1, c2).sum(-1)
+    m1 = c1.sum(-1) - common
+    m2 = c2.sum(-1) - common
+    paired = np.minimum(m1, m2)
+    return (
+        paired * costs.edge_substitute
+        + (m1 - paired) * costs.edge_delete
+        + (m2 - paired) * costs.edge_insert
+    )
+
+
+def _node_costs(pv: _View, tv: _View, costs: CostModel) -> np.ndarray:
+    """Value substitution cost of every pred node against every truth node."""
+    return np.array(
+        [[0.0 if pn == tn else costs.node_substitute for tn in tv.norm] for pn in pv.norm]
+    ).reshape(len(pv.norm), len(tv.norm))
 
 
 def _anchor_costs(
-    pv: _View, tv: _View, costs: CostModel
+    pv: _View, tv: _View, costs: CostModel, vocab: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge costs of every pairing of a pred node pair with a truth node pair.
 
@@ -220,20 +255,17 @@ def _anchor_costs(
         # One edge class keyed by ordered node pair: delete-all plus
         # insert-all by broadcasting, the multiset bound where both groups
         # hold edges.
-        pred = {key: _edge_counter(edges) for key, edges in pred_groups.items()}
-        truth = {key: _edge_counter(edges) for key, edges in truth_groups.items()}
+        pred, truth = _group_counts(pred_groups, vocab), _group_counts(truth_groups, vocab)
+        pu, pa = np.array(list(pred_groups), dtype=np.intp).reshape(-1, 2).T
+        tt, tj = np.array(list(truth_groups), dtype=np.intp).reshape(-1, 2).T
         deleted = np.zeros((n1, n1))
         inserted = np.zeros((n2, n2))
-        for (u, a), values in pred.items():
-            deleted[u, a] = costs.edge_delete * sum(values.values())
-        for (t, j), values in truth.items():
-            inserted[t, j] = costs.edge_insert * sum(values.values())
+        deleted[pu, pa] = costs.edge_delete * pred.sum(1)
+        inserted[tt, tj] = costs.edge_insert * truth.sum(1)
         table = deleted[:, :, None, None] + inserted[None, None, :, :]
-        for (u, a), c1 in pred.items():
-            for (t, j), c2 in truth.items():
-                table[u, a, t, j] = _counter_bound(
-                    c1, c2, costs.edge_substitute, costs.edge_delete, costs.edge_insert
-                )
+        table[pu[:, None], pa[:, None], tt, tj] = _multiset_cost(
+            pred[:, None, :], truth[None, :, :], costs
+        )
         return table, deleted, inserted
 
     def both_ways(groups):
@@ -385,90 +417,105 @@ def ged_exact(
     if max(n1, n2) > node_budget:
         raise GraphTooLargeError(max(n1, n2), node_budget)
 
-    # Any feasible edit cost bounds the optimum; children whose lower bound
-    # exceeds it can never be minimal and are never pushed.
+    # Any feasible edit cost bounds the optimum; states whose lower bound
+    # exceeds it can never be minimal and are dropped.
     upper_bound = (
         ged_approx(predicted, truth, costs).distance + 1e-6 if n1 and n2 else None
     )
 
-    # Pred edges with both endpoints undecided at depth k, loops excluded:
-    # the part of the edge set the assignment bound cannot anchor.
-    free_directed: list[Counter] = [Counter() for _ in range(n1 + 1)]
-    free_bidir: list[Counter] = [Counter() for _ in range(n1 + 1)]
-    for groups, free in ((pv.directed, free_directed), (pv.bidir, free_bidir)):
+    vocab = _label_vocab(pv, tv)
+    # free[c, k]: label counts of the class-c (directed, bidirectional) pred
+    # edges with both endpoints undecided at depth k, loops excluded: the
+    # part of the edge set the assignment bound cannot anchor.
+    free = np.zeros((2, n1 + 1, len(vocab)), dtype=np.int64)
+    for c, groups in enumerate((pv.directed, pv.bidir)):
         for (a, b), edges in groups.items():
-            if a == b:
-                continue
-            for edge in edges:
-                value = normalize_label(edge.value)
-                for k in range(min(a, b) + 1):
-                    free[k][value] += 1
+            if a != b:
+                for edge in edges:
+                    free[c, : min(a, b) + 1, vocab[normalize_label(edge.value)]] += 1
+    # The truth edges, loops excluded, as endpoints and a flat (class, label)
+    # bin, for counting those whose endpoints are both unused.
+    loose = [
+        (a, b, c * len(vocab) + vocab[normalize_label(edge.value)])
+        for c, groups in enumerate((tv.directed, tv.bidir))
+        for (a, b), edges in groups.items()
+        if a != b
+        for edge in edges
+    ]
+    loose_a, loose_b, loose_bin = np.array(loose, dtype=np.intp).reshape(-1, 3).T
+    truth_ends = [
+        (a, b)
+        for groups in (tv.directed, tv.bidir)
+        for (a, b), edges in groups.items()
+        for _edge in edges
+    ]
 
-    truth_edge_items: list[tuple[int, int, str, bool]] = []
-    for (a, b), edges in tv.directed.items():
-        for edge in edges:
-            truth_edge_items.append((a, b, normalize_label(edge.value), False))
-    for (a, b), edges in tv.bidir.items():
-        for edge in edges:
-            truth_edge_items.append((a, b, normalize_label(edge.value), True))
-
-    pair, deleted, inserted = _anchor_costs(pv, tv, costs)
+    pair, deleted, inserted = _anchor_costs(pv, tv, costs, vocab)
     # Substituting pred node u by truth node t, self-loops included.
-    node_cost = np.array(
-        [[0.0 if pn == tn else costs.node_substitute for tn in tv.norm] for pn in pv.norm]
-    ).reshape(n1, n2)
-    base = node_cost + np.einsum("uutt->ut", pair)
-    edge_costs = (costs.edge_substitute, costs.edge_delete, costs.edge_insert)
+    base = _node_costs(pv, tv, costs) + np.einsum("uutt->ut", pair)
+    # step[a, j] is what deciding pred node a as truth node j adds to a
+    # state's anchor sums: at [u, t] the cost of matching the edges between
+    # u and a to those between t and j, at [u, n2] deleting the edges
+    # between u and a, at [n1, t] inserting those between t and j. It holds
+    # n1 * n2 * (n1 + 1) * (n2 + 1) floats: 195 KB at 12 nodes.
+    step = np.zeros((n1, n2, n1 + 1, n2 + 1))
+    step[:, :, :n1, :n2] = pair.transpose(1, 3, 0, 2)
+    step[:, :, :n1, n2] = deleted.T[:, None, :]
+    step[:, :, n1, :n2] = inserted.T[None, :, :]
+    deleted_self, inserted_self = deleted.diagonal(), inserted.diagonal()
+    columns = np.arange(n2)
     big = 1e6
+    # Used mask -> multiset bound of the open edges at every depth; states
+    # that used the same truth nodes share it.
+    open_costs: dict[int, np.ndarray] = {}
 
-    def lower_bound(decisions: tuple[int | None, ...], used_mask: int) -> float:
-        """Assignment lower bound. Edges between a remaining node and a
-        mapped one resolve the moment the remaining node is decided, so the
-        table prices them exactly per candidate pairing; edges to deleted
-        nodes are a constant; edges with both endpoints open fall back to
-        the multiset relaxation. The three parts cover disjoint edge sets,
-        so the sum stays admissible."""
+    def lower_bound(decisions: tuple[int | None, ...], used_mask: int, sums: np.ndarray) -> float:
+        """Assignment lower bound. ``sums`` is the state's anchor sums:
+        ``step`` summed over its mapped nodes in ascending order. Edges
+        between a remaining node and a mapped one resolve the moment the
+        remaining node is decided, so the sums price them exactly per
+        candidate pairing; edges to deleted nodes are a constant; edges with
+        both endpoints open fall back to the multiset relaxation. The three
+        parts cover disjoint edge sets, so the sum stays admissible."""
         k = len(decisions)
-        unused = [j for j in range(n2) if not used_mask & (1 << j)]
-        mapped = [a for a, j in enumerate(decisions) if j is not None]
-        images = [decisions[a] for a in mapped]
+        is_unused = (used_mask >> columns) & 1 == 0
+        unused = columns[is_unused]
         dropped = [a for a, j in enumerate(decisions) if j is None]
         m1, m2 = n1 - k, len(unused)
         matrix = np.full((m1 + m2, m1 + m2), big)
         matrix[m1:, m2:] = 0.0
-        matrix[:m1, :m2] = (base[k:] + pair[k:, mapped, :, images].sum(0))[:, unused]
+        matrix[:m1, :m2] = (base[k:] + sums[k:n1, :n2])[:, unused]
         rows, cols = np.arange(m1), np.arange(m2)
-        matrix[rows, m2 + rows] = costs.node_delete + (
-            deleted.diagonal() + deleted[:, mapped].sum(1)
-        )[k:]
-        matrix[m1 + cols, cols] = costs.node_insert + (
-            inserted.diagonal() + inserted[:, images].sum(1)
-        )[unused]
+        matrix[rows, m2 + rows] = costs.node_delete + (deleted_self + sums[:n1, n2])[k:]
+        matrix[m1 + cols, cols] = costs.node_insert + (inserted_self + sums[n1, :n2])[unused]
         rows, cols = linear_sum_assignment(matrix)
         lap = float(matrix[rows, cols].sum())
-        pending_directed: Counter = Counter()
-        pending_bidir: Counter = Counter()
-        for a, b, value, is_bidir in truth_edge_items:
-            if a != b and not used_mask & (1 << a) and not used_mask & (1 << b):
-                (pending_bidir if is_bidir else pending_directed)[value] += 1
-        free = _counter_bound(free_directed[k], pending_directed, *edge_costs)
-        free += _counter_bound(free_bidir[k], pending_bidir, *edge_costs)
-        return float(deleted[k:, dropped].sum()) + lap + free
+        open_edges = open_costs.get(used_mask)
+        if open_edges is None:
+            pending = np.bincount(
+                loose_bin[is_unused[loose_a] & is_unused[loose_b]], minlength=2 * len(vocab)
+            ).reshape(2, 1, -1)
+            directed, bidirectional = _multiset_cost(free, pending, costs)
+            open_edges = open_costs[used_mask] = directed + bidirectional
+        anchored = float(deleted[k:, dropped].sum()) if dropped else 0.0
+        return anchored + lap + float(open_edges[k])
 
-    def extension_cost(decisions: tuple[int | None, ...], j: int | None) -> float:
-        """Cost added by deciding pred node k = len(decisions) as j."""
+    def extension_costs(decisions: tuple[int | None, ...]) -> tuple[np.ndarray, float]:
+        """Cost added by deciding pred node k = len(decisions) as each truth
+        node, and as a deletion."""
         k = len(decisions)
-        if j is None:
-            return costs.node_delete + float(deleted[k, : k + 1].sum())
-        cost = base[k, j]
+        row = base[k]
         for a, phi_a in enumerate(decisions):
-            cost += deleted[k, a] if phi_a is None else pair[k, a, j, phi_a]
-        return float(cost)
+            row = row + (deleted[k, a] if phi_a is None else pair[k, a, :, phi_a])
+        return row, costs.node_delete + float(deleted[k, : k + 1].sum())
 
     def completion_cost(decisions: tuple[int | None, ...]) -> float:
         used = {j for j in decisions if j is not None}
-        cost = sum(costs.node_insert for j in range(n2) if j not in used)
-        for a, b, _value, _is_bidir in truth_edge_items:
+        cost = 0.0
+        for j in range(n2):
+            if j not in used:
+                cost += costs.node_insert
+        for a, b in truth_ends:
             if a not in used or b not in used:
                 cost += costs.edge_insert
         return cost
@@ -477,45 +524,48 @@ def ged_exact(
     def decision_key(j: int | None):
         return (1, "") if j is None else (0, tv.ids[j])
 
-    counter = itertools.count()
-    # Depth n1 states carry their completion cost; the empty-pred graph is
-    # terminal immediately, so it gets the completion up front.
+    # Heap entries: (f, keys, decisions, used mask, g, anchor sums, bounded).
+    # No two states share keys, so entries never compare past them. A child
+    # enters unbounded under its g, which is never above its f, sharing its
+    # parent's anchor sums; popped, it adds its own step, gets its bound and
+    # re-enters under f = g + h. Bounded states therefore pop in the order
+    # they would if every child were bounded when made. Depth n1 states carry
+    # their completion cost; the empty-pred graph is terminal immediately,
+    # so it gets the completion up front.
     start_g = completion_cost(()) if n1 == 0 else 0.0
-    start_f = start_g + (0.0 if n1 == 0 else lower_bound((), 0))
-    heap: list = [(start_f, (), next(counter), (), 0, start_g)]
+    start_sums = np.zeros((n1 + 1, n2 + 1))
+    start_f = start_g + (0.0 if n1 == 0 else lower_bound((), 0, start_sums))
+    heap: list = [(start_f, (), (), 0, start_g, start_sums, True)]
     while heap:
-        f, keys, _seq, decisions, used_mask, g = heapq.heappop(heap)
+        f, keys, decisions, used_mask, g, sums, bounded = heapq.heappop(heap)
         k = len(decisions)
         if k == n1:
             result = _result_from_mapping(pv, tv, list(decisions), costs, exact=True)
             assert abs(result.distance - g) < 1e-6, "internal cost mismatch"
             return result
+        if not bounded:
+            if decisions[-1] is not None:
+                sums = sums + step[k - 1, decisions[-1]]
+            f = g + lower_bound(decisions, used_mask, sums)
+            if upper_bound is None or f <= upper_bound:
+                heapq.heappush(heap, (f, keys, decisions, used_mask, g, sums, True))
+            continue
+        row, drop = extension_costs(decisions)
         candidates: list[int | None] = [j for j in range(n2) if not used_mask & (1 << j)]
         candidates.append(None)
         for j in candidates:
-            new_decisions = decisions + (j,)
-            new_mask = used_mask | (1 << j) if j is not None else used_mask
-            new_g = g + extension_cost(decisions, j)
+            new_g = g + (drop if j is None else float(row[j]))
             if upper_bound is not None and new_g > upper_bound:
                 continue
-            if len(new_decisions) == n1:
-                new_g += completion_cost(new_decisions)
-                h = 0.0
-            else:
-                h = lower_bound(new_decisions, new_mask)
-            if upper_bound is not None and new_g + h > upper_bound:
+            new_decisions = decisions + (j,)
+            new_mask = used_mask if j is None else used_mask | (1 << j)
+            new_keys = keys + (decision_key(j),)
+            if k + 1 < n1:
+                heapq.heappush(heap, (new_g, new_keys, new_decisions, new_mask, new_g, sums, False))
                 continue
-            heapq.heappush(
-                heap,
-                (
-                    new_g + h,
-                    keys + (decision_key(j),),
-                    next(counter),
-                    new_decisions,
-                    new_mask,
-                    new_g,
-                ),
-            )
+            new_g += completion_cost(new_decisions)
+            if upper_bound is None or new_g <= upper_bound:
+                heapq.heappush(heap, (new_g, new_keys, new_decisions, new_mask, new_g, None, True))
     raise AssertionError("A* search exhausted without a terminal state")
 
 
@@ -533,27 +583,20 @@ def ged_approx(
     costs = costs or CostModel()
     pv = _View(predicted)
     tv = _View(truth)
-    n1, n2 = len(pv.nodes), len(tv.nodes)
-    if n1 == 0 or n2 == 0:
+    n1 = len(pv.nodes)
+    if n1 == 0 or not tv.nodes:
         return _result_from_mapping(pv, tv, [None] * n1, costs, exact=False)
 
-    pred_sigs = pv.node_signatures()
-    truth_sigs = tv.node_signatures()
+    vocab = _label_vocab(pv, tv)
+    outgoing, incoming, bidirectional = _multiset_cost(
+        _signature_counts(pv, vocab)[:, :, None, :],
+        _signature_counts(tv, vocab)[:, None, :, :],
+        costs,
+    )
+    base = _node_costs(pv, tv, costs) + (outgoing + incoming + bidirectional)
     unmapped_pair = costs.node_delete + costs.node_insert
-    base = np.empty((n1, n2), dtype=np.float64)
-    matrix = np.empty((n1, n2), dtype=np.float64)
-    edge_costs = (costs.edge_substitute, costs.edge_delete, costs.edge_insert)
-    for i in range(n1):
-        for j in range(n2):
-            sub = 0.0 if pv.norm[i] == tv.norm[j] else costs.node_substitute
-            local = sum(
-                _counter_bound(p, t, *edge_costs) for p, t in zip(pred_sigs[i], truth_sigs[j])
-            )
-            base[i, j] = sub + local
-            entry = min(base[i, j], unmapped_pair)
-            if pv.ids[i] != tv.ids[j]:
-                entry += _ID_TIE_EPS
-            matrix[i, j] = entry
+    renamed = np.array([[pid != tid for tid in tv.ids] for pid in pv.ids])
+    matrix = np.minimum(base, unmapped_pair) + np.where(renamed, _ID_TIE_EPS, 0.0)
     rows, cols = linear_sum_assignment(matrix)
     mapping: list[int | None] = [None] * n1
     for i, j in zip(rows, cols):

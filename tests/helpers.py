@@ -1,13 +1,18 @@
-"""Shared test helpers: random graph builders, independent oracles, and a
-loopback stub embedding server."""
+"""Shared test helpers: random graph builders, independent oracles, a
+reference approximate solver, and a loopback stub embedding server."""
 from __future__ import annotations
 
 import json
 import random
 import socket
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from flowrag.ged import _ID_TIE_EPS, GedResult, _result_from_mapping, _View
 from flowrag.graph_model import FlowEdge, FlowGraph, FlowNode, LineStyle, NodeShape
 
 VALUE_POOL = ["start", "check alarm", "send report", "stop", "retry", "wait"]
@@ -158,6 +163,117 @@ def oracle_tie_break(pred: FlowGraph, truth: FlowGraph, costs) -> tuple:
     return tuple(
         (node.id, t_ids[j]) for node, j in zip(pred.nodes, assign) if j is not None
     )
+
+
+def same_label_digraph(rng: random.Random, nodes: int, edges: int) -> FlowGraph:
+    """A random digraph whose nodes all carry one value and whose edges carry
+    none: every ordering of its nodes ties on label."""
+    ids = [chr(ord("A") + i) for i in range(nodes)]
+    links = rng.sample([(a, b) for a in ids for b in ids if a != b], edges)
+    return FlowGraph(
+        nodes=tuple(FlowNode(i, "check state") for i in ids),
+        edges=tuple(FlowEdge(a, b) for a, b in links),
+    )
+
+
+# ---------------------------------------------------------------------------
+# References for the array-native cost tables: the exact solver's edge-cost
+# table and the assignment matrix of ``ged_approx``, built pair by pair from
+# Counters of edge values, the construction the arrays replaced. The three
+# local terms of ``ged_approx`` add left to right, as the solver adds them.
+# ---------------------------------------------------------------------------
+
+
+def _counter_cost(c1: Counter, c2: Counter, costs) -> float:
+    common = sum((c1 & c2).values())
+    m1 = sum(c1.values()) - common
+    m2 = sum(c2.values()) - common
+    paired = min(m1, m2)
+    return (
+        paired * costs.edge_substitute
+        + (m1 - paired) * costs.edge_delete
+        + (m2 - paired) * costs.edge_insert
+    )
+
+
+def _node_signatures(graph: FlowGraph) -> list[tuple[Counter, Counter, Counter]]:
+    """Per node: Counters of outgoing, incoming and bidirectional edge values."""
+    index = {n.id: i for i, n in enumerate(graph.nodes)}
+    sigs = [(Counter(), Counter(), Counter()) for _ in graph.nodes]
+    for edge in graph.edges:
+        si, di = index[edge.src], index[edge.dst]
+        value = _norm(edge.value)
+        if edge.bidirectional:
+            sigs[si][2][value] += 1
+            if di != si:
+                sigs[di][2][value] += 1
+        else:
+            sigs[si][0][value] += 1
+            sigs[di][1][value] += 1
+    return sigs
+
+
+def reference_anchor_costs(pred: FlowGraph, truth: FlowGraph, costs):
+    """``_anchor_costs`` of the exact solver, each table cell priced pair by
+    pair from Counters of the edge values in its two groups."""
+    pv, tv = _View(pred), _View(truth)
+    n1, n2 = len(pv.nodes), len(tv.nodes)
+
+    def class_costs(pred_groups, truth_groups):
+        p_counts = {key: Counter(map(_norm, (e.value for e in edges)))
+                    for key, edges in pred_groups.items()}
+        t_counts = {key: Counter(map(_norm, (e.value for e in edges)))
+                    for key, edges in truth_groups.items()}
+        deleted = np.zeros((n1, n1))
+        inserted = np.zeros((n2, n2))
+        for (u, a), values in p_counts.items():
+            deleted[u, a] = costs.edge_delete * sum(values.values())
+        for (t, j), values in t_counts.items():
+            inserted[t, j] = costs.edge_insert * sum(values.values())
+        table = deleted[:, :, None, None] + inserted[None, None, :, :]
+        for (u, a), c1 in p_counts.items():
+            for (t, j), c2 in t_counts.items():
+                table[u, a, t, j] = _counter_cost(c1, c2, costs)
+        return table, deleted, inserted
+
+    def both_ways(groups):
+        return {**groups, **{(b, a): edges for (a, b), edges in groups.items()}}
+
+    directed, d_deleted, d_inserted = class_costs(pv.directed, tv.directed)
+    bidir, b_deleted, b_inserted = class_costs(both_ways(pv.bidir), both_ways(tv.bidir))
+    pair = directed + directed.transpose(1, 0, 3, 2) + bidir
+    deleted = d_deleted + d_deleted.T + b_deleted
+    inserted = d_inserted + d_inserted.T + b_inserted
+    u, t = np.ix_(np.arange(n1), np.arange(n2))
+    pair[u, u, t, t] = directed[u, u, t, t] + bidir[u, u, t, t]
+    np.fill_diagonal(deleted, d_deleted.diagonal() + b_deleted.diagonal())
+    np.fill_diagonal(inserted, d_inserted.diagonal() + b_inserted.diagonal())
+    return pair, deleted, inserted
+
+
+def reference_ged_approx(pred: FlowGraph, truth: FlowGraph, costs) -> GedResult:
+    p_nodes, t_nodes = list(pred.nodes), list(truth.nodes)
+    n1, n2 = len(p_nodes), len(t_nodes)
+    mapping: list = [None] * n1
+    if n1 and n2:
+        p_sigs, t_sigs = _node_signatures(pred), _node_signatures(truth)
+        unmapped_pair = costs.node_delete + costs.node_insert
+        base = np.empty((n1, n2))
+        matrix = np.empty((n1, n2))
+        for i in range(n1):
+            for j in range(n2):
+                same = _norm(p_nodes[i].value) == _norm(t_nodes[j].value)
+                sub = 0.0 if same else costs.node_substitute
+                t0, t1, t2 = (_counter_cost(p, t, costs) for p, t in zip(p_sigs[i], t_sigs[j]))
+                base[i, j] = sub + (t0 + t1 + t2)
+                entry = min(base[i, j], unmapped_pair)
+                if p_nodes[i].id != t_nodes[j].id:
+                    entry += _ID_TIE_EPS
+                matrix[i, j] = entry
+        for i, j in zip(*linear_sum_assignment(matrix)):
+            if base[i, j] < unmapped_pair:
+                mapping[i] = int(j)
+    return _result_from_mapping(_View(pred), _View(truth), mapping, costs, exact=False)
 
 
 # ---------------------------------------------------------------------------

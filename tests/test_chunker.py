@@ -11,6 +11,7 @@ from flowrag.chunker import (
     ChunkStrategy,
     SourceKind,
     chunk_graph,
+    chunk_graphs,
     chunk_text,
     read_chunks_jsonl,
     write_chunks_jsonl,
@@ -63,15 +64,30 @@ class TestChunkGraph:
         assert parse_json(chunks[0].text.encode("utf-8")) == graph
 
     def test_empty_value_node_skipped_with_warning(self, caplog):
-        graph = FlowGraph(
-            nodes=(FlowNode("A", "x"), FlowNode("C", "", NodeShape.CONNECTOR)),
-            edges=(FlowEdge("A", "C"),),
-            graph_id="g2",
-        )
+        # One graph skips its connectors silently; a corpus gets one
+        # aggregate line: the count and the first skipped node.
+        graphs = [
+            FlowGraph(
+                nodes=(
+                    FlowNode("A", "x"),
+                    FlowNode("C", "", NodeShape.CONNECTOR),
+                    FlowNode("D", "", NodeShape.CONNECTOR),
+                ),
+                edges=(FlowEdge("A", "C"), FlowEdge("C", "D")),
+                graph_id=graph_id,
+            )
+            for graph_id in ("g2", "g3")
+        ]
         with caplog.at_level(logging.WARNING, logger="flowrag.chunker"):
-            chunks = chunk_graph(graph, ChunkStrategy.PER_NODE)
-        assert len(chunks) == 1
-        assert any("skipping empty-value node" in r.message for r in caplog.records)
+            single = chunk_graph(graphs[0], ChunkStrategy.PER_NODE)
+            assert not caplog.records
+            chunks = chunk_graphs(graphs, ChunkStrategy.PER_NODE)
+            chunk_graphs(graphs, ChunkStrategy.ALL_NODES)
+        assert [c.node_id for c in single] == ["A"]
+        assert [c.chunk_id for c in chunks] == ["g2:node:A", "g3:node:A"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 4 empty-value nodes under per-node chunking (first: node 'C' of graph 'g2')"
+        ]
 
     def test_chunk_ids_deterministic(self):
         a = chunk_graph(three_node_graph(), ChunkStrategy.PER_NODE)

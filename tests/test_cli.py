@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 
 import pytest
 
@@ -278,6 +279,23 @@ class TestPipeline:
         assert hits[0]["graph_id"] == graphs[1].graph_id
         assert hits[0]["node_id"] == target.id
         assert [h["rank"] for h in hits] == [1, 2, 3]
+
+    def test_chunk_warns_once_for_skipped_connectors(self, tmp_path, caplog):
+        from flowrag.graph_model import write_graphs_jsonl
+        from flowrag.synthgen import GenSpec, generate_graph
+
+        graphs = [generate_graph(GenSpec(seed=5), i) for i in range(20)]
+        empty = [(g.graph_id, n.id) for g in graphs for n in g.nodes if not n.value]
+        graphs_path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl(graphs, graphs_path)
+        argv = ["chunk", "--graphs", str(graphs_path), "--out", str(tmp_path / "chunks.jsonl")]
+        with caplog.at_level(logging.WARNING, logger="flowrag.chunker"):
+            assert main(argv + ["--strategy", "per-node"]) == 0
+            assert main(argv + ["--strategy", "all-nodes"]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped {len(empty)} empty-value nodes under per-node chunking "
+            f"(first: node {empty[0][1]!r} of graph {empty[0][0]!r})"
+        ]
 
     def test_eval_end_to_end(self, tmp_path):
         _, graphs_path, qa_path = write_corpus(tmp_path, count=5)

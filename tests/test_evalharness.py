@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -142,6 +143,19 @@ class TestRunEval:
                 assert all_cell.numerator == sum(
                     report.cells[(strategy, k, c)].numerator for c in by_category
                 )
+
+    def test_skipped_connectors_warn_once(self, caplog):
+        spec = GenSpec(seed=5)
+        graphs = [generate_graph(spec, i) for i in range(20)]
+        qa = [q for graph in graphs for q in generate_qa(graph, 2, seed=5)]
+        empty = [(g.graph_id, n.id) for g in graphs for n in g.nodes if not n.value]
+        assert len(empty) > 1
+        with caplog.at_level(logging.WARNING, logger="flowrag.chunker"):
+            run_eval(graphs, qa, EvalConfig(provider=LOCAL))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped {len(empty)} empty-value nodes under per-node chunking "
+            f"(first: node {empty[0][1]!r} of graph {empty[0][0]!r})"
+        ]
 
     def test_text_chunks_never_increase_accuracy(self):
         graphs, qa = disjoint_corpus(8)

@@ -22,9 +22,19 @@ from flowrag.ged import (
     render_ged_report_csv,
     render_ged_report_markdown,
     GED_REPORT_COLUMNS,
+    _anchor_costs,
+    _label_vocab,
+    _View,
 )
 
-from helpers import oracle_ged, oracle_tie_break, random_graph
+from helpers import (
+    oracle_ged,
+    oracle_tie_break,
+    random_graph,
+    reference_anchor_costs,
+    reference_ged_approx,
+    same_label_digraph,
+)
 
 UNIT = CostModel()
 # Every cost a small multiple of a power of two: sums stay exact in floating
@@ -36,6 +46,15 @@ DYADIC = CostModel(
     edge_insert=0.75,
     edge_delete=1.25,
     edge_substitute=1.0,
+)
+# Costs whose sums round in binary floating point.
+NON_DYADIC = CostModel(
+    node_insert=2.0,
+    node_delete=1.5,
+    node_substitute=3.0,
+    edge_insert=0.7,
+    edge_delete=1.2,
+    edge_substitute=1.1,
 )
 
 
@@ -155,19 +174,11 @@ class TestGedExact:
             assert ged_exact(a, b).distance == pytest.approx(expected, abs=1e-9)
 
     def test_oracle_equivalence_non_unit_costs(self):
-        costs = CostModel(
-            node_insert=2.0,
-            node_delete=1.5,
-            node_substitute=3.0,
-            edge_insert=0.7,
-            edge_delete=1.2,
-            edge_substitute=1.1,
-        )
         rng = pair_rng(2)
         for _ in range(40):
             a, b = random_graph(rng), random_graph(rng)
-            expected = oracle_ged(a, b, costs)
-            assert ged_exact(a, b, costs).distance == pytest.approx(expected, abs=1e-9)
+            expected = oracle_ged(a, b, NON_DYADIC)
+            assert ged_exact(a, b, NON_DYADIC).distance == pytest.approx(expected, abs=1e-9)
 
     def test_metric_axioms(self):
         rng = pair_rng(3)
@@ -195,6 +206,34 @@ class TestGedExact:
         for _ in range(60):
             a, b = random_graph(rng), random_graph(rng)
             assert ged_exact(a, b, costs).mapping == oracle_tie_break(a, b, costs)
+
+
+    @pytest.mark.parametrize(
+        "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
+    )
+    def test_anchor_costs_match_counter_reference(self, costs):
+        rng = pair_rng(10)
+        for _ in range(60):
+            a, b = random_graph(rng, max_nodes=7), random_graph(rng, max_nodes=7)
+            pv, tv = _View(a), _View(b)
+            got = _anchor_costs(pv, tv, costs, _label_vocab(pv, tv))
+            for array, expected in zip(got, reference_anchor_costs(a, b, costs)):
+                assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("costs", [UNIT, DYADIC], ids=["unit", "dyadic"])
+    def test_same_label_ties_pop_in_order(self, costs):
+        # Every node carries one value, so every ordering ties on label and
+        # most states tie on f: the lazily bounded search must still return
+        # the brute-force minimum and its lexicographic tie-break.
+        rng = pair_rng(8)
+        for _ in range(8):
+            a, b = (
+                same_label_digraph(rng, n, rng.randint(n - 1, 2 * n))
+                for n in (rng.randint(4, 5), rng.randint(4, 6))
+            )
+            result = ged_exact(a, b, costs)
+            assert result.distance == oracle_ged(a, b, costs)
+            assert result.mapping == oracle_tie_break(a, b, costs)
 
 
 class TestGedApprox:
@@ -249,6 +288,20 @@ class TestGedApprox:
         for _ in range(20):
             a, b = random_graph(rng), random_graph(rng)
             assert ged_approx(a, b) == ged_approx(a, b)
+
+    @pytest.mark.parametrize(
+        "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
+    )
+    def test_matches_counter_reference(self, costs):
+        # The array-native assignment matrix against the pair-by-pair
+        # Counter construction it replaced, bit for bit.
+        rng = pair_rng(9)
+        for _ in range(200):
+            a, b = random_graph(rng, max_nodes=7), random_graph(rng, max_nodes=7)
+            result, expected = ged_approx(a, b, costs), reference_ged_approx(a, b, costs)
+            assert result.distance.hex() == expected.distance.hex()
+            assert result.mapping == expected.mapping
+            assert result.edit_path == expected.edit_path
 
 
 def _disjoint_cycle(rng: random.Random, tag: str) -> FlowGraph:
