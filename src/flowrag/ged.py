@@ -15,14 +15,15 @@ Two solvers over the same cost semantics:
   keyed by its path cost g, which is never above its f, and gets its bound
   only when it is popped, so children that are never popped are never
   bounded, and bounded states pop in the order they would if every child
-  were bounded when made. Each bounded state carries its anchor sums, one
-  (n1 + 1) x (n2 + 1) array (about 1.3 KB at 12 nodes) holding the
-  table's slices summed over its mapped nodes; a child adds one slice
-  instead of gathering them all again. States are also pruned against the
-  ``ged_approx`` upper bound. Neither the bound nor the pruning loses a
-  minimum. Ties between minimum-cost solutions break toward the assignment
-  vector that maps each node (in input order) to the lexicographically
-  smallest truth id, with deletion ordered last. That tie-break is exact
+  were bounded when made. A state's anchor sums, one (n1 + 1) x (n2 + 1)
+  array (about 1.3 KB at 12 nodes), hold the table's slices summed over its
+  mapped nodes; a child adds one slice to its parent's instead of gathering
+  them all again. Queued children share their parent's array, so the queue
+  holds one per expanded state, not one per queued state. States are also
+  pruned against the ``ged_approx`` upper bound. Neither the bound nor the
+  pruning loses a minimum. Ties between minimum-cost solutions break toward
+  the assignment vector that maps each node (in input order) to the
+  lexicographically smallest truth id, with deletion ordered last. That tie-break is exact
   only when the costs sum exactly in binary floating point, as unit costs
   and halves or quarters do; otherwise rounding can make one of two
   equal-cost solutions look cheaper, and the search may return another
@@ -524,31 +525,34 @@ def ged_exact(
     def decision_key(j: int | None):
         return (1, "") if j is None else (0, tv.ids[j])
 
-    # Heap entries: (f, keys, decisions, used mask, g, anchor sums, bounded).
-    # No two states share keys, so entries never compare past them. A child
-    # enters unbounded under its g, which is never above its f, sharing its
-    # parent's anchor sums; popped, it adds its own step, gets its bound and
-    # re-enters under f = g + h. Bounded states therefore pop in the order
-    # they would if every child were bounded when made. Depth n1 states carry
-    # their completion cost; the empty-pred graph is terminal immediately,
-    # so it gets the completion up front.
+    # Heap entries: (f, keys, decisions, used mask, g, parent's anchor sums,
+    # bounded). No two states share keys, so entries never compare past
+    # them. A child enters unbounded under its g, which is never above its
+    # f; popped, it gets its bound and re-enters under f = g + h. Bounded
+    # states therefore pop in the order they would if every child were
+    # bounded when made. Queued states hold only their parent's sums and add
+    # their own step when bounded and again when expanded, so one array
+    # serves all of a parent's children. Depth n1 states carry their
+    # completion cost; the empty-pred graph is terminal immediately, so it
+    # gets the completion up front.
     start_g = completion_cost(()) if n1 == 0 else 0.0
     start_sums = np.zeros((n1 + 1, n2 + 1))
     start_f = start_g + (0.0 if n1 == 0 else lower_bound((), 0, start_sums))
     heap: list = [(start_f, (), (), 0, start_g, start_sums, True)]
     while heap:
-        f, keys, decisions, used_mask, g, sums, bounded = heapq.heappop(heap)
+        f, keys, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)
         k = len(decisions)
         if k == n1:
             result = _result_from_mapping(pv, tv, list(decisions), costs, exact=True)
             assert abs(result.distance - g) < 1e-6, "internal cost mismatch"
             return result
+        sums = parent_sums
+        if decisions and decisions[-1] is not None:
+            sums = parent_sums + step[k - 1, decisions[-1]]
         if not bounded:
-            if decisions[-1] is not None:
-                sums = sums + step[k - 1, decisions[-1]]
             f = g + lower_bound(decisions, used_mask, sums)
             if upper_bound is None or f <= upper_bound:
-                heapq.heappush(heap, (f, keys, decisions, used_mask, g, sums, True))
+                heapq.heappush(heap, (f, keys, decisions, used_mask, g, parent_sums, True))
             continue
         row, drop = extension_costs(decisions)
         candidates: list[int | None] = [j for j in range(n2) if not used_mask & (1 << j)]

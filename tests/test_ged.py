@@ -47,7 +47,8 @@ DYADIC = CostModel(
     edge_delete=1.25,
     edge_substitute=1.0,
 )
-# Costs whose sums round in binary floating point.
+# The model of test_oracle_equivalence_non_unit_costs: its sums round in
+# binary floating point.
 NON_DYADIC = CostModel(
     node_insert=2.0,
     node_delete=1.5,
@@ -174,11 +175,19 @@ class TestGedExact:
             assert ged_exact(a, b).distance == pytest.approx(expected, abs=1e-9)
 
     def test_oracle_equivalence_non_unit_costs(self):
+        costs = CostModel(
+            node_insert=2.0,
+            node_delete=1.5,
+            node_substitute=3.0,
+            edge_insert=0.7,
+            edge_delete=1.2,
+            edge_substitute=1.1,
+        )
         rng = pair_rng(2)
         for _ in range(40):
             a, b = random_graph(rng), random_graph(rng)
-            expected = oracle_ged(a, b, NON_DYADIC)
-            assert ged_exact(a, b, NON_DYADIC).distance == pytest.approx(expected, abs=1e-9)
+            expected = oracle_ged(a, b, costs)
+            assert ged_exact(a, b, costs).distance == pytest.approx(expected, abs=1e-9)
 
     def test_metric_axioms(self):
         rng = pair_rng(3)
