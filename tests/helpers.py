@@ -1,5 +1,6 @@
-"""Shared test helpers: random graph builders, independent oracles, a
-reference approximate solver, and a loopback stub embedding server."""
+"""Shared test helpers: random graph builders, independent oracles,
+Counter-based references for the GED cost tables, and a loopback stub
+embedding server."""
 from __future__ import annotations
 
 import json

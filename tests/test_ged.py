@@ -216,7 +216,6 @@ class TestGedExact:
             a, b = random_graph(rng), random_graph(rng)
             assert ged_exact(a, b, costs).mapping == oracle_tie_break(a, b, costs)
 
-
     @pytest.mark.parametrize(
         "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
     )
