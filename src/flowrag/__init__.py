@@ -28,7 +28,6 @@ from .graph_model import (
     parse_json,
     serialize_json,
     stats,
-    validate,
 )
 from .mermaid import parse_mermaid, render_mermaid
 from .synthgen import (
@@ -90,5 +89,4 @@ __all__ = [
     "run_eval",
     "serialize_json",
     "stats",
-    "validate",
 ]

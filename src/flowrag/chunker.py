@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import FlowragError
-from .graph_model import FlowGraph, require_valid, serialize_json
+from .graph_model import FlowGraph, serialize_json
 from .jsonio import expect, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -77,13 +77,12 @@ class Chunk:
 
 
 def chunk_graph(graph: FlowGraph, strategy: ChunkStrategy) -> list[Chunk]:
-    """Chunk one valid graph under the given strategy.
+    """Chunk one graph under the given strategy.
 
     Nodes with empty values (connectors) carry nothing to embed: per-node
     skips them silently (``chunk_graphs`` warns once for a whole corpus),
     and the other strategies ignore them.
     """
-    require_valid(graph)
     if strategy is ChunkStrategy.PER_NODE:
         chunks = []
         for node in graph.nodes:

@@ -74,7 +74,11 @@ class EvalConfig:
     text_overlap_chars: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(self.ks))
+        object.__setattr__(self, "ks", tuple(expect_list(self.ks, int, "ks")))
+        for key, kind in (
+            ("allnodes_union", bool), ("text_max_chars", int), ("text_overlap_chars", int)
+        ):
+            expect(getattr(self, key), kind, key)
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "text_documents", tuple(self.text_documents))
         if not self.ks or list(self.ks) != sorted(set(self.ks)) or self.ks[0] < 1:
@@ -88,8 +92,6 @@ class EvalConfig:
     def from_dict(cls, data: dict, base_dir: str | Path = ".") -> "EvalConfig":
         kwargs = config_kwargs(cls, data, "eval config")
         kwargs["provider"] = ProviderConfig.from_dict(kwargs.get("provider", {}))
-        if "ks" in kwargs:
-            expect_list(kwargs["ks"], int, "ks")
         if "strategies" in kwargs:
             names = expect_list(kwargs["strategies"], str, "strategies")
             kwargs["strategies"] = [ChunkStrategy(name) for name in names]
@@ -104,11 +106,6 @@ class EvalConfig:
                 except OSError as exc:
                     raise DatasetError(f"cannot read text document {doc_path}: {exc}") from exc
             kwargs["text_documents"] = texts
-        for key, kind in (
-            ("allnodes_union", bool), ("text_max_chars", int), ("text_overlap_chars", int)
-        ):
-            if key in kwargs:
-                expect(kwargs[key], kind, key)
         return cls(**kwargs)
 
     @classmethod

@@ -20,7 +20,8 @@ Two solvers over the same cost semantics:
   mapped nodes; a child adds one slice to its parent's instead of gathering
   them all again. Queued children share their parent's array, so the queue
   holds one per expanded state, not one per queued state. States are also
-  pruned against the ``ged_approx`` upper bound. Neither the bound nor the
+  pruned against an upper bound, the cost of the ``ged_approx`` assignment
+  priced by the search's own step costs. Neither the bound nor the
   pruning loses a minimum. Ties between minimum-cost solutions break toward
   the assignment vector that maps each node (in input order) to the
   lexicographically smallest truth id, with deletion ordered last. That tie-break is exact
@@ -59,7 +60,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import FlowragError
-from .graph_model import FlowEdge, FlowGraph, FlowNode
+from .graph_model import FlowEdge, FlowGraph, FlowNode, NodeShape
 from .jsonio import NUMBER, config_kwargs, expect
 
 # Column headings for the aggregate report, in output order.
@@ -418,12 +419,6 @@ def ged_exact(
     if max(n1, n2) > node_budget:
         raise GraphTooLargeError(max(n1, n2), node_budget)
 
-    # Any feasible edit cost bounds the optimum; states whose lower bound
-    # exceeds it can never be minimal and are dropped.
-    upper_bound = (
-        ged_approx(predicted, truth, costs).distance + 1e-6 if n1 and n2 else None
-    )
-
     vocab = _label_vocab(pv, tv)
     # free[c, k]: label counts of the class-c (directed, bidirectional) pred
     # edges with both endpoints undecided at depth k, loops excluded: the
@@ -521,6 +516,17 @@ def ged_exact(
                 cost += costs.edge_insert
         return cost
 
+    # Any feasible edit cost bounds the optimum; states whose lower bound
+    # exceeds it can never be minimal and are dropped. The bound prices the
+    # ged_approx assignment with the search's own step costs.
+    upper_bound = 1e-6
+    decisions: tuple[int | None, ...] = ()
+    for j in _approx_mapping(pv, tv, costs, vocab):
+        row, drop = extension_costs(decisions)
+        upper_bound += drop if j is None else float(row[j])
+        decisions += (j,)
+    upper_bound += completion_cost(decisions)
+
     # Equal f values pop in order of these keys: the deterministic tie-break.
     def decision_key(j: int | None):
         return (1, "") if j is None else (0, tv.ids[j])
@@ -551,7 +557,7 @@ def ged_exact(
             sums = parent_sums + step[k - 1, decisions[-1]]
         if not bounded:
             f = g + lower_bound(decisions, used_mask, sums)
-            if upper_bound is None or f <= upper_bound:
+            if f <= upper_bound:
                 heapq.heappush(heap, (f, keys, decisions, used_mask, g, parent_sums, True))
             continue
         row, drop = extension_costs(decisions)
@@ -559,7 +565,7 @@ def ged_exact(
         candidates.append(None)
         for j in candidates:
             new_g = g + (drop if j is None else float(row[j]))
-            if upper_bound is not None and new_g > upper_bound:
+            if new_g > upper_bound:
                 continue
             new_decisions = decisions + (j,)
             new_mask = used_mask if j is None else used_mask | (1 << j)
@@ -568,7 +574,7 @@ def ged_exact(
                 heapq.heappush(heap, (new_g, new_keys, new_decisions, new_mask, new_g, sums, False))
                 continue
             new_g += completion_cost(new_decisions)
-            if upper_bound is None or new_g <= upper_bound:
+            if new_g <= upper_bound:
                 heapq.heappush(heap, (new_g, new_keys, new_decisions, new_mask, new_g, None, True))
     raise AssertionError("A* search exhausted without a terminal state")
 
@@ -587,11 +593,18 @@ def ged_approx(
     costs = costs or CostModel()
     pv = _View(predicted)
     tv = _View(truth)
+    mapping = _approx_mapping(pv, tv, costs, _label_vocab(pv, tv))
+    return _result_from_mapping(pv, tv, mapping, costs, exact=False)
+
+
+def _approx_mapping(
+    pv: _View, tv: _View, costs: CostModel, vocab: dict[str, int]
+) -> list[int | None]:
+    """The node assignment of ``ged_approx``: truth index or None (deleted)
+    for each pred node."""
     n1 = len(pv.nodes)
     if n1 == 0 or not tv.nodes:
-        return _result_from_mapping(pv, tv, [None] * n1, costs, exact=False)
-
-    vocab = _label_vocab(pv, tv)
+        return [None] * n1
     outgoing, incoming, bidirectional = _multiset_cost(
         _signature_counts(pv, vocab)[:, :, None, :],
         _signature_counts(tv, vocab)[:, None, :, :],
@@ -607,11 +620,21 @@ def ged_approx(
         # Keep the pair only when mapping strictly beats delete + insert.
         if base[i, j] < unmapped_pair:
             mapping[i] = int(j)
-    return _result_from_mapping(pv, tv, mapping, costs, exact=False)
+    return mapping
+
+
+def _edited_node(node_id: str, value: str, shape: NodeShape) -> FlowNode:
+    """A node as an edit leaves it. Shapes are outside the cost model, so a
+    node whose value ends empty becomes a connector, the one shape that may
+    hold an empty value."""
+    return FlowNode(id=node_id, value=value, shape=shape if value else NodeShape.CONNECTOR)
 
 
 def apply_edit_path(graph: FlowGraph, edit_path: tuple[EditOp, ...]) -> FlowGraph:
-    """Apply an edit path returned by a solver to its predicted graph."""
+    """Apply an edit path returned by a solver to its predicted graph.
+
+    Inserted nodes take shape Unspecified and substituted nodes keep theirs,
+    except that a node whose new value is empty takes shape Connector."""
     nodes = list(graph.nodes)
     edges = list(graph.edges)
     for op in edit_path:
@@ -625,7 +648,7 @@ def apply_edit_path(graph: FlowGraph, edit_path: tuple[EditOp, ...]) -> FlowGrap
         if op.kind == "substitute-node"
     }
     nodes = [
-        FlowNode(id=renames[n.id][0], value=renames[n.id][1], shape=n.shape)
+        _edited_node(*renames[n.id], n.shape)
         if n.id in renames
         else n
         for n in nodes
@@ -637,7 +660,7 @@ def apply_edit_path(graph: FlowGraph, edit_path: tuple[EditOp, ...]) -> FlowGrap
     ]
     for op in edit_path:
         if op.kind == "insert-node":
-            nodes.append(FlowNode(id=op.truth_id, value=op.value))
+            nodes.append(_edited_node(op.truth_id, op.value, NodeShape.UNSPECIFIED))
     for op in edit_path:
         if op.kind == "substitute-edge":
             current = replace(

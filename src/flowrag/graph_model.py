@@ -3,6 +3,12 @@
 A flowchart block becomes a node carrying its text as an attribute; a link
 becomes an edge with optional link text. Graphs serialize to a canonical
 JSON document and corpora are stored as JSON-Lines, one graph per line.
+
+Every ``FlowGraph`` satisfies the graph invariant: unique non-empty node
+ids, edge endpoints that name nodes, unique ``(from, to, value)`` edge
+triples, and empty values only on ``Connector`` nodes. The constructor
+checks it and raises :class:`GraphIntegrityError` listing every violation,
+so no other code re-checks a graph it is given.
 """
 from __future__ import annotations
 
@@ -77,7 +83,8 @@ class FlowEdge:
 
 @dataclass(frozen=True)
 class FlowGraph:
-    """Immutable attributed directed graph; safe to share across threads."""
+    """Immutable attributed directed graph that satisfies the graph
+    invariant; safe to share across threads."""
 
     nodes: tuple[FlowNode, ...] = ()
     edges: tuple[FlowEdge, ...] = ()
@@ -86,6 +93,9 @@ class FlowGraph:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
+        violations = _violations(self)
+        if violations:
+            raise GraphIntegrityError(violations)
 
     def node_ids(self) -> set[str]:
         return {n.id for n in self.nodes}
@@ -97,12 +107,8 @@ class GraphStats:
     edge_count: int
 
 
-def validate(graph: FlowGraph) -> list[str]:
-    """Return one description per violated invariant; empty when valid.
-
-    Violations are data, not errors: callers that require validity raise
-    :class:`GraphIntegrityError` themselves.
-    """
+def _violations(graph: FlowGraph) -> list[str]:
+    """One description per violated invariant, in node then edge order."""
     violations: list[str] = []
     seen_ids: set[str] = set()
     for node in graph.nodes:
@@ -128,13 +134,6 @@ def validate(graph: FlowGraph) -> list[str]:
             )
         seen_edges.add(triple)
     return violations
-
-
-def require_valid(graph: FlowGraph) -> None:
-    """Raise :class:`GraphIntegrityError` listing every violated invariant."""
-    violations = validate(graph)
-    if violations:
-        raise GraphIntegrityError(violations)
 
 
 _SHAPES_BY_NAME = {s.value: s for s in NodeShape}
@@ -220,9 +219,7 @@ def _graph_from_doc(doc) -> FlowGraph:
     edges = tuple(
         _edge_from_obj(obj, f"$.edges[{i}]") for i, obj in enumerate(doc["edges"])
     )
-    graph = FlowGraph(nodes=nodes, edges=edges, graph_id=graph_id)
-    require_valid(graph)
-    return graph
+    return FlowGraph(nodes=nodes, edges=edges, graph_id=graph_id)
 
 
 def _node_to_obj(node: FlowNode) -> dict:
@@ -244,7 +241,6 @@ def _edge_to_obj(edge: FlowEdge) -> dict:
 
 
 def _graph_to_doc(graph: FlowGraph) -> dict:
-    require_valid(graph)
     doc: dict = {}
     if graph.graph_id:
         doc["graph_id"] = graph.graph_id
@@ -273,8 +269,9 @@ def _edge_sort_key(edge: FlowEdge):
 
 def canonicalize(graph: FlowGraph) -> FlowGraph:
     """Sort nodes by id and edges by (from, to, value); collapse runs of
-    whitespace in node values. Idempotent."""
-    require_valid(graph)
+    whitespace in node values. Idempotent. Raises
+    :class:`GraphIntegrityError` when a non-connector value is whitespace
+    only, since it would collapse to empty."""
     nodes = tuple(
         FlowNode(id=n.id, value=collapse_whitespace(n.value), shape=n.shape)
         for n in sorted(graph.nodes, key=lambda n: n.id)

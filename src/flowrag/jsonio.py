@@ -22,7 +22,7 @@ _NAMES = {
     str: "a string",
     int: "an integer",
     bool: "true or false",
-    list: "an array",
+    (list, tuple): "an array",
     dict: "an object",
     NUMBER: "a number",
     (str, type(None)): "a string or null",
@@ -89,8 +89,9 @@ def expect(value, kinds, what: str):
     return value
 
 
-def expect_list(value, kinds, what: str) -> list:
-    """``value`` if it is a JSON array whose every item is one of ``kinds``."""
-    for item in expect(value, list, what):
+def expect_list(value, kinds, what: str) -> list | tuple:
+    """``value`` if it is a JSON array, or a tuple, whose every item is one
+    of ``kinds``."""
+    for item in expect(value, (list, tuple), what):
         expect(item, kinds, f"each item of {what}")
     return value

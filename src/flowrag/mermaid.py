@@ -20,14 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import FlowragError
-from .graph_model import (
-    FlowEdge,
-    FlowGraph,
-    FlowNode,
-    LineStyle,
-    NodeShape,
-    require_valid,
-)
+from .graph_model import FlowEdge, FlowGraph, FlowNode, LineStyle, NodeShape
 
 DIRECTIONS = ("TD", "TB", "LR", "RL", "BT")
 
@@ -139,11 +132,9 @@ class _Builder:
             # Explicit definition overrides an earlier implicit mention.
             self.nodes[node_id] = FlowNode(id=node_id, value=value, shape=shape)
 
-    def build(self) -> FlowGraph:
+    def build(self, graph_id: str) -> FlowGraph:
         nodes = tuple(self.nodes[i] for i in self.order)
-        graph = FlowGraph(nodes=nodes, edges=tuple(self.edges))
-        require_valid(graph)
-        return graph
+        return FlowGraph(nodes=nodes, edges=tuple(self.edges), graph_id=graph_id)
 
 
 def _parse_node_ref(builder: _Builder, text: str, line_no: int) -> tuple[str, str]:
@@ -242,10 +233,7 @@ def parse_mermaid(script: str, graph_id: str = "") -> FlowGraph:
         _parse_link_line(builder, line, line_no)
     if not header_seen:
         raise MermaidSyntaxError("expected 'flowchart <dir>' or 'graph <dir>' header", 1)
-    graph = builder.build()
-    if graph_id:
-        graph = FlowGraph(nodes=graph.nodes, edges=graph.edges, graph_id=graph_id)
-    return graph
+    return builder.build(graph_id)
 
 
 _SHAPE_BRACKETS = {
@@ -265,9 +253,8 @@ _STYLE_ARROWS = {
 
 
 def render_mermaid(graph: FlowGraph, direction: str = "TD") -> str:
-    """Render a valid FlowGraph as a flowchart script (UTF-8, LF, trailing
+    """Render a FlowGraph as a flowchart script (UTF-8, LF, trailing
     newline). Unspecified shapes render as process boxes."""
-    require_valid(graph)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     lines = [f"flowchart {direction}"]

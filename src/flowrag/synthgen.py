@@ -86,9 +86,11 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
-        bounds = tuple(self.node_count_range)
+        bounds = tuple(expect_list(self.node_count_range, int, "node_count_range"))
         object.__setattr__(self, "node_count_range", bounds)
+        vocabulary = tuple(expect_list(self.vocabulary, str, "vocabulary"))
+        object.__setattr__(self, "vocabulary", vocabulary)
+        expect(self.seed, int, "seed")
         if len(bounds) != 2 or not 1 <= bounds[0] <= bounds[1]:
             raise ConfigError(
                 f"node_count_range must be [min, max] with 1 <= min <= max, got {list(bounds)}"
@@ -118,12 +120,6 @@ class GenSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
         kwargs = config_kwargs(cls, data, "generator spec")
-        if "node_count_range" in kwargs:
-            expect_list(kwargs["node_count_range"], int, "node_count_range")
-        if "vocabulary" in kwargs:
-            expect_list(kwargs["vocabulary"], str, "vocabulary")
-        if "seed" in kwargs:
-            expect(kwargs["seed"], int, "seed")
         for key, kind in (("style_mix", LineStyle), ("shape_mix", NodeShape)):
             if key in kwargs:
                 mix = expect(kwargs[key], dict, key)

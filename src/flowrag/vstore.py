@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -173,23 +172,13 @@ class VectorIndex:
             self._id_rank = rank
         return self._id_rank
 
-    def query(
-        self,
-        vector: EmbeddingVector,
-        k: int,
-        chunk_filter: Callable[[Chunk], bool] | None = None,
-    ) -> list[RetrievalHit]:
-        """Exact top-k by cosine among entries passing the filter."""
-        return self.query_batch(vector.as_array()[np.newaxis, :], k, chunk_filter)[0]
+    def query(self, vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
+        """Exact top-k by cosine."""
+        return self.query_batch(vector.as_array()[np.newaxis, :], k)[0]
 
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        chunk_filter: Callable[[Chunk], bool] | None = None,
-    ) -> list[list[RetrievalHit]]:
-        """``[query(q, k, chunk_filter) for q in queries]`` for an
-        (n, dimension) array of queries, one matrix product per block."""
+    def query_batch(self, queries: np.ndarray, k: int) -> list[list[RetrievalHit]]:
+        """``[query(q, k) for q in queries]`` for an (n, dimension) array of
+        queries, one matrix product per block."""
         if not self._chunks:
             raise FlowragError("query on an empty index")
         if k < 1:
@@ -205,30 +194,21 @@ class VectorIndex:
         bad = _first_non_finite(queries)
         if bad is not None:
             raise FlowragError(f"query {bad} has a non-finite vector value")
-        positions = np.arange(len(self._chunks))
-        rows, inv_norms, id_rank = self._rows, self._inv_norms, self._chunk_id_rank()
-        if chunk_filter is not None:
-            positions = positions[[bool(chunk_filter(chunk)) for chunk in self._chunks]]
-            rows, inv_norms, id_rank = rows[positions], inv_norms[positions], id_rank[positions]
+        id_rank = self._chunk_id_rank()
         results: list[list[RetrievalHit]] = []
         for start in range(0, len(queries), _QUERY_BLOCK):
             block = queries[start : start + _QUERY_BLOCK].astype(np.float64)
-            approx = (block @ rows.T) * inv_norms
+            approx = (block @ self._rows.T) * self._inv_norms
             for query, scores in zip(block, approx):
-                results.append(self._top_k(query, scores, k, positions, id_rank))
+                results.append(self._top_k(query, scores, k, id_rank))
         return results
 
     def _top_k(
-        self,
-        query: np.ndarray,
-        approx: np.ndarray,
-        k: int,
-        positions: np.ndarray,
-        id_rank: np.ndarray,
+        self, query: np.ndarray, approx: np.ndarray, k: int, id_rank: np.ndarray
     ) -> list[RetrievalHit]:
-        """Exact top-k of one query among the rows at ``positions``, given
-        ``approx[i]``, an approximation of row . query / row norm."""
-        count = len(positions)
+        """Exact top-k of one query, given ``approx[i]``, an approximation of
+        row i . query / row norm."""
+        count = len(self._chunks)
         query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             # Every score is zero: the chunk-id order alone decides.
@@ -243,7 +223,7 @@ class VectorIndex:
             # Rows with the same bytes score the same. Such rows share an
             # approximate score, so each row is rescored unless it has the
             # bytes of the first candidate with its approximate score.
-            rows = self._rows[positions[candidates]]
+            rows = self._rows[candidates]
             _, first, group = np.unique(
                 approx[candidates], return_index=True, return_inverse=True
             )
@@ -251,7 +231,7 @@ class VectorIndex:
             bits = rows.view(np.int64)
             copies = (bits == bits[leader]).all(axis=1)
             copies[first] = False
-            norms = self._norms[positions[candidates]]
+            norms = self._norms[candidates]
             scores = np.empty(len(candidates))
             for i in np.flatnonzero(~copies):
                 denom = norms[i] * query_norm
@@ -260,7 +240,7 @@ class VectorIndex:
         order = np.lexsort((id_rank[candidates], -scores))[:k]
         hits = []
         for rank, i in enumerate(order, start=1):
-            chunk = self._chunks[positions[candidates[i]]]
+            chunk = self._chunks[candidates[i]]
             hits.append(
                 RetrievalHit(
                     chunk_id=chunk.chunk_id,

@@ -98,9 +98,10 @@ class TestChunkGraph:
         assert full[0].chunk_id == "g1:json"
 
     def test_invalid_graph_rejected(self):
-        bad = FlowGraph(nodes=(FlowNode("A", "x"), FlowNode("A", "y")))
-        with pytest.raises(GraphIntegrityError):
-            chunk_graph(bad, ChunkStrategy.PER_NODE)
+        # An invalid graph cannot be built, so it never reaches chunk_graph.
+        with pytest.raises(GraphIntegrityError) as excinfo:
+            FlowGraph(nodes=(FlowNode("A", "x"), FlowNode("A", "y")))
+        assert excinfo.value.violations == ["duplicate node id 'A'"]
 
     def test_all_connector_graph_has_nothing_to_embed(self):
         graph = FlowGraph(nodes=(FlowNode("A", "", NodeShape.CONNECTOR),), graph_id="g3")

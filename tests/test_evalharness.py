@@ -1,12 +1,13 @@
 import json
 import logging
+import re
 
 import pytest
 
 import flowrag.embed as embed_module
 from flowrag.chunker import ChunkStrategy
 from flowrag.embed import ProviderConfig, ProviderKind
-from flowrag.errors import FlowragError
+from flowrag.errors import ConfigError, FlowragError
 from flowrag.evalharness import (
     ALL_CATEGORY,
     Cell,
@@ -244,6 +245,21 @@ class TestEvalConfig:
     def test_text_scenario_requires_documents(self):
         with pytest.raises(FlowragError):
             EvalConfig(provider=LOCAL, scenario=Scenario.GRAPH_WITH_TEXT)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ks", (1.5, 3), "each item of ks must be an integer, got 1.5"),
+            ("ks", (True, 3), "each item of ks must be an integer, got True"),
+            ("ks", 5, "ks must be an array, got 5"),
+            ("text_max_chars", 800.0, "text_max_chars must be an integer, got 800.0"),
+            ("text_overlap_chars", "100", "text_overlap_chars must be an integer, got '100'"),
+            ("allnodes_union", 1, "allnodes_union must be true or false, got 1"),
+        ],
+    )
+    def test_constructor_checks_field_types(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            EvalConfig(provider=LOCAL, **{field: value})
 
     def test_from_file_reads_documents(self, tmp_path):
         (tmp_path / "doc.txt").write_text("Some accompanying text.", encoding="utf-8")

@@ -7,8 +7,11 @@ from flowrag.graph_model import (
     FlowEdge,
     FlowGraph,
     FlowNode,
+    GraphIntegrityError,
     LineStyle,
     NodeShape,
+    parse_json,
+    serialize_json,
 )
 from flowrag.ged import (
     CostModel,
@@ -166,6 +169,19 @@ class TestGedExact:
         with pytest.raises(GraphTooLargeError) as excinfo:
             ged_exact(big, big, node_budget=5)
         assert "ged_approx" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, violation",
+        [
+            ((FlowNode("A", "x"), FlowNode("A", "y")), (), "duplicate node id 'A'"),
+            ((FlowNode("A", "x"),), (FlowEdge("A", "B"),), "edge references unknown node 'B'"),
+        ],
+    )
+    def test_invalid_prediction_never_scored(self, nodes, edges, violation):
+        truth = FlowGraph(nodes=(FlowNode("A", "x"), FlowNode("B", "y")))
+        with pytest.raises(GraphIntegrityError) as excinfo:
+            ged_exact(FlowGraph(nodes=nodes, edges=edges), truth)
+        assert excinfo.value.violations == [violation]
 
     def test_oracle_equivalence(self):
         rng = pair_rng(1)
@@ -331,6 +347,32 @@ class TestEditPaths:
             result = solver(a, b)
             applied = apply_edit_path(a, result.edit_path)
             assert content_signature(applied) == content_signature(b)
+
+    @pytest.mark.parametrize("solver", [ged_exact, ged_approx])
+    def test_emptied_and_inserted_nodes_become_connectors(self, solver):
+        pred = FlowGraph(
+            nodes=(FlowNode("A", "Start", NodeShape.PROCESS),
+                   FlowNode("B", "Check", NodeShape.PROCESS)),
+            edges=(FlowEdge("A", "B"),),
+        )
+        truth = FlowGraph(
+            nodes=(FlowNode("A", "Start", NodeShape.PROCESS),
+                   FlowNode("B", "", NodeShape.CONNECTOR),
+                   FlowNode("C", "", NodeShape.CONNECTOR)),
+            edges=(FlowEdge("A", "B"), FlowEdge("B", "C")),
+        )
+        result = solver(pred, truth)
+        # "Check" becomes one empty connector, the other is inserted.
+        assert [(op.kind, op.pred_id) for op in result.edit_path if "node" in op.kind] == [
+            ("substitute-node", "B"),
+            ("insert-node", None),
+        ]
+        applied = apply_edit_path(pred, result.edit_path)
+        assert content_signature(applied) == content_signature(truth)
+        assert {n.id: n.shape for n in applied.nodes} == {
+            "A": NodeShape.PROCESS, "B": NodeShape.CONNECTOR, "C": NodeShape.CONNECTOR,
+        }
+        assert parse_json(serialize_json(applied)) == applied
 
     def test_distance_equals_path_cost(self):
         rng = pair_rng(9)

@@ -17,7 +17,6 @@ from flowrag.graph_model import (
     read_graphs_jsonl,
     serialize_json,
     stats,
-    validate,
     write_graphs_jsonl,
 )
 from flowrag.synthgen import GenSpec, generate_graph
@@ -34,39 +33,56 @@ def two_node_graph() -> FlowGraph:
     )
 
 
+def violations_of(**fields) -> list[str]:
+    with pytest.raises(GraphIntegrityError) as excinfo:
+        FlowGraph(**fields)
+    return excinfo.value.violations
+
+
 class TestValidate:
     def test_well_formed_graph(self):
-        assert validate(two_node_graph()) == []
+        assert two_node_graph().node_ids() == {"A", "B"}
 
     def test_dangling_endpoint(self):
-        graph = FlowGraph(
+        assert violations_of(
             nodes=(FlowNode("A", "Start"),), edges=(FlowEdge("A", "C"),)
-        )
-        assert validate(graph) == ["edge references unknown node 'C'"]
+        ) == ["edge references unknown node 'C'"]
 
     def test_duplicate_node_id(self):
-        graph = FlowGraph(nodes=(FlowNode("A", "x"), FlowNode("A", "y")))
-        assert validate(graph) == ["duplicate node id 'A'"]
+        assert violations_of(nodes=(FlowNode("A", "x"), FlowNode("A", "y"))) == [
+            "duplicate node id 'A'"
+        ]
 
     def test_empty_value_requires_connector(self):
-        bad = FlowGraph(nodes=(FlowNode("A", "", NodeShape.PROCESS),))
-        assert len(validate(bad)) == 1
-        ok = FlowGraph(nodes=(FlowNode("A", "", NodeShape.CONNECTOR),))
-        assert validate(ok) == []
+        assert violations_of(nodes=(FlowNode("A", "", NodeShape.PROCESS),)) == [
+            "node 'A' has empty value but shape Process"
+        ]
+        FlowGraph(nodes=(FlowNode("A", "", NodeShape.CONNECTOR),))
 
     def test_duplicate_edge_triple(self):
-        graph = FlowGraph(
+        assert violations_of(
             nodes=(FlowNode("A", "x"), FlowNode("B", "y")),
             edges=(FlowEdge("A", "B", value="v"), FlowEdge("A", "B", value="v")),
-        )
-        assert any("duplicate edge" in v for v in validate(graph))
+        ) == ["duplicate edge ('A', 'B', 'v')"]
 
     def test_self_loop_and_duplicate_values_permitted(self):
-        graph = FlowGraph(
+        FlowGraph(
             nodes=(FlowNode("A", "same"), FlowNode("B", "same")),
             edges=(FlowEdge("A", "A"),),
         )
-        assert validate(graph) == []
+
+    def test_every_violation_listed_in_order(self):
+        assert violations_of(
+            nodes=(FlowNode("", "x"), FlowNode("A", ""), FlowNode("A", "y")),
+            edges=(FlowEdge("A", "B"), FlowEdge("A", "B")),
+        ) == [
+            "empty node id",
+            "node 'A' has empty value but shape Unspecified",
+            "duplicate node id 'A'",
+            "edge references unknown node 'B'",
+            "edge references unknown node 'B'",
+            "duplicate edge ('A', 'B', None)",
+        ]
 
 
 class TestParseJson:
@@ -196,6 +212,12 @@ class TestCanonicalize:
     def test_collapses_node_whitespace(self):
         graph = FlowGraph(nodes=(FlowNode("A", "  Send\n  Alarm "),))
         assert canonicalize(graph).nodes[0].value == "Send Alarm"
+
+    def test_whitespace_only_value_raises(self):
+        graph = FlowGraph(nodes=(FlowNode("A", " \n ", NodeShape.PROCESS),))
+        with pytest.raises(GraphIntegrityError) as excinfo:
+            canonicalize(graph)
+        assert excinfo.value.violations == ["node 'A' has empty value but shape Process"]
 
     def test_idempotent(self):
         rng = random.Random(7)

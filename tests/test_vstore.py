@@ -17,14 +17,14 @@ from flowrag.vstore import (
 )
 
 
-def make_chunk(i: int, kind: SourceKind = SourceKind.GRAPH) -> Chunk:
+def make_chunk(i: int) -> Chunk:
     return Chunk(
         chunk_id=f"c{i:04d}",
         text=f"text {i}",
-        source_kind=kind,
-        graph_id=f"g{i % 7}" if kind is SourceKind.GRAPH else None,
-        node_id=f"N{i % 3}" if kind is SourceKind.GRAPH else None,
-        strategy=ChunkStrategy.PER_NODE if kind is SourceKind.GRAPH else None,
+        source_kind=SourceKind.GRAPH,
+        graph_id=f"g{i % 7}",
+        node_id=f"N{i % 3}",
+        strategy=ChunkStrategy.PER_NODE,
     )
 
 
@@ -154,23 +154,6 @@ class TestQuery:
         )
         hits = index.query(vector, k=3)
         assert [h.chunk_id for h in hits] == ["c0002", "c0005", "c0009"]
-
-    def test_filter_predicate(self):
-        rng = random.Random(7)
-        index = VectorIndex()
-        entries = [
-            IndexEntry(chunk=make_chunk(0), vector=random_vector(rng, 8)),
-            IndexEntry(
-                chunk=make_chunk(1, kind=SourceKind.TEXT), vector=random_vector(rng, 8)
-            ),
-        ]
-        index.upsert(entries)
-        hits = index.query(
-            random_vector(rng, 8),
-            k=5,
-            chunk_filter=lambda c: c.source_kind is SourceKind.GRAPH,
-        )
-        assert [h.chunk_id for h in hits] == ["c0000"]
 
     def test_dimension_mismatch(self):
         rng = random.Random(8)
@@ -395,35 +378,26 @@ def index_and_queries(draw):
         st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=90)
     )] + extra + [[0.0] * dim]
     k = draw(st.integers(min_value=1, max_value=len(picks) + 3))
-    keep = draw(st.none() | st.frozensets(st.integers(0, len(picks) - 1)))
     ids = draw(st.permutations(range(len(picks))))
     entries = [
         (make_chunk(ids[i]), EmbeddingVector(values=tuple(pool[p])))
         for i, p in enumerate(picks)
     ]
-    return entries, queries, k, keep
+    return entries, queries, k
 
 
 class TestQueryBatch:
     @settings(max_examples=150, deadline=None)
     @given(index_and_queries())
     def test_matches_single_queries_and_scan_bit_for_bit(self, case):
-        entries, queries, k, keep = case
+        entries, queries, k = case
         index = VectorIndex()
         index.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
-        chunk_filter = None
-        kept = entries
-        if keep is not None:
-            kept_ids = {entries[i][0].chunk_id for i in keep}
-            chunk_filter = lambda chunk: chunk.chunk_id in kept_ids  # noqa: E731
-            kept = [(c, v) for c, v in entries if c.chunk_id in kept_ids]
-        batch = index.query_batch(np.array(queries, dtype=np.float32), k, chunk_filter)
-        single = [
-            index.query(EmbeddingVector(values=tuple(q)), k, chunk_filter) for q in queries
-        ]
+        batch = index.query_batch(np.array(queries, dtype=np.float32), k)
+        single = [index.query(EmbeddingVector(values=tuple(q)), k) for q in queries]
         assert [hits_key(h) for h in batch] == [hits_key(h) for h in single]
         for query, hits in zip(queries, batch):
-            expected = scan_oracle(kept, EmbeddingVector(values=tuple(query)), k)
+            expected = scan_oracle(entries, EmbeddingVector(values=tuple(query)), k)
             assert [(h.score, h.chunk_id) for h in hits] == expected
             assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
 
@@ -461,10 +435,6 @@ class TestQueryBatch:
         assert [(h.chunk_id, h.score) for h in hits] == [
             ("c0000", 0.0), ("c0001", 0.0), ("c0002", 0.0)
         ]
-
-    def test_filter_excluding_everything(self):
-        index = build_index(random.Random(42), 4, dim=4)
-        assert index.query_batch(np.ones((2, 4)), 3, lambda chunk: False) == [[], []]
 
     def test_dimension_mismatch(self):
         index = build_index(random.Random(43), 4, dim=4)
