@@ -14,9 +14,11 @@ The remote protocol is deliberately minimal:
     response {"embeddings": [[...], ...]}         (HTTP 200)
     errors   {"error": "message"}                 (any other status)
 
-Requests are sent in batches of at most ``batch_size``; transport failures
-and HTTP 5xx are retried three times with exponential backoff starting at
-250 ms, HTTP 4xx is never retried.
+``embed_batch`` embeds each distinct text of one call once and hands its
+copies the same vector; nothing is cached across calls. Requests are sent
+in batches of at most ``batch_size``; transport failures and HTTP 5xx are
+retried three times with exponential backoff starting at 250 ms, HTTP 4xx is
+never retried.
 
 The client is built on ``http.client`` and keeps HTTP/1.1 connections alive:
 each distinct ``ProviderConfig`` gets one client per process, holding at most
@@ -160,16 +162,26 @@ def _token_hash(token: str, key: bytes) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _hash_embed(text: str, dimension: int) -> EmbeddingVector:
-    buckets = np.zeros(dimension, dtype=np.float64)
-    for token in _TOKEN_RE.findall(text.casefold()):
-        bucket = _token_hash(token, b"bucket") % dimension
-        buckets[bucket] += 1.0 if _token_hash(token, b"sign") & 1 else -1.0
-    # Bucket counts are small integers, so the squared norm is exact.
-    norm = math.sqrt(float(np.dot(buckets, buckets)))
-    if norm > 0:
-        buckets /= norm
-    return EmbeddingVector(buckets)
+def _hash_embed(texts: list[str], dimension: int) -> list[EmbeddingVector]:
+    """One vector per text; each distinct token is hashed once per call."""
+    slots: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
+    vectors = []
+    for text in texts:
+        buckets = np.zeros(dimension, dtype=np.float64)
+        for token in _TOKEN_RE.findall(text.casefold()):
+            slot = slots.get(token)
+            if slot is None:
+                slot = slots[token] = (
+                    _token_hash(token, b"bucket") % dimension,
+                    1.0 if _token_hash(token, b"sign") & 1 else -1.0,
+                )
+            buckets[slot[0]] += slot[1]
+        # Bucket counts are small integers, so the squared norm is exact.
+        norm = math.sqrt(float(np.dot(buckets, buckets)))
+        if norm > 0:
+            buckets /= norm
+        vectors.append(EmbeddingVector(buckets))
+    return vectors
 
 
 def _split_endpoint(endpoint: str):
@@ -344,15 +356,26 @@ def _client(config: ProviderConfig) -> _RemoteClient:
 
 
 def embed_batch(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVector]:
-    """Embed texts in order; one vector per input text."""
+    """Embed texts in order; one vector per input text. Each distinct text is
+    embedded once, and its copies share that one read-only vector."""
     if not texts:
         raise EmbedInputError("texts must be non-empty")
     for i, text in enumerate(texts):
         if not text:
             raise EmbedInputError(f"text at index {i} is empty")
+    slot_of: dict[str, int] = {}
+    slots = [slot_of.setdefault(text, len(slot_of)) for text in texts]
+    distinct = list(slot_of)
     if provider.kind is ProviderKind.LOCAL_HASHED:
-        return [_hash_embed(text, provider.dimension) for text in texts]
+        vectors = _hash_embed(distinct, provider.dimension)
+    else:
+        vectors = _remote_embed(provider, distinct)
+    if len(distinct) == len(texts):
+        return vectors
+    return [vectors[slot] for slot in slots]
 
+
+def _remote_embed(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVector]:
     client = _client(provider)
     batches = [
         texts[i : i + provider.batch_size]

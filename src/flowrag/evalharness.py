@@ -79,12 +79,14 @@ class EvalConfig:
             ("allnodes_union", bool), ("text_max_chars", int), ("text_overlap_chars", int)
         ):
             expect(getattr(self, key), kind, key)
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        strategies = tuple(expect_list(self.strategies, ChunkStrategy, "strategies"))
+        object.__setattr__(self, "strategies", strategies)
+        expect(self.scenario, Scenario, "scenario")
         object.__setattr__(self, "text_documents", tuple(self.text_documents))
         if not self.ks or list(self.ks) != sorted(set(self.ks)) or self.ks[0] < 1:
             raise FlowragError(f"ks must be distinct ascending positive, got {self.ks}")
         if not self.strategies:
-            raise FlowragError("at least one chunking strategy is required")
+            raise ConfigError("at least one chunking strategy is required")
         if self.scenario is Scenario.GRAPH_WITH_TEXT and not self.text_documents:
             raise FlowragError("graph-with-text scenario requires text documents")
 

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .errors import FlowragError
+from .errors import ConfigError, FlowragError
 from .jsonio import encode, read_jsonl, write_jsonl
 
 
@@ -69,6 +69,11 @@ class FlowNode:
     value: str
     shape: NodeShape = NodeShape.UNSPECIFIED
 
+    def __post_init__(self):
+        # An inline check, not jsonio.expect: nodes are built in hot loops.
+        if not isinstance(self.shape, NodeShape):
+            raise ConfigError(f"shape must be a NodeShape, got {self.shape!r}")
+
 
 @dataclass(frozen=True)
 class FlowEdge:
@@ -79,6 +84,10 @@ class FlowEdge:
     value: str | None = None
     bidirectional: bool = False
     line_style: LineStyle = LineStyle.SOLID
+
+    def __post_init__(self):
+        if not isinstance(self.line_style, LineStyle):
+            raise ConfigError(f"line_style must be a LineStyle, got {self.line_style!r}")
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,12 @@ def config_kwargs(cls, data, what: str) -> dict:
 
 
 def expect(value, kinds, what: str):
-    """``value`` if it is one of ``kinds``, a key of ``_NAMES``; a bool is
-    not an integer or a number."""
+    """``value`` if it is one of ``kinds``, a key of ``_NAMES`` or one class
+    such as an enum; a bool is not an integer or a number."""
     types = kinds if isinstance(kinds, tuple) else (kinds,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ConfigError(f"{what} must be {_NAMES[kinds]}, got {value!r}")
+        name = _NAMES[kinds] if kinds in _NAMES else f"a {kinds.__name__}"
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
     return value
 
 

@@ -99,7 +99,11 @@ class GenSpec:
             p = expect(getattr(self, name), NUMBER, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        for name, mix in (("style_mix", self.style_mix), ("shape_mix", self.shape_mix)):
+        for name, mix, kind in (
+            ("style_mix", self.style_mix, LineStyle), ("shape_mix", self.shape_mix, NodeShape)
+        ):
+            for key in expect(mix, dict, name):
+                expect(key, kind, f"each {name} key")
             if any(expect(w, NUMBER, f"each {name} weight") < 0 for w in mix.values()):
                 raise ConfigError(f"{name} weights must be non-negative")
             if not any(w > 0 for w in mix.values()):

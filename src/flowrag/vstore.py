@@ -1,24 +1,34 @@
 """In-memory vector index with exact cosine top-k retrieval.
 
-The index keeps one row matrix (float64, holding float32-exact values) and a
-vector of row norms. ``query_batch`` scores up to ``_QUERY_BLOCK`` queries
-with one matrix product. For each query, every row whose approximate cosine
-comes within ``_CANDIDATE_SLACK`` of the k-th is a candidate, and each
-candidate is rescored with the row-at-a-time formula
-``np.dot(row, q) / (norm * qnorm)``; byte-identical candidates share one
-rescoring. Reported scores are therefore bit-identical to a linear scan's,
-and ties break by ascending chunk id so runs are deterministic.
+The index stores each distinct vector once: one row matrix (float64, holding
+float32-exact values) with a vector of row norms, and a chunk -> row index
+array. Rows are told apart by their exact float32 bytes, so ``-0.0`` and
+``0.0`` stay separate rows; duplicates are found through a hash of each
+row's bytes, compared against the row itself on a hit. A row that no chunk
+uses any more after a replacement is dropped.
 
-Snapshot format (single file):
+``query_batch`` scores each distinct query once, up to ``_QUERY_BLOCK`` of
+them with one matrix product over the distinct rows. For each query it walks
+the rows by approximate cosine until their chunks cover k, and every row
+whose approximate cosine comes within ``_CANDIDATE_SLACK`` of that k-th
+chunk's is a candidate. Each candidate row is rescored with the
+row-at-a-time formula ``np.dot(row, q) / (norm * qnorm)``, and the first k
+chunks of each, in chunk-id order, are merged by (-score, chunk id).
+Reported scores are therefore bit-identical to a linear scan's over the
+chunks, and ties break by ascending chunk id so runs are deterministic.
+
+Snapshot format (single file), unchanged by the distinct-row storage:
   line 1   JSON header {"format", "version", "dimension", "count"}
   n lines  chunk metadata, one JSON object per entry
-  blob     n * dimension little-endian float32 vector values
+  blob     n * dimension little-endian float32 vector values, one row per
+           chunk in chunk order (a shared row is written once per chunk)
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +45,8 @@ _QUERY_BLOCK = 64
 # bits; rows whose approximate cosine lies this close to the k-th are
 # rescored exactly.
 _CANDIDATE_SLACK = 1e-9
+# Chunk rows expanded per snapshot write; bounds the temporary copy.
+_SAVE_BLOCK = 1024
 
 
 class DimensionMismatchError(FlowragError):
@@ -73,6 +85,39 @@ def _first_non_finite(rows: np.ndarray) -> int | None:
     return int(bad[0]) if len(bad) else None
 
 
+def _distinct(rows, stored: np.ndarray | None = None) -> tuple[list[int], np.ndarray]:
+    """Group float32 ``rows`` (a 2-D array or a list of 1-D arrays) by their
+    exact bytes. Row ids below ``len(stored)`` name rows of ``stored``, a
+    matrix of distinct float32-exact rows; higher ids name new distinct rows
+    in first-seen order. Returns (position in ``rows`` of each new row's
+    first copy, row id of each row). The table holds a hash of each row's
+    bytes, not the bytes: a hit is compared against the row itself."""
+    stored = np.zeros((0, 0)) if stored is None else stored
+    ids_by_hash: dict[int, list[int]] = {}
+    for i, row in enumerate(stored):
+        ids_by_hash.setdefault(hash(row.astype(np.float32).tobytes()), []).append(i)
+
+    def bytes_of(row_id: int) -> bytes:
+        if row_id < len(stored):
+            return stored[row_id].astype(np.float32).tobytes()
+        return rows[firsts[row_id - len(stored)]].tobytes()
+
+    firsts: list[int] = []
+    row_of = np.empty(len(rows), dtype=np.intp)
+    for i, row in enumerate(rows):
+        data = row.tobytes()
+        ids = ids_by_hash.setdefault(hash(data), [])
+        for row_id in ids:
+            if bytes_of(row_id) == data:
+                break
+        else:
+            row_id = len(stored) + len(firsts)
+            firsts.append(i)
+            ids.append(row_id)
+        row_of[i] = row_id
+    return firsts, row_of
+
+
 def _header_int(header: dict, key: str) -> int:
     if key not in header:
         raise SnapshotError(f"snapshot header lacks {key!r}")
@@ -82,6 +127,16 @@ def _header_int(header: dict, key: str) -> int:
     return value
 
 
+class _Layout(NamedTuple):
+    """Chunk orders for ranking; rebuilt after every write."""
+
+    by_id: np.ndarray  # chunk positions in ascending chunk-id order
+    id_rank: np.ndarray  # each chunk's place in ``by_id``
+    members: np.ndarray  # chunk positions grouped by row, in chunk-id order
+    starts: np.ndarray  # row r's chunks are members[starts[r]:starts[r] + counts[r]]
+    counts: np.ndarray  # chunks per row
+
+
 class VectorIndex:
     """Exact cosine index over chunks; one writer, then many readers."""
 
@@ -89,10 +144,11 @@ class VectorIndex:
         self._chunks: list[Chunk] = []
         self._by_id: dict[str, int] = {}
         self._dimension: int | None = None
-        self._rows = np.zeros((0, 0))
+        self._rows = np.zeros((0, 0))  # distinct rows
         self._norms = np.zeros(0)
         self._inv_norms = np.zeros(0)
-        self._id_rank: np.ndarray | None = None
+        self._row_of = np.zeros(0, dtype=np.intp)  # chunk position -> row
+        self._layout: _Layout | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -122,55 +178,75 @@ class VectorIndex:
                 )
         if dimension == 0:
             raise DimensionMismatchError("vectors need at least one component")
-        rows = np.empty((len(entries), dimension))
-        for row, entry in zip(rows, entries):
-            row[:] = entry.vector.as_array()
-        bad = _first_non_finite(rows)
-        if bad is not None:
-            raise FlowragError(
-                f"chunk {entries[bad].chunk.chunk_id!r} has a non-finite vector value"
-            )
+        self._put(
+            [entry.chunk for entry in entries],
+            [entry.vector.as_array() for entry in entries],
+            FlowragError,
+        )
         self._dimension = dimension
-        self._put([entry.chunk for entry in entries], rows)
         return len(entries)
 
-    def _put(self, chunks: list[Chunk], rows: np.ndarray) -> None:
-        """Write validated float64 rows: replace known chunk ids in place,
-        append the rest in one step."""
+    def _put(self, chunks: list[Chunk], vectors, error: type[FlowragError]) -> None:
+        """Write one float32 vector per chunk (a 2-D array or a list of 1-D
+        arrays): replace known chunk ids in place, append the rest, and store
+        each new distinct vector as one row. Raises ``error`` and changes
+        nothing when a vector is not finite."""
+        stored = self._rows if self._chunks else None
+        firsts, row_of = _distinct(vectors, stored)
+        rows = np.empty((len(firsts), len(vectors[0])))
+        for row, i in zip(rows, firsts):
+            row[:] = vectors[i]
+        bad = _first_non_finite(rows)
+        if bad is not None:
+            raise error(
+                f"chunk {chunks[firsts[bad]].chunk_id!r} has a non-finite vector value"
+            )
         # The norm of a 1-D row is sqrt(dot(row, row)); an axis=1 norm would
         # sum in another order and break bit-identity with a linear scan.
         norms = np.array([np.linalg.norm(row) for row in rows], dtype=np.float64)
-        was_empty = not self._chunks
-        if was_empty:
+        if stored is None:
             self._rows, self._norms = rows, norms
+        elif len(rows):
+            self._rows = np.concatenate([self._rows, rows])
+            self._norms = np.concatenate([self._norms, norms])
         fresh = []
-        for i, chunk in enumerate(chunks):
+        replaced = False
+        for chunk, row_id in zip(chunks, row_of):
             position = self._by_id.get(chunk.chunk_id)
             if position is None:
                 self._by_id[chunk.chunk_id] = len(self._chunks)
                 self._chunks.append(chunk)
-                fresh.append(i)
+                fresh.append(row_id)
             else:
                 self._chunks[position] = chunk
-                self._rows[position] = rows[i]
-                self._norms[position] = norms[i]
-        if fresh and not was_empty:
-            self._rows = np.concatenate([self._rows, rows[fresh]])
-            self._norms = np.concatenate([self._norms, norms[fresh]])
-        if fresh:
-            self._id_rank = None
+                self._row_of[position] = row_id
+                replaced = True
+        self._row_of = np.concatenate([self._row_of, np.array(fresh, dtype=np.intp)])
+        if replaced:
+            # A replaced chunk may leave its old row unused: drop it, so
+            # that every row has a chunk to rank.
+            used = np.bincount(self._row_of, minlength=len(self._rows)) > 0
+            if not used.all():
+                self._rows, self._norms = self._rows[used], self._norms[used]
+                self._row_of = (np.cumsum(used) - 1)[self._row_of]
         self._inv_norms = np.divide(
             1.0, self._norms, out=np.zeros_like(self._norms), where=self._norms > 0
         )
+        self._layout = None
 
-    def _chunk_id_rank(self) -> np.ndarray:
-        """Each row's position in ascending chunk-id order."""
-        if self._id_rank is None:
-            order = sorted(range(len(self._chunks)), key=lambda i: self._chunks[i].chunk_id)
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order))
-            self._id_rank = rank
-        return self._id_rank
+    def _ranking_layout(self) -> _Layout:
+        if self._layout is None:
+            chunks = self._chunks
+            by_id = np.array(
+                sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
+            )
+            id_rank = np.empty_like(by_id)
+            id_rank[by_id] = np.arange(len(by_id))
+            members = by_id[np.argsort(self._row_of[by_id], kind="stable")]
+            counts = np.bincount(self._row_of, minlength=len(self._rows))
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            self._layout = _Layout(by_id, id_rank, members, starts, counts)
+        return self._layout
 
     def query(self, vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
         """Exact top-k by cosine."""
@@ -178,7 +254,8 @@ class VectorIndex:
 
     def query_batch(self, queries: np.ndarray, k: int) -> list[list[RetrievalHit]]:
         """``[query(q, k) for q in queries]`` for an (n, dimension) array of
-        queries, one matrix product per block."""
+        queries. Each distinct query row is scored once, in blocks of one
+        matrix product; its copies get equal hit lists."""
         if not self._chunks:
             raise FlowragError("query on an empty index")
         if k < 1:
@@ -194,57 +271,59 @@ class VectorIndex:
         bad = _first_non_finite(queries)
         if bad is not None:
             raise FlowragError(f"query {bad} has a non-finite vector value")
-        id_rank = self._chunk_id_rank()
-        results: list[list[RetrievalHit]] = []
-        for start in range(0, len(queries), _QUERY_BLOCK):
-            block = queries[start : start + _QUERY_BLOCK].astype(np.float64)
+        layout = self._ranking_layout()
+        firsts, query_of = _distinct(queries)
+        distinct = queries if len(firsts) == len(queries) else queries[firsts]
+        ranked: list[list[RetrievalHit]] = []
+        for start in range(0, len(distinct), _QUERY_BLOCK):
+            block = distinct[start : start + _QUERY_BLOCK].astype(np.float64)
             approx = (block @ self._rows.T) * self._inv_norms
             for query, scores in zip(block, approx):
-                results.append(self._top_k(query, scores, k, id_rank))
-        return results
+                ranked.append(self._top_k(query, scores, k, layout))
+        return [list(ranked[i]) for i in query_of]
 
     def _top_k(
-        self, query: np.ndarray, approx: np.ndarray, k: int, id_rank: np.ndarray
+        self, query: np.ndarray, approx: np.ndarray, k: int, layout: _Layout
     ) -> list[RetrievalHit]:
-        """Exact top-k of one query, given ``approx[i]``, an approximation of
-        row i . query / row norm."""
-        count = len(self._chunks)
+        """Exact top-k of one query, given ``approx[r]``, an approximation of
+        row r . query / row norm."""
         query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             # Every score is zero: the chunk-id order alone decides.
-            candidates = np.arange(count)
-            scores = np.zeros(count)
+            chosen = layout.by_id[:k]
+            scores = np.zeros(len(chosen))
         else:
-            if count > k:
-                kth = np.partition(approx, count - k)[count - k]
-                candidates = np.flatnonzero(approx >= kth - _CANDIDATE_SLACK * query_norm)
-            else:
-                candidates = np.arange(count)
-            # Rows with the same bytes score the same. Such rows share an
-            # approximate score, so each row is rescored unless it has the
-            # bytes of the first candidate with its approximate score.
-            rows = self._rows[candidates]
-            _, first, group = np.unique(
-                approx[candidates], return_index=True, return_inverse=True
-            )
-            leader = first[group]
-            bits = rows.view(np.int64)
-            copies = (bits == bits[leader]).all(axis=1)
-            copies[first] = False
-            norms = self._norms[candidates]
-            scores = np.empty(len(candidates))
-            for i in np.flatnonzero(~copies):
-                denom = norms[i] * query_norm
-                scores[i] = 0.0 if denom == 0.0 else np.dot(rows[i], query) / denom
-            scores[copies] = scores[leader[copies]]
-        order = np.lexsort((id_rank[candidates], -scores))[:k]
+            rows = np.arange(len(approx))
+            if len(self._chunks) > k:
+                # Every row has a chunk, so the k best rows hold the k-th
+                # best chunk: walk them in approximate order to reach it.
+                slack = _CANDIDATE_SLACK * query_norm
+                if len(approx) > k:
+                    floor = np.partition(approx, len(approx) - k)[len(approx) - k]
+                    rows = np.flatnonzero(approx >= floor - slack)
+                walk = rows[np.argsort(-approx[rows])]
+                kth = approx[walk[np.searchsorted(np.cumsum(layout.counts[walk]), k)]]
+                rows = rows[approx[rows] >= kth - slack]
+            row_scores = np.empty(len(rows))
+            for i, row in enumerate(rows):
+                denom = self._norms[row] * query_norm
+                row_scores[i] = 0.0 if denom == 0.0 else np.dot(self._rows[row], query) / denom
+            # Only the first k chunks of a row, in chunk-id order, can rank.
+            take = np.minimum(layout.counts[rows], k)
+            chosen = np.concatenate([
+                layout.members[layout.starts[row] : layout.starts[row] + n]
+                for row, n in zip(rows, take)
+            ])
+            scores = np.repeat(row_scores, take)
+            order = np.lexsort((layout.id_rank[chosen], -scores))[:k]
+            chosen, scores = chosen[order], scores[order]
         hits = []
-        for rank, i in enumerate(order, start=1):
-            chunk = self._chunks[candidates[i]]
+        for rank, (position, score) in enumerate(zip(chosen, scores), start=1):
+            chunk = self._chunks[position]
             hits.append(
                 RetrievalHit(
                     chunk_id=chunk.chunk_id,
-                    score=float(scores[i]),
+                    score=float(score),
                     rank=rank,
                     graph_id=chunk.graph_id,
                     node_id=chunk.node_id,
@@ -268,7 +347,10 @@ class VectorIndex:
             for chunk in self._chunks:
                 fh.write(encode(chunk.to_dict()))
                 fh.write(b"\n")
-            fh.write(self._rows.astype("<f4"))
+            # One row per chunk, expanded a block at a time.
+            for start in range(0, len(self._chunks), _SAVE_BLOCK):
+                rows = self._rows[self._row_of[start : start + _SAVE_BLOCK]]
+                fh.write(rows.astype("<f4"))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -321,10 +403,8 @@ class VectorIndex:
                 raise SnapshotError("trailing bytes after snapshot payload")
         if not count:
             return index
-        rows = np.frombuffer(blob, dtype="<f4").reshape(count, dimension).astype(np.float64)
-        bad = _first_non_finite(rows)
-        if bad is not None:
-            raise SnapshotError(f"chunk {chunks[bad].chunk_id!r} has a non-finite vector value")
+        index._put(
+            chunks, np.frombuffer(blob, dtype="<f4").reshape(count, dimension), SnapshotError
+        )
         index._dimension = dimension
-        index._put(chunks, rows)
         return index

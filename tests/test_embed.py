@@ -245,6 +245,52 @@ class TestRemote:
         assert local.dimension == 32
 
 
+class TestDuplicateTexts:
+    TEXTS = ["beta", "alpha", "beta", "gamma", "alpha", "alpha", "delta"]
+
+    def test_remote_sends_each_distinct_text_once(self):
+        with StubEmbedServer(dimension=8) as server:
+            config = remote_config(server.endpoint, batch_size=2)
+            vectors = embed_batch(config, self.TEXTS)
+        assert [v.values for v in vectors] == [
+            EmbeddingVector(stub_vector(t, 8)).values for t in self.TEXTS
+        ]
+        served = [t for r in server.requests for t in r["inputs"]]
+        assert sorted(served) == ["alpha", "beta", "delta", "gamma"]
+        assert len(server.requests) == 2
+        assert vectors[0] is vectors[2] and vectors[1] is vectors[4] is vectors[5]
+
+    def test_local_copies_share_one_vector(self):
+        vectors = embed_batch(LOCAL64, self.TEXTS)
+        assert vectors[0] is vectors[2] and vectors[1] is vectors[4] is vectors[5]
+        assert vectors[0] is not vectors[1]
+
+    def test_local_hashes_each_token_once_per_call(self, monkeypatch):
+        calls = []
+        token_hash = embed_module._token_hash
+
+        def counting(token, key):
+            calls.append((token, key))
+            return token_hash(token, key)
+
+        monkeypatch.setattr(embed_module, "_token_hash", counting)
+        embed_batch(LOCAL64, ["send alarm", "alarm to node", "send alarm", "node node"])
+        assert sorted(calls) == sorted(
+            (token, key) for token in ("send", "alarm", "to", "node")
+            for key in (b"bucket", b"sign")
+        )
+
+    def test_local_bytes_match_embedding_each_text_alone(self):
+        # Pin of unchanged output: sharing the token table across the texts
+        # of one call must not change any vector's bytes.
+        texts = self.TEXTS + ["Alarm, BETA; gamma?", "send alarm to node 7", "!!!"]
+        together = embed_batch(LOCAL256, texts)
+        alone = [embed_batch(LOCAL256, [text])[0] for text in texts]
+        assert [v.as_array().tobytes() for v in together] == [
+            v.as_array().tobytes() for v in alone
+        ]
+
+
 class TestErrorText:
     def test_error_field_of_an_object(self):
         response = FakeResponse({"error": "overloaded"}, text='{"error": "overloaded"}')

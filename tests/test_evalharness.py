@@ -255,6 +255,14 @@ class TestEvalConfig:
             ("text_max_chars", 800.0, "text_max_chars must be an integer, got 800.0"),
             ("text_overlap_chars", "100", "text_overlap_chars must be an integer, got '100'"),
             ("allnodes_union", 1, "allnodes_union must be true or false, got 1"),
+            (
+                "strategies",
+                ("per-node",),
+                "each item of strategies must be a ChunkStrategy, got 'per-node'",
+            ),
+            ("strategies", (), "at least one chunking strategy is required"),
+            ("strategies", "per-node", "strategies must be an array, got 'per-node'"),
+            ("scenario", "graph-only", "scenario must be a Scenario, got 'graph-only'"),
         ],
     )
     def test_constructor_checks_field_types(self, field, value, message):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from flowrag.errors import ConfigError
 from flowrag.graph_model import (
     FlowEdge,
     FlowGraph,
@@ -83,6 +84,16 @@ class TestValidate:
             "edge references unknown node 'B'",
             "duplicate edge ('A', 'B', None)",
         ]
+
+
+class TestFieldTypes:
+    def test_node_shape_must_be_a_node_shape(self):
+        with pytest.raises(ConfigError, match="shape must be a NodeShape, got 'Process'"):
+            FlowNode("A", "x", "Process")
+
+    def test_edge_line_style_must_be_a_line_style(self):
+        with pytest.raises(ConfigError, match="line_style must be a LineStyle, got 'Dotted'"):
+            FlowEdge("A", "B", line_style="Dotted")
 
 
 class TestParseJson:

@@ -111,6 +111,9 @@ class TestGenerateGraph:
             ("seed", "1", "seed must be an integer, got '1'"),
             ("seed", True, "seed must be an integer, got True"),
             ("vocabulary", ("a", 2), "each item of vocabulary must be a string, got 2"),
+            ("style_mix", {"Solid": 1.0}, "each style_mix key must be a LineStyle, got 'Solid'"),
+            ("shape_mix", {"Process": 1.0}, "each shape_mix key must be a NodeShape, got 'Process'"),
+            ("shape_mix", [("Process", 1.0)], "shape_mix must be an object, got [('Process', 1.0)]"),
         ],
     )
     def test_constructor_checks_field_types(self, field, value, message):

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,8 +362,8 @@ class TestSnapshotHeader:
 
 
 # Vectors drawn from a small pool, so the index holds many exact duplicates;
-# the pool may hold the zero vector.
-_COMPONENT = st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.25, -3.0]) | st.floats(
+# the pool may hold the zero vector, and -0.0 and 0.0 are different bytes.
+_COMPONENT = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25, -3.0]) | st.floats(
     min_value=-4.0, max_value=4.0, allow_nan=False, width=32
 )
 
@@ -466,3 +469,99 @@ class TestQueryBatch:
         incremental.save(tmp_path / "a.snap")
         bulk.save(tmp_path / "b.snap")
         assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+
+
+@st.composite
+def upserts_and_queries(draw):
+    """Upserts over a few chunk ids (later ones replace earlier ones) and
+    queries, all drawn from a small pool of vectors."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(_COMPONENT, min_size=dim, max_size=dim)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    pick = st.integers(0, len(pool) - 1)
+    batches = draw(st.lists(
+        st.dictionaries(st.integers(0, 15), pick, min_size=1, max_size=12),
+        min_size=1, max_size=4,
+    ))
+    queries = [pool[i] for i in draw(st.lists(pick, min_size=1, max_size=30))]
+    k = draw(st.integers(min_value=1, max_value=18))
+    return pool, batches, queries + [[0.0] * dim], k
+
+
+def snapshot_bytes(index: VectorIndex) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.snap"
+        index.save(path)
+        return path.read_bytes()
+
+
+def pool_entry(i: int, values) -> IndexEntry:
+    return IndexEntry(chunk=make_chunk(i), vector=EmbeddingVector(values=tuple(values)))
+
+
+class TestDistinctRows:
+    @settings(max_examples=150, deadline=None)
+    @given(upserts_and_queries())
+    def test_upserts_of_copies_match_scan_and_bulk_snapshot(self, case):
+        pool, batches, queries, k = case
+        index = VectorIndex()
+        final: dict[int, int] = {}  # chunk id -> pool index, in first-insertion order
+        for batch in batches:
+            index.upsert([pool_entry(i, pool[p]) for i, p in batch.items()])
+            final.update(batch)
+        entries = [(make_chunk(i), EmbeddingVector(values=tuple(pool[p]))) for i, p in final.items()]
+        batch_hits = index.query_batch(np.array(queries, dtype=np.float32), k)
+        for query, hits in zip(queries, batch_hits):
+            expected = scan_oracle(entries, EmbeddingVector(values=tuple(query)), k)
+            assert [(h.score, h.chunk_id) for h in hits] == expected
+        assert len(index._rows) == len({v.as_array().tobytes() for _, v in entries})
+        bulk = VectorIndex()
+        bulk.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
+        assert snapshot_bytes(index) == snapshot_bytes(bulk)
+
+    def test_copies_of_a_query_are_scored_once(self, monkeypatch):
+        index = build_index(random.Random(60), 30, dim=4)
+        scored = []
+        top_k = VectorIndex._top_k
+
+        def counting(self, query, *args):
+            scored.append(query.tobytes())
+            return top_k(self, query, *args)
+
+        monkeypatch.setattr(VectorIndex, "_top_k", counting)
+        a, b = [0.5, -1.0, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]
+        signed = [0.5, -1.0, -0.0, 2.0]  # equal to a, but not in its bytes
+        batch = index.query_batch(np.array([a, b, a, a, signed, b], dtype=np.float32), 4)
+        assert len(scored) == 3
+        assert batch[0] == batch[2] == batch[3] == batch[4]
+        assert batch[1] == batch[5]
+        assert len({id(hits) for hits in batch}) == len(batch)
+
+    def test_replaced_chunk_leaves_no_ranked_row(self):
+        a, b, c = (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)
+        index = VectorIndex()
+        index.upsert([pool_entry(0, a), pool_entry(1, b), pool_entry(2, c), pool_entry(3, b)])
+        index.upsert([pool_entry(0, c)])  # no chunk holds a any more
+        assert len(index._rows) == 2
+        entries = [(make_chunk(i), EmbeddingVector(values=v)) for i, v in enumerate((c, b, c, b))]
+        query = EmbeddingVector(values=a)
+        for k in (1, 2, 3, 4, 5):
+            hits = index.query(query, k)
+            assert [(h.score, h.chunk_id) for h in hits] == scan_oracle(entries, query, k)
+            assert all(h.score < 0.7 for h in hits)
+
+    def test_duplicate_heavy_snapshot_bytes_pinned(self, tmp_path):
+        # Pin of unchanged output: the snapshot expands shared rows, so these
+        # are the bytes a one-row-per-chunk index wrote.
+        pool = [(1.0, 0.0, -0.0), (0.0, 0.0, 0.0), (0.5, -0.25, 2.0), (-0.0, 0.0, 0.0)]
+        index = VectorIndex()
+        index.upsert([pool_entry(i, pool[i * 3 % 4]) for i in (7, 2, 9, 4, 0, 11, 5)])
+        index.upsert([pool_entry(i, pool[i % 4]) for i in (2, 3, 9, 12)])
+        path = tmp_path / "index.snap"
+        index.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "768f40ba84bbfdcbfa6c9d8b6d476f30dad2d77b166cfe15c47158e6eca9f4f5"
+        )
+        loaded = VectorIndex.load(path)
+        assert len(index._rows) == len(loaded._rows) == 4
+        assert snapshot_bytes(loaded) == path.read_bytes()
