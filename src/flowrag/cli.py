@@ -30,14 +30,13 @@ from .ged import (
     render_ged_report_csv,
     render_ged_report_markdown,
 )
-from .graph_model import parse_json, read_graphs_jsonl, serialize_json
+from .graph_model import graph_from_doc, parse_json, read_graphs_jsonl, serialize_json
 from .jsonio import read_json
 from .mermaid import DIRECTIONS, parse_mermaid, render_mermaid
 from .synthgen import (
     GenSpec,
     SplitConfig,
     generate_corpus,
-    generate_graph,
     generate_qa,
     read_qa_jsonl,
     write_qa_jsonl,
@@ -71,9 +70,7 @@ def _cmd_gen(args) -> int:
     out_dir = Path(args.out)
     manifest = generate_corpus(spec, args.count, split, out_dir)
     qa_items = []
-    test_start = manifest.train + manifest.validation
-    for index in range(test_start, manifest.count):
-        graph = generate_graph(spec, index)
+    for graph in read_graphs_jsonl(out_dir / manifest.files["test"]):
         qa_items.extend(generate_qa(graph, args.qa_per_graph, spec.seed))
     write_qa_jsonl(qa_items, out_dir / "qa.jsonl")
     print(
@@ -151,9 +148,7 @@ def _read_predictions(path: str) -> dict[str, object]:
             if graph_id in predictions:
                 repeated.append(graph_id)
             try:
-                predictions[graph_id] = parse_json(
-                    json.dumps(record["predicted"]).encode("utf-8")
-                )
+                predictions[graph_id] = graph_from_doc(record["predicted"])
             except (FlowragError, KeyError, TypeError) as exc:
                 unparsed.append(
                     f"{path}:{line_no}: prediction for {graph_id!r} does not parse: {exc}"

@@ -211,10 +211,11 @@ def parse_json(text: bytes | str) -> FlowGraph:
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise GraphJsonParseError(exc.msg, offset) from exc
-    return _graph_from_doc(doc)
+    return graph_from_doc(doc)
 
 
-def _graph_from_doc(doc) -> FlowGraph:
+def graph_from_doc(doc) -> FlowGraph:
+    """Build a validated :class:`FlowGraph` from a decoded graph document."""
     _expect(doc, dict, "$", "object")
     graph_id = doc.get("graph_id", "")
     _expect(graph_id, str, "$.graph_id", "string")
@@ -301,4 +302,4 @@ def write_graphs_jsonl(graphs: Iterable[FlowGraph], path: str | Path) -> int:
 
 def read_graphs_jsonl(path: str | Path) -> list[FlowGraph]:
     """Read a corpus file written by :func:`write_graphs_jsonl`."""
-    return read_jsonl(path, _graph_from_doc, "graph")
+    return read_jsonl(path, graph_from_doc, "graph")

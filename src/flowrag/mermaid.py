@@ -64,21 +64,19 @@ _HEADER_RE = re.compile(r"^(?:flowchart|graph)\s+(TD|TB|LR|RL|BT)\s*$")
 _UNSUPPORTED_RE = re.compile(
     r"^(subgraph|end|class|classDef|click|style|linkStyle|direction)\b"
 )
-_BARE_NODE_RE = re.compile(r"^(\w+)$")
 
-# Order matters: two-character openers before their one-character prefixes.
-_SHAPE_PATTERNS: list[tuple[re.Pattern, NodeShape]] = [
-    (re.compile(r"^(\w+)\(\(([^()]*)\)\)$"), NodeShape.CONNECTOR),
-    (re.compile(r"^(\w+)\(\[([^\[\]]*)\]\)$"), NodeShape.TERMINATOR),
-    (re.compile(r"^(\w+)\[/([^\[\]/]*)/\]$"), NodeShape.INPUT_OUTPUT),
-    (re.compile(r"^(\w+)\[([^\[\]]*)\]$"), NodeShape.PROCESS),
-    (re.compile(r"^(\w+)\{([^{}]*)\}$"), NodeShape.DECISION),
-]
-
-# A node reference inside a link line: id plus optional inline shape text.
-_NODE_REF_RE = re.compile(
-    r"^(\w+)"
-    r"(\(\([^()]*\)\)|\(\[[^\[\]]*\]\)|\[/[^\[\]/]*/\]|\[[^\[\]]*\]|\{[^{}]*\})?"
+# One node: an id plus an optional shape. Each shape's text is captured by a
+# group named after its NodeShape value, so ``lastgroup`` names the shape
+# (``"id"`` for a bare node). Order matters: two-character openers before
+# their one-character prefixes.
+_NODE_RE = re.compile(
+    r"(?P<id>\w+)(?:"
+    r"\(\((?P<Connector>[^()]*)\)\)"
+    r"|\(\[(?P<Terminator>[^\[\]]*)\]\)"
+    r"|\[/(?P<InputOutput>[^\[\]/]*)/\]"
+    r"|\[(?P<Process>[^\[\]]*)\]"
+    r"|\{(?P<Decision>[^{}]*)\}"
+    r")?"
 )
 
 # Label-between-dashes link forms: A -- label --> B, A -. label .-> B, etc.
@@ -137,24 +135,22 @@ class _Builder:
         return FlowGraph(nodes=nodes, edges=tuple(self.edges), graph_id=graph_id)
 
 
-def _parse_node_ref(builder: _Builder, text: str, line_no: int) -> tuple[str, str]:
-    """Consume one node reference; returns (node_id, rest_of_line)."""
-    match = _NODE_REF_RE.match(text)
-    if not match or not match.group(1):
-        raise MermaidSyntaxError(f"expected a node reference near '{text}'", line_no)
-    node_id = match.group(1)
-    shaped = match.group(2)
-    if shaped is None:
+def _declare_node(builder: _Builder, match: re.Match) -> str:
+    """Declare the node that ``_NODE_RE`` matched; returns its id."""
+    node_id, shape = match.group("id"), match.lastgroup
+    if shape == "id":
         builder.declare(node_id, None, None)
     else:
-        for pattern, shape in _SHAPE_PATTERNS:
-            inner = pattern.match(node_id + shaped)
-            if inner:
-                builder.declare(node_id, unescape_text(inner.group(2)).strip(), shape)
-                break
-        else:
-            raise MermaidSyntaxError(f"malformed node '{node_id}{shaped}'", line_no)
-    return node_id, text[match.end():]
+        builder.declare(node_id, unescape_text(match.group(shape)).strip(), NodeShape(shape))
+    return node_id
+
+
+def _parse_node_ref(builder: _Builder, text: str, line_no: int) -> tuple[str, str]:
+    """Consume one node reference; returns (node_id, rest_of_line)."""
+    match = _NODE_RE.match(text)
+    if not match:
+        raise MermaidSyntaxError(f"expected a node reference near '{text}'", line_no)
+    return _declare_node(builder, match), text[match.end():]
 
 
 def _parse_link_line(builder: _Builder, line: str, line_no: int) -> None:
@@ -216,21 +212,11 @@ def parse_mermaid(script: str, graph_id: str = "") -> FlowGraph:
         unsupported = _UNSUPPORTED_RE.match(line)
         if unsupported:
             raise UnsupportedFeatureError(unsupported.group(1), line_no)
-        node_def = None
-        for pattern, shape in _SHAPE_PATTERNS:
-            node_def = pattern.match(line)
-            if node_def:
-                builder.declare(
-                    node_def.group(1), unescape_text(node_def.group(2)).strip(), shape
-                )
-                break
-        if node_def:
-            continue
-        bare = _BARE_NODE_RE.match(line)
-        if bare:
-            builder.declare(bare.group(1), None, None)
-            continue
-        _parse_link_line(builder, line, line_no)
+        node = _NODE_RE.fullmatch(line)
+        if node:
+            _declare_node(builder, node)
+        else:
+            _parse_link_line(builder, line, line_no)
     if not header_seen:
         raise MermaidSyntaxError("expected 'flowchart <dir>' or 'graph <dir>' header", 1)
     return builder.build(graph_id)

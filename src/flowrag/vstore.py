@@ -4,8 +4,10 @@ The index stores each distinct vector once: one row matrix (float64, holding
 float32-exact values) with a vector of row norms, and a chunk -> row index
 array. Rows are told apart by their exact float32 bytes, so ``-0.0`` and
 ``0.0`` stay separate rows; duplicates are found through a hash of each
-row's bytes, compared against the row itself on a hit. A row that no chunk
-uses any more after a replacement is dropped.
+row's bytes, compared against the row itself on a hit. Every write merges
+the new chunks into the stored ones (a known chunk id keeps its place, a new
+one is appended) and rebuilds the rows, norms and ranking layout from the
+merged list, so every row has a chunk.
 
 ``query_batch`` scores each distinct query once, up to ``_QUERY_BLOCK`` of
 them with one matrix product over the distinct rows. For each query it walks
@@ -85,33 +87,23 @@ def _first_non_finite(rows: np.ndarray) -> int | None:
     return int(bad[0]) if len(bad) else None
 
 
-def _distinct(rows, stored: np.ndarray | None = None) -> tuple[list[int], np.ndarray]:
+def _distinct(rows) -> tuple[list[int], np.ndarray]:
     """Group float32 ``rows`` (a 2-D array or a list of 1-D arrays) by their
-    exact bytes. Row ids below ``len(stored)`` name rows of ``stored``, a
-    matrix of distinct float32-exact rows; higher ids name new distinct rows
-    in first-seen order. Returns (position in ``rows`` of each new row's
-    first copy, row id of each row). The table holds a hash of each row's
-    bytes, not the bytes: a hit is compared against the row itself."""
-    stored = np.zeros((0, 0)) if stored is None else stored
+    exact bytes, numbering distinct rows in first-seen order. Returns
+    (position in ``rows`` of each distinct row's first copy, row id of each
+    row). The table holds a hash of each row's bytes, not the bytes: a hit
+    is compared against the row itself."""
     ids_by_hash: dict[int, list[int]] = {}
-    for i, row in enumerate(stored):
-        ids_by_hash.setdefault(hash(row.astype(np.float32).tobytes()), []).append(i)
-
-    def bytes_of(row_id: int) -> bytes:
-        if row_id < len(stored):
-            return stored[row_id].astype(np.float32).tobytes()
-        return rows[firsts[row_id - len(stored)]].tobytes()
-
     firsts: list[int] = []
     row_of = np.empty(len(rows), dtype=np.intp)
     for i, row in enumerate(rows):
         data = row.tobytes()
         ids = ids_by_hash.setdefault(hash(data), [])
         for row_id in ids:
-            if bytes_of(row_id) == data:
+            if rows[firsts[row_id]].tobytes() == data:
                 break
         else:
-            row_id = len(stored) + len(firsts)
+            row_id = len(firsts)
             firsts.append(i)
             ids.append(row_id)
         row_of[i] = row_id
@@ -128,7 +120,7 @@ def _header_int(header: dict, key: str) -> int:
 
 
 class _Layout(NamedTuple):
-    """Chunk orders for ranking; rebuilt after every write."""
+    """Chunk orders for ranking; rebuilt by every write."""
 
     by_id: np.ndarray  # chunk positions in ascending chunk-id order
     id_rank: np.ndarray  # each chunk's place in ``by_id``
@@ -142,8 +134,6 @@ class VectorIndex:
 
     def __init__(self):
         self._chunks: list[Chunk] = []
-        self._by_id: dict[str, int] = {}
-        self._dimension: int | None = None
         self._rows = np.zeros((0, 0))  # distinct rows
         self._norms = np.zeros(0)
         self._inv_norms = np.zeros(0)
@@ -155,13 +145,13 @@ class VectorIndex:
 
     @property
     def dimension(self) -> int | None:
-        return self._dimension
+        return self._rows.shape[1] if self._chunks else None
 
     def upsert(self, entries: list[IndexEntry]) -> int:
         """Insert or replace entries; all-or-nothing on bad input."""
         if not entries:
             return 0
-        dimension = self._dimension
+        dimension = self.dimension
         seen: set[str] = set()
         for entry in entries:
             if entry.chunk.chunk_id in seen:
@@ -183,16 +173,23 @@ class VectorIndex:
             [entry.vector.as_array() for entry in entries],
             FlowragError,
         )
-        self._dimension = dimension
         return len(entries)
 
     def _put(self, chunks: list[Chunk], vectors, error: type[FlowragError]) -> None:
         """Write one float32 vector per chunk (a 2-D array or a list of 1-D
-        arrays): replace known chunk ids in place, append the rest, and store
-        each new distinct vector as one row. Raises ``error`` and changes
-        nothing when a vector is not finite."""
-        stored = self._rows if self._chunks else None
-        firsts, row_of = _distinct(vectors, stored)
+        arrays): merge them into the stored chunks, where a known chunk id
+        keeps its place and a new one is appended, then rebuild the rows,
+        norms and ranking layout from the merged list. Raises ``error`` and
+        changes nothing when a vector is not finite."""
+        if self._chunks:
+            # Merging into an empty index changes nothing; skipping it spares
+            # a bulk write one view per row (about 1 MB at 6 000 chunks).
+            stored = self._rows.astype(np.float32)
+            merged = {c.chunk_id: (c, stored[r]) for c, r in zip(self._chunks, self._row_of)}
+            merged.update((c.chunk_id, (c, v)) for c, v in zip(chunks, vectors))
+            chunks = [chunk for chunk, _ in merged.values()]
+            vectors = [vector for _, vector in merged.values()]
+        firsts, row_of = _distinct(vectors)
         rows = np.empty((len(firsts), len(vectors[0])))
         for row, i in zip(rows, firsts):
             row[:] = vectors[i]
@@ -204,49 +201,17 @@ class VectorIndex:
         # The norm of a 1-D row is sqrt(dot(row, row)); an axis=1 norm would
         # sum in another order and break bit-identity with a linear scan.
         norms = np.array([np.linalg.norm(row) for row in rows], dtype=np.float64)
-        if stored is None:
-            self._rows, self._norms = rows, norms
-        elif len(rows):
-            self._rows = np.concatenate([self._rows, rows])
-            self._norms = np.concatenate([self._norms, norms])
-        fresh = []
-        replaced = False
-        for chunk, row_id in zip(chunks, row_of):
-            position = self._by_id.get(chunk.chunk_id)
-            if position is None:
-                self._by_id[chunk.chunk_id] = len(self._chunks)
-                self._chunks.append(chunk)
-                fresh.append(row_id)
-            else:
-                self._chunks[position] = chunk
-                self._row_of[position] = row_id
-                replaced = True
-        self._row_of = np.concatenate([self._row_of, np.array(fresh, dtype=np.intp)])
-        if replaced:
-            # A replaced chunk may leave its old row unused: drop it, so
-            # that every row has a chunk to rank.
-            used = np.bincount(self._row_of, minlength=len(self._rows)) > 0
-            if not used.all():
-                self._rows, self._norms = self._rows[used], self._norms[used]
-                self._row_of = (np.cumsum(used) - 1)[self._row_of]
-        self._inv_norms = np.divide(
-            1.0, self._norms, out=np.zeros_like(self._norms), where=self._norms > 0
+        by_id = np.array(
+            sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
         )
-        self._layout = None
-
-    def _ranking_layout(self) -> _Layout:
-        if self._layout is None:
-            chunks = self._chunks
-            by_id = np.array(
-                sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
-            )
-            id_rank = np.empty_like(by_id)
-            id_rank[by_id] = np.arange(len(by_id))
-            members = by_id[np.argsort(self._row_of[by_id], kind="stable")]
-            counts = np.bincount(self._row_of, minlength=len(self._rows))
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            self._layout = _Layout(by_id, id_rank, members, starts, counts)
-        return self._layout
+        id_rank = np.empty_like(by_id)
+        id_rank[by_id] = np.arange(len(by_id))
+        members = by_id[np.argsort(row_of[by_id], kind="stable")]
+        counts = np.bincount(row_of, minlength=len(rows))
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self._chunks, self._rows, self._norms, self._row_of = chunks, rows, norms, row_of
+        self._inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        self._layout = _Layout(by_id, id_rank, members, starts, counts)
 
     def query(self, vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
         """Exact top-k by cosine."""
@@ -264,14 +229,13 @@ class VectorIndex:
             queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2:
             raise FlowragError(f"queries must form a 2-D array, got shape {queries.shape}")
-        if queries.shape[1] != self._dimension:
+        if queries.shape[1] != self.dimension:
             raise DimensionMismatchError(
-                f"query dimension {queries.shape[1]}, index uses {self._dimension}"
+                f"query dimension {queries.shape[1]}, index uses {self.dimension}"
             )
         bad = _first_non_finite(queries)
         if bad is not None:
             raise FlowragError(f"query {bad} has a non-finite vector value")
-        layout = self._ranking_layout()
         firsts, query_of = _distinct(queries)
         distinct = queries if len(firsts) == len(queries) else queries[firsts]
         ranked: list[list[RetrievalHit]] = []
@@ -279,14 +243,13 @@ class VectorIndex:
             block = distinct[start : start + _QUERY_BLOCK].astype(np.float64)
             approx = (block @ self._rows.T) * self._inv_norms
             for query, scores in zip(block, approx):
-                ranked.append(self._top_k(query, scores, k, layout))
+                ranked.append(self._top_k(query, scores, k))
         return [list(ranked[i]) for i in query_of]
 
-    def _top_k(
-        self, query: np.ndarray, approx: np.ndarray, k: int, layout: _Layout
-    ) -> list[RetrievalHit]:
+    def _top_k(self, query: np.ndarray, approx: np.ndarray, k: int) -> list[RetrievalHit]:
         """Exact top-k of one query, given ``approx[r]``, an approximation of
         row r . query / row norm."""
+        layout = self._layout
         query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             # Every score is zero: the chunk-id order alone decides.
@@ -332,9 +295,7 @@ class VectorIndex:
         return hits
 
     def save(self, path: str | Path) -> None:
-        if self._dimension is None and self._chunks:
-            raise SnapshotError("index dimension is unset")
-        dimension = self._dimension or 0
+        dimension = self.dimension or 0
         with open(path, "wb") as fh:
             # Keys in sorted order: the header bytes are part of the format.
             header = {
@@ -406,5 +367,4 @@ class VectorIndex:
         index._put(
             chunks, np.frombuffer(blob, dtype="<f4").reshape(count, dimension), SnapshotError
         )
-        index._dimension = dimension
         return index

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import logging
 
@@ -60,6 +61,14 @@ class TestGen:
             "manifest.json",
         ):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_qa_bytes_pinned(self, tmp_path):
+        # Pin of unchanged output: the QA items built from the test split.
+        out = tmp_path / "corpus"
+        assert main(["gen", "--count", "50", "--out", str(out), "--seed", "3"]) == 0
+        assert hashlib.sha256((out / "qa.jsonl").read_bytes()).hexdigest() == (
+            "0cbba3e64c71857d52296d4db6f087f9f9e30ef36839e3f903acc4d362f1603d"
+        )
 
     def test_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -79,15 +79,24 @@ class TestParse:
             "C((c))\n"
             "P --> T\nP --> D\nP --> I\nP --> C"
         )
-        graph = parse_mermaid(script)
-        shapes = {n.id: n.shape for n in graph.nodes}
-        assert shapes == {
-            "P": NodeShape.PROCESS,
-            "T": NodeShape.TERMINATOR,
-            "D": NodeShape.DECISION,
-            "I": NodeShape.INPUT_OUTPUT,
-            "C": NodeShape.CONNECTOR,
+        # The same nodes declared inline, on both sides of a link.
+        inline = (
+            "flowchart TD\n"
+            "P[proc] --> T([term])\n"
+            "P --> D{dec?}\n"
+            "I[/io/] --- P\n"
+            "P --> C((c))"
+        )
+        expected = {
+            "P": (NodeShape.PROCESS, "proc"),
+            "T": (NodeShape.TERMINATOR, "term"),
+            "D": (NodeShape.DECISION, "dec?"),
+            "I": (NodeShape.INPUT_OUTPUT, "io"),
+            "C": (NodeShape.CONNECTOR, "c"),
         }
+        for text in (script, inline):
+            graph = parse_mermaid(text)
+            assert {n.id: (n.shape, n.value) for n in graph.nodes} == expected
 
     @pytest.mark.parametrize(
         "arrow,bidirectional,style",

@@ -253,6 +253,7 @@ class TestNonFinite:
         index = build_index(rng, 3, dim=4)
         probe = random_vector(rng, 4)
         before = hits_key(index.query(probe, k=3))
+        saved = snapshot_bytes(index)
         entries = [
             IndexEntry(chunk=make_chunk(1), vector=random_vector(rng, 4)),
             IndexEntry(chunk=make_chunk(7), vector=EmbeddingVector(values=(0.5, bad, 0.1, 0.2))),
@@ -262,6 +263,7 @@ class TestNonFinite:
         assert "c0007" in str(excinfo.value)
         assert len(index) == 3
         assert hits_key(index.query(probe, k=3)) == before
+        assert snapshot_bytes(index) == saved
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejected_first_upsert_leaves_index_empty(self, bad):
