@@ -4,7 +4,7 @@ benchmarks over chunked graph embeddings."""
 __version__ = "0.1.0"
 
 from .chunker import Chunk, ChunkStrategy, SourceKind, chunk_graph, chunk_text
-from .embed import EmbeddingVector, ProviderConfig, ProviderKind, cosine, embed_batch
+from .embed import EmbeddingVector, ProviderConfig, ProviderKind, embed_batch
 from .errors import FlowragError
 from .evalharness import EvalConfig, EvalReport, Scenario, judge, render_report, run_eval
 from .ged import (
@@ -73,7 +73,6 @@ __all__ = [
     "chunk_graph",
     "chunk_text",
     "content_signature",
-    "cosine",
     "embed_batch",
     "evaluate_predictions",
     "ged_approx",

@@ -399,16 +399,3 @@ def _remote_embed(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingV
         raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dimensions)}")
     return vectors
 
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity; zero when either vector has zero norm."""
-    if a.dimension != b.dimension:
-        raise EmbedInputError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
-        )
-    va = a.as_array().astype(np.float64)
-    vb = b.as_array().astype(np.float64)
-    norm = float(np.linalg.norm(va)) * float(np.linalg.norm(vb))
-    if norm == 0.0:
-        return 0.0
-    return float(np.dot(va, vb) / norm)

@@ -9,26 +9,31 @@ Two solvers over the same cost semantics:
   unordered endpoint pair. Node shapes and edge line styles never enter the
   cost. One table, built once per pair, prices the edges between every
   pair of predicted nodes against the edges between every pair of truth
-  nodes. Both the step cost of the search and its admissible lower bound
-  read it; the bound is a linear assignment that prices edges anchored to
-  already-decided nodes exactly. The bound is lazy: a child enters the queue
-  keyed by its path cost g, which is never above its f, and gets its bound
-  only when it is popped, so children that are never popped are never
-  bounded, and bounded states pop in the order they would if every child
-  were bounded when made. A state's anchor sums, one (n1 + 1) x (n2 + 1)
-  array (about 1.3 KB at 12 nodes), hold the table's slices summed over its
-  mapped nodes; a child adds one slice to its parent's instead of gathering
-  them all again. Queued children share their parent's array, so the queue
-  holds one per expanded state, not one per queued state. States are also
-  pruned against an upper bound, the cost of the ``ged_approx`` assignment
-  priced by the search's own step costs. Neither the bound nor the
-  pruning loses a minimum. Ties between minimum-cost solutions break toward
-  the assignment vector that maps each node (in input order) to the
-  lexicographically smallest truth id, with deletion ordered last. That tie-break is exact
-  only when the costs sum exactly in binary floating point, as unit costs
-  and halves or quarters do; otherwise rounding can make one of two
-  equal-cost solutions look cheaper, and the search may return another
-  mapping of the same distance.
+  nodes. A state's anchor sums, one (n1 + 1) x (n2 + 1) array (about 1.3 KB
+  at 12 nodes), hold the table's slices summed over its decided nodes,
+  deletions included; a deletion is decision (and column) n2, and row n1
+  prices the truth nodes left to insert. The sums are the search's only
+  record of decided costs: a child's step cost is its parent's sums plus a
+  base cost, read at its decision, and a child adds one slice to its
+  parent's sums instead of gathering them all again. The admissible lower
+  bound is a linear assignment over the same sums, which prices every edge
+  with a decided endpoint exactly; once every predicted node is decided it
+  is exact, the cost of the truth nodes and edges still to insert, so a
+  complete state is priced by its bound like any other. The bound is lazy:
+  a child enters the queue keyed by its path cost g, which is never above
+  its f, and gets its bound only when it is popped, so children that are
+  never popped are never bounded, and bounded states pop in the order they
+  would if every child were bounded when made. Queued children share their
+  parent's sums, so the queue holds one array per expanded state, not one
+  per queued state. States are also pruned against an upper bound, the
+  cost of the ``ged_approx`` assignment priced by the search's own step
+  costs. Neither the bound nor the pruning loses a minimum. Ties between
+  minimum-cost solutions break toward the assignment vector that maps each
+  node (in input order) to the lexicographically smallest truth id, with
+  deletion ordered last. That tie-break is exact only when the costs sum
+  exactly in binary floating point, as unit costs and halves or quarters
+  do; otherwise rounding can make one of two equal-cost solutions look
+  cheaper, and the search may return another mapping of the same distance.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate, computed for all
@@ -439,51 +444,56 @@ def ged_exact(
         for edge in edges
     ]
     loose_a, loose_b, loose_bin = np.array(loose, dtype=np.intp).reshape(-1, 3).T
-    truth_ends = [
-        (a, b)
-        for groups in (tv.directed, tv.bidir)
-        for (a, b), edges in groups.items()
-        for _edge in edges
-    ]
 
     pair, deleted, inserted = _anchor_costs(pv, tv, costs, vocab)
-    # Substituting pred node u by truth node t, self-loops included.
-    base = _node_costs(pv, tv, costs) + np.einsum("uutt->ut", pair)
-    # step[a, j] is what deciding pred node a as truth node j adds to a
-    # state's anchor sums: at [u, t] the cost of matching the edges between
-    # u and a to those between t and j, at [u, n2] deleting the edges
-    # between u and a, at [n1, t] inserting those between t and j. It holds
-    # n1 * n2 * (n1 + 1) * (n2 + 1) floats: 195 KB at 12 nodes.
-    step = np.zeros((n1, n2, n1 + 1, n2 + 1))
-    step[:, :, :n1, :n2] = pair.transpose(1, 3, 0, 2)
-    step[:, :, :n1, n2] = deleted.T[:, None, :]
-    step[:, :, n1, :n2] = inserted.T[None, :, :]
-    deleted_self, inserted_self = deleted.diagonal(), inserted.diagonal()
+    # base[u, t] prices deciding pred node u as truth node t, self-loops
+    # included; column n2 is deleting u, row n1 is inserting t.
+    base = np.zeros((n1 + 1, n2 + 1))
+    base[:n1, :n2] = _node_costs(pv, tv, costs) + np.einsum("uutt->ut", pair)
+    base[:n1, n2] = costs.node_delete + deleted.diagonal()
+    base[n1, :n2] = costs.node_insert + inserted.diagonal()
+    # step[a, j] is what deciding pred node a as truth node j (j == n2 for a
+    # deletion) adds to a state's anchor sums: the edges between a and every
+    # other node u priced by how u is decided. At [u, t] it is the cost of
+    # matching the edges between u and a to those between t and j, at
+    # [u, n2] deleting the edges between u and a, at [n1, t] inserting those
+    # between t and j. A deletion deletes the edges between u and a however
+    # u is decided, and anchors no truth edge. It holds
+    # n1 * (n2 + 1) * (n1 + 1) * (n2 + 1) floats: 211 KB at 12 nodes.
+    step = np.zeros((n1, n2 + 1, n1 + 1, n2 + 1))
+    step[:, :n2, :n1, :n2] = pair.transpose(1, 3, 0, 2)
+    step[:, :n2, :n1, n2] = deleted.T[:, None, :]
+    step[:, :n2, n1, :n2] = inserted.T[None, :, :]
+    step[:, n2, :n1, :] = deleted.T[:, :, None]
+    # The used-mask bit of each decision; a deletion uses no truth node.
+    bits = [1 << j for j in range(n2)] + [0]
     columns = np.arange(n2)
-    big = 1e6
     # Used mask -> multiset bound of the open edges at every depth; states
     # that used the same truth nodes share it.
     open_costs: dict[int, np.ndarray] = {}
 
-    def lower_bound(decisions: tuple[int | None, ...], used_mask: int, sums: np.ndarray) -> float:
-        """Assignment lower bound. ``sums`` is the state's anchor sums:
-        ``step`` summed over its mapped nodes in ascending order. Edges
-        between a remaining node and a mapped one resolve the moment the
-        remaining node is decided, so the sums price them exactly per
-        candidate pairing; edges to deleted nodes are a constant; edges with
-        both endpoints open fall back to the multiset relaxation. The three
-        parts cover disjoint edge sets, so the sum stays admissible."""
-        k = len(decisions)
+    def lower_bound(k: int, used_mask: int, sums: np.ndarray) -> float:
+        """Assignment lower bound of a state with k decided pred nodes.
+        ``sums`` is the state's anchor sums: ``step`` summed over its
+        decisions in ascending order. An edge with a decided endpoint
+        resolves the moment its other endpoint is decided, so the sums price
+        it exactly per candidate decision; edges with both endpoints open
+        fall back to the multiset relaxation. The two parts cover disjoint
+        edge sets, so the sum stays admissible. At depth n1 nothing is left
+        to decide and the bound is the exact cost of inserting the unused
+        truth nodes and the truth edges left open."""
         is_unused = (used_mask >> columns) & 1 == 0
         unused = columns[is_unused]
-        dropped = [a for a, j in enumerate(decisions) if j is None]
         m1, m2 = n1 - k, len(unused)
-        matrix = np.full((m1 + m2, m1 + m2), big)
+        anchored = base[k:] + sums[k:]
+        # Forbidden cells are infinite, so no scale of costs lets the
+        # assignment take one: at depth n1 the bound must be exact.
+        matrix = np.full((m1 + m2, m1 + m2), np.inf)
         matrix[m1:, m2:] = 0.0
-        matrix[:m1, :m2] = (base[k:] + sums[k:n1, :n2])[:, unused]
+        matrix[:m1, :m2] = anchored[:m1, unused]
         rows, cols = np.arange(m1), np.arange(m2)
-        matrix[rows, m2 + rows] = costs.node_delete + (deleted_self + sums[:n1, n2])[k:]
-        matrix[m1 + cols, cols] = costs.node_insert + (inserted_self + sums[n1, :n2])[unused]
+        matrix[rows, m2 + rows] = anchored[:m1, n2]
+        matrix[m1 + cols, cols] = anchored[m1, unused]
         rows, cols = linear_sum_assignment(matrix)
         lap = float(matrix[rows, cols].sum())
         open_edges = open_costs.get(used_mask)
@@ -493,89 +503,60 @@ def ged_exact(
             ).reshape(2, 1, -1)
             directed, bidirectional = _multiset_cost(free, pending, costs)
             open_edges = open_costs[used_mask] = directed + bidirectional
-        anchored = float(deleted[k:, dropped].sum()) if dropped else 0.0
-        return anchored + lap + float(open_edges[k])
-
-    def extension_costs(decisions: tuple[int | None, ...]) -> tuple[np.ndarray, float]:
-        """Cost added by deciding pred node k = len(decisions) as each truth
-        node, and as a deletion."""
-        k = len(decisions)
-        row = base[k]
-        for a, phi_a in enumerate(decisions):
-            row = row + (deleted[k, a] if phi_a is None else pair[k, a, :, phi_a])
-        return row, costs.node_delete + float(deleted[k, : k + 1].sum())
-
-    def completion_cost(decisions: tuple[int | None, ...]) -> float:
-        used = {j for j in decisions if j is not None}
-        cost = 0.0
-        for j in range(n2):
-            if j not in used:
-                cost += costs.node_insert
-        for a, b in truth_ends:
-            if a not in used or b not in used:
-                cost += costs.edge_insert
-        return cost
+        return lap + float(open_edges[k])
 
     # Any feasible edit cost bounds the optimum; states whose lower bound
     # exceeds it can never be minimal and are dropped. The bound prices the
     # ged_approx assignment with the search's own step costs.
     upper_bound = 1e-6
-    decisions: tuple[int | None, ...] = ()
-    for j in _approx_mapping(pv, tv, costs, vocab):
-        row, drop = extension_costs(decisions)
-        upper_bound += drop if j is None else float(row[j])
-        decisions += (j,)
-    upper_bound += completion_cost(decisions)
+    sums = np.zeros((n1 + 1, n2 + 1))
+    used_mask = 0
+    for k, j in enumerate(_approx_mapping(pv, tv, costs, vocab)):
+        j = n2 if j is None else j
+        upper_bound += float(base[k, j] + sums[k, j])
+        sums = sums + step[k, j]
+        used_mask |= bits[j]
+    upper_bound += lower_bound(n1, used_mask, sums)
 
-    # Equal f values pop in order of these keys: the deterministic tie-break.
-    def decision_key(j: int | None):
-        return (1, "") if j is None else (0, tv.ids[j])
+    # Equal f values pop in order of these keys: the deterministic
+    # tie-break, with deletion ordered last.
+    decision_keys = [(0, tid) for tid in tv.ids] + [(1, "")]
 
     # Heap entries: (f, keys, decisions, used mask, g, parent's anchor sums,
     # bounded). No two states share keys, so entries never compare past
     # them. A child enters unbounded under its g, which is never above its
     # f; popped, it gets its bound and re-enters under f = g + h. Bounded
     # states therefore pop in the order they would if every child were
-    # bounded when made. Queued states hold only their parent's sums and add
+    # bounded when made, and a bounded state at depth n1 is a complete edit
+    # path of cost f. Queued states hold only their parent's sums and add
     # their own step when bounded and again when expanded, so one array
-    # serves all of a parent's children. Depth n1 states carry their
-    # completion cost; the empty-pred graph is terminal immediately, so it
-    # gets the completion up front.
-    start_g = completion_cost(()) if n1 == 0 else 0.0
+    # serves all of a parent's children.
     start_sums = np.zeros((n1 + 1, n2 + 1))
-    start_f = start_g + (0.0 if n1 == 0 else lower_bound((), 0, start_sums))
-    heap: list = [(start_f, (), (), 0, start_g, start_sums, True)]
+    heap: list = [(lower_bound(0, 0, start_sums), (), (), 0, 0.0, start_sums, True)]
     while heap:
         f, keys, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)
         k = len(decisions)
-        if k == n1:
-            result = _result_from_mapping(pv, tv, list(decisions), costs, exact=True)
-            assert abs(result.distance - g) < 1e-6, "internal cost mismatch"
+        if bounded and k == n1:
+            mapping = [None if j == n2 else j for j in decisions]
+            result = _result_from_mapping(pv, tv, mapping, costs, exact=True)
+            assert abs(result.distance - f) < 1e-6, "internal cost mismatch"
             return result
-        sums = parent_sums
-        if decisions and decisions[-1] is not None:
-            sums = parent_sums + step[k - 1, decisions[-1]]
+        sums = parent_sums + step[k - 1, decisions[-1]] if decisions else parent_sums
         if not bounded:
-            f = g + lower_bound(decisions, used_mask, sums)
+            f = g + lower_bound(k, used_mask, sums)
             if f <= upper_bound:
                 heapq.heappush(heap, (f, keys, decisions, used_mask, g, parent_sums, True))
             continue
-        row, drop = extension_costs(decisions)
-        candidates: list[int | None] = [j for j in range(n2) if not used_mask & (1 << j)]
-        candidates.append(None)
-        for j in candidates:
-            new_g = g + (drop if j is None else float(row[j]))
-            if new_g > upper_bound:
+        row = base[k] + sums[k]
+        for j in range(n2 + 1):
+            if used_mask & bits[j]:
                 continue
-            new_decisions = decisions + (j,)
-            new_mask = used_mask if j is None else used_mask | (1 << j)
-            new_keys = keys + (decision_key(j),)
-            if k + 1 < n1:
-                heapq.heappush(heap, (new_g, new_keys, new_decisions, new_mask, new_g, sums, False))
-                continue
-            new_g += completion_cost(new_decisions)
+            new_g = g + float(row[j])
             if new_g <= upper_bound:
-                heapq.heappush(heap, (new_g, new_keys, new_decisions, new_mask, new_g, None, True))
+                heapq.heappush(heap, (
+                    new_g, keys + (decision_keys[j],), decisions + (j,),
+                    used_mask | bits[j], new_g, sums, False,
+                ))
     raise AssertionError("A* search exhausted without a terminal state")
 
 

@@ -295,12 +295,11 @@ class VectorIndex:
         return hits
 
     def save(self, path: str | Path) -> None:
-        dimension = self.dimension or 0
         with open(path, "wb") as fh:
             # Keys in sorted order: the header bytes are part of the format.
             header = {
                 "count": len(self._chunks),
-                "dimension": dimension,
+                "dimension": self._rows.shape[1],
                 "format": _SNAPSHOT_FORMAT,
                 "version": _SNAPSHOT_VERSION,
             }
@@ -362,9 +361,10 @@ class VectorIndex:
                 )
             if fh.read(1):
                 raise SnapshotError("trailing bytes after snapshot payload")
-        if not count:
-            return index
-        index._put(
-            chunks, np.frombuffer(blob, dtype="<f4").reshape(count, dimension), SnapshotError
-        )
+        # An empty snapshot stores no row, but its dimension is saved back.
+        index._rows = np.zeros((0, dimension))
+        if count:
+            index._put(
+                chunks, np.frombuffer(blob, dtype="<f4").reshape(count, dimension), SnapshotError
+            )
         return index

@@ -142,6 +142,19 @@ class TestGedExact:
         graph = chain(["a", "b"])
         assert ged_exact(FlowGraph(), graph).distance == 3.0  # 2 nodes + 1 edge
         assert ged_exact(graph, FlowGraph()).distance == 3.0
+        assert ged_exact(FlowGraph(), FlowGraph()).distance == 0.0
+        # The bound prices the completion, at any scale of costs.
+        large = CostModel(node_insert=4e6, node_delete=4e6)
+        assert ged_exact(FlowGraph(), graph, large).distance == 8e6 + 1.0
+        assert ged_exact(graph, FlowGraph(), large).distance == 8e6 + 1.0
+        node = (FlowNode("A", "x"),)
+        for bidirectional in (False, True):
+            loop = FlowGraph(nodes=node, edges=(FlowEdge("A", "A", bidirectional=bidirectional),))
+            for predicted, truth in ((FlowGraph(), loop), (loop, FlowGraph())):
+                result = ged_exact(predicted, truth)
+                assert result.distance == 2.0  # 1 node + 1 loop, priced once
+                applied = apply_edit_path(predicted, result.edit_path)
+                assert content_signature(applied) == content_signature(truth)
 
     def test_directed_never_matches_bidirectional(self):
         nodes = (FlowNode("A", "x"), FlowNode("B", "y"))

@@ -168,6 +168,32 @@ class TestQuery:
         with pytest.raises(FlowragError):
             VectorIndex().query(EmbeddingVector(values=(1.0,)), k=1)
 
+    def test_zero_norm_row_scores_zero(self):
+        index = VectorIndex()
+        index.upsert(
+            [
+                IndexEntry(chunk=make_chunk(i), vector=EmbeddingVector(values=v))
+                for i, v in enumerate([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+            ]
+        )
+        hits = index.query(EmbeddingVector(values=(-1.0, -1.0)), k=3)
+        assert (hits[0].chunk_id, hits[0].score) == ("c0001", 0.0)
+        assert all(h.score < 0.0 for h in hits[1:])
+
+    def test_scores_are_scale_invariant(self):
+        a, b = (0.3, -0.4, 0.5), (-0.1, 0.9, 0.2)
+        expected = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+        index = VectorIndex()
+        index.upsert(
+            [
+                IndexEntry(chunk=make_chunk(i), vector=EmbeddingVector(values=v))
+                for i, v in enumerate([a, tuple(7.0 * v for v in a)])
+            ]
+        )
+        for query in (b, tuple(7.0 * v for v in b)):
+            hits = index.query(EmbeddingVector(values=query), k=2)
+            assert [h.score for h in hits] == pytest.approx([expected, expected], abs=1e-6)
+
     def test_hits_carry_chunk_metadata(self):
         rng = random.Random(9)
         index = build_index(rng, 5)
@@ -229,6 +255,13 @@ class TestSnapshot:
         VectorIndex().save(path)
         loaded = VectorIndex.load(path)
         assert len(loaded) == 0
+        assert VectorIndex().dimension is None and loaded.dimension is None
+        # A header written by another tool keeps its dimension on a re-save.
+        snapshot = b'{"count":0,"dimension":256,"format":"flowrag-vstore","version":1}\n'
+        path.write_bytes(snapshot)
+        resaved = tmp_path / "resaved.snap"
+        VectorIndex.load(path).save(resaved)
+        assert resaved.read_bytes() == snapshot
 
     def test_trailing_garbage_rejected(self, tmp_path):
         rng = random.Random(14)
