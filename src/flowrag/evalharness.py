@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -232,10 +233,12 @@ def judge(
     return any(h.graph_id == item.graph_id for h in within)
 
 
-def _corpus_hash(graphs: list[FlowGraph]) -> str:
+def _corpus_hash(documents: Iterable[bytes]) -> str:
+    """SHA-256 of the graphs' serialized documents, each followed by a
+    newline."""
     digest = hashlib.sha256()
-    for graph in graphs:
-        digest.update(serialize_json(graph))
+    for document in documents:
+        digest.update(document)
         digest.update(b"\n")
     return digest.hexdigest()
 
@@ -272,6 +275,10 @@ def run_eval(
                 )
             )
 
+    # Full-json chunks are the serialized graphs, in corpus order; when that
+    # strategy runs, the corpus hash reads them instead of serializing again.
+    corpus_hash = None
+
     cells: dict = {}
     for strategy in config.strategies:
         for k in config.ks:
@@ -287,7 +294,7 @@ def run_eval(
             cells=cells,
             metadata={
                 "provider": config.provider.describe(),
-                "corpus_hash": _corpus_hash(graphs),
+                "corpus_hash": corpus_hash or _corpus_hash(map(serialize_json, graphs)),
                 "graph_count": len(graphs),
                 "question_count": len(qa),
                 "allnodes_union": config.allnodes_union,
@@ -306,6 +313,8 @@ def run_eval(
 
     for strategy in config.strategies:
         chunks = chunk_graphs(graphs, strategy) + text_chunks
+        if strategy is ChunkStrategy.FULL_JSON:
+            corpus_hash = _corpus_hash(c.text.encode("utf-8") for c in chunks[: len(graphs)])
         try:
             vectors = embed_batch(config.provider, [c.text for c in chunks])
         except TransportError as exc:

@@ -7,33 +7,26 @@ Two solvers over the same cost semantics:
   the edges induced by an assignment are compared by direction class and
   value. Bidirectional edges only ever match bidirectional edges, as an
   unordered endpoint pair. Node shapes and edge line styles never enter the
-  cost. One table, built once per pair, prices the edges between every
-  pair of predicted nodes against the edges between every pair of truth
-  nodes. A state's anchor sums, one (n1 + 1) x (n2 + 1) array (about 1.3 KB
-  at 12 nodes), hold the table's slices summed over its decided nodes,
-  deletions included; a deletion is decision (and column) n2, and row n1
-  prices the truth nodes left to insert. The sums are the search's only
-  record of decided costs: a child's step cost is its parent's sums plus a
-  base cost, read at its decision, and a child adds one slice to its
-  parent's sums instead of gathering them all again. The admissible lower
-  bound is a linear assignment over the same sums, which prices every edge
-  with a decided endpoint exactly; once every predicted node is decided it
-  is exact, the cost of the truth nodes and edges still to insert, so a
-  complete state is priced by its bound like any other. The bound is lazy:
-  a child enters the queue keyed by its path cost g, which is never above
-  its f, and gets its bound only when it is popped, so children that are
-  never popped are never bounded, and bounded states pop in the order they
-  would if every child were bounded when made. Queued children share their
-  parent's sums, so the queue holds one array per expanded state, not one
-  per queued state. States are also pruned against an upper bound, the
-  cost of the ``ged_approx`` assignment priced by the search's own step
-  costs. Neither the bound nor the pruning loses a minimum. Ties between
-  minimum-cost solutions break toward the assignment vector that maps each
-  node (in input order) to the lexicographically smallest truth id, with
-  deletion ordered last. That tie-break is exact only when the costs sum
-  exactly in binary floating point, as unit costs and halves or quarters
-  do; otherwise rounding can make one of two equal-cost solutions look
-  cheaper, and the search may return another mapping of the same distance.
+  cost. A state's anchor sums, one (n1 + 1) x (n2 + 1) array (column n2
+  deletes, row n1 inserts), add up the slices of a per-pair edge-cost table
+  over its decided nodes, deletions included; they are the search's only
+  record of decided costs, and a child adds one slice to its parent's. The
+  admissible lower bound is a linear assignment over the sums, which prices
+  every edge with a decided endpoint exactly, plus a label-count bound on
+  the edges with both endpoints open; once every predicted node is decided
+  it is exact, so a complete state is priced by its bound like any other.
+  The bound is lazy: a child is queued under its path cost g, never above
+  its f, and bounded only when popped, so bounded states pop in the order
+  they would if every child were bounded when made. States are also pruned
+  against the cost of the ``ged_approx`` assignment priced by the search's
+  own step costs. Neither the bound nor the pruning loses a minimum. Ties
+  between minimum-cost solutions break toward the assignment vector that
+  maps each node (in input order) to the lexicographically smallest truth
+  id, with deletion ordered last. That tie-break is exact only when the
+  costs sum exactly in binary floating point, as unit costs and halves or
+  quarters do; otherwise rounding can make one of two equal-cost solutions
+  look cheaper, and the search may return another mapping of the same
+  distance.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate, computed for all
@@ -60,6 +53,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -234,6 +228,36 @@ def _multiset_cost(c1: np.ndarray, c2: np.ndarray, costs: CostModel) -> np.ndarr
         + (m1 - paired) * costs.edge_delete
         + (m2 - paired) * costs.edge_insert
     )
+
+
+def _count_cost(c1: list[int], c2: list[int], costs: CostModel) -> float:
+    """``_multiset_cost`` of one pair of label-count lists in Python ints and
+    floats: the same operations in the same order, hence the same float."""
+    common = sum(map(min, c1, c2))
+    m1 = sum(c1) - common
+    m2 = sum(c2) - common
+    paired = min(m1, m2)
+    return (
+        paired * costs.edge_substitute
+        + (m1 - paired) * costs.edge_delete
+        + (m2 - paired) * costs.edge_insert
+    )
+
+
+@lru_cache(maxsize=256)  # 169 shapes at the default node budget of 12
+def _assignment_layout(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The square assignment matrix of m1 pred and m2 truth nodes before its
+    costs (forbidden cells infinite, so no scale of costs lets the assignment
+    take one) and the flat cell of each entry of an (m1 + 1) x (m2 + 1) cost
+    block, row major, bar the unused corner: [u, t] maps u to t, [u, m2]
+    deletes u at [u, m2 + u], [m1, t] inserts t at [m1 + t, t]."""
+    size = m1 + m2
+    template = np.full((size, size), np.inf)
+    template[m1:, m2:] = 0.0
+    rows, cols = np.ogrid[: m1 + 1, : m2 + 1]
+    cells = ((rows + (rows == m1) * cols) * size + cols + (cols == m2) * rows).ravel()[:-1]
+    template.flags.writeable = cells.flags.writeable = False  # shared by every call
+    return template, cells
 
 
 def _node_costs(pv: _View, tv: _View, costs: CostModel) -> np.ndarray:
@@ -425,25 +449,25 @@ def ged_exact(
         raise GraphTooLargeError(max(n1, n2), node_budget)
 
     vocab = _label_vocab(pv, tv)
-    # free[c, k]: label counts of the class-c (directed, bidirectional) pred
+    # free[k][c]: label counts of the class-c (directed, bidirectional) pred
     # edges with both endpoints undecided at depth k, loops excluded: the
     # part of the edge set the assignment bound cannot anchor.
-    free = np.zeros((2, n1 + 1, len(vocab)), dtype=np.int64)
+    free = np.zeros((n1 + 1, 2, len(vocab)), dtype=np.int64)
     for c, groups in enumerate((pv.directed, pv.bidir)):
         for (a, b), edges in groups.items():
             if a != b:
                 for edge in edges:
-                    free[c, : min(a, b) + 1, vocab[normalize_label(edge.value)]] += 1
-    # The truth edges, loops excluded, as endpoints and a flat (class, label)
-    # bin, for counting those whose endpoints are both unused.
+                    free[: min(a, b) + 1, c, vocab[normalize_label(edge.value)]] += 1
+    free = free.tolist()
+    # The truth edges, loops excluded, as an endpoint bitmask, a class and a
+    # label, for counting those whose endpoints are both unused.
     loose = [
-        (a, b, c * len(vocab) + vocab[normalize_label(edge.value)])
+        ((1 << a) | (1 << b), c, vocab[normalize_label(edge.value)])
         for c, groups in enumerate((tv.directed, tv.bidir))
         for (a, b), edges in groups.items()
         if a != b
         for edge in edges
     ]
-    loose_a, loose_b, loose_bin = np.array(loose, dtype=np.intp).reshape(-1, 3).T
 
     pair, deleted, inserted = _anchor_costs(pv, tv, costs, vocab)
     # base[u, t] prices deciding pred node u as truth node t, self-loops
@@ -467,49 +491,44 @@ def ged_exact(
     step[:, n2, :n1, :] = deleted.T[:, :, None]
     # The used-mask bit of each decision; a deletion uses no truth node.
     bits = [1 << j for j in range(n2)] + [0]
-    columns = np.arange(n2)
-    # Used mask -> multiset bound of the open edges at every depth; states
-    # that used the same truth nodes share it.
-    open_costs: dict[int, np.ndarray] = {}
+    # Used mask -> the open columns (unused truth nodes and deletion) and the
+    # per-class label counts of the loose truth edges with no endpoint used.
+    open_truth: dict[int, tuple[np.ndarray, list[list[int]]]] = {}
 
     def lower_bound(k: int, used_mask: int, sums: np.ndarray) -> float:
         """Assignment lower bound of a state with k decided pred nodes.
         ``sums`` is the state's anchor sums: ``step`` summed over its
         decisions in ascending order. An edge with a decided endpoint
         resolves the moment its other endpoint is decided, so the sums price
-        it exactly per candidate decision; edges with both endpoints open
-        fall back to the multiset relaxation. The two parts cover disjoint
-        edge sets, so the sum stays admissible. At depth n1 nothing is left
-        to decide and the bound is the exact cost of inserting the unused
-        truth nodes and the truth edges left open."""
-        is_unused = (used_mask >> columns) & 1 == 0
-        unused = columns[is_unused]
-        m1, m2 = n1 - k, len(unused)
-        anchored = base[k:] + sums[k:]
-        # Forbidden cells are infinite, so no scale of costs lets the
-        # assignment take one: at depth n1 the bound must be exact.
-        matrix = np.full((m1 + m2, m1 + m2), np.inf)
-        matrix[m1:, m2:] = 0.0
-        matrix[:m1, :m2] = anchored[:m1, unused]
-        rows, cols = np.arange(m1), np.arange(m2)
-        matrix[rows, m2 + rows] = anchored[:m1, n2]
-        matrix[m1 + cols, cols] = anchored[m1, unused]
+        it exactly per candidate decision, put into a copy of the cached
+        matrix template of the state's shape. Edges with both endpoints open
+        fall back to the multiset relaxation of ``free[k]`` against the used
+        mask's cached pending truth counts; the two parts cover disjoint edge
+        sets, so the sum stays admissible. At depth n1 the bound is exact:
+        the cost of the truth nodes and edges still to insert."""
+        opened = open_truth.get(used_mask)
+        if opened is None:
+            pending = [[0] * len(vocab), [0] * len(vocab)]
+            for ends, c, label in loose:
+                if not ends & used_mask:
+                    pending[c][label] += 1
+            columns = np.array([j for j in range(n2 + 1) if not used_mask & bits[j]])
+            opened = open_truth[used_mask] = columns, pending
+        columns, (directed, bidirectional) = opened
+        template, cells = _assignment_layout(n1 - k, len(columns) - 1)
+        matrix = template.copy()
+        matrix.put(cells, (base[k:] + sums[k:])[:, columns].ravel()[:-1])
         rows, cols = linear_sum_assignment(matrix)
-        lap = float(matrix[rows, cols].sum())
-        open_edges = open_costs.get(used_mask)
-        if open_edges is None:
-            pending = np.bincount(
-                loose_bin[is_unused[loose_a] & is_unused[loose_b]], minlength=2 * len(vocab)
-            ).reshape(2, 1, -1)
-            directed, bidirectional = _multiset_cost(free, pending, costs)
-            open_edges = open_costs[used_mask] = directed + bidirectional
-        return lap + float(open_edges[k])
+        return float(matrix[rows, cols].sum()) + (
+            _count_cost(free[k][0], directed, costs)
+            + _count_cost(free[k][1], bidirectional, costs)
+        )
 
     # Any feasible edit cost bounds the optimum; states whose lower bound
     # exceeds it can never be minimal and are dropped. The bound prices the
     # ged_approx assignment with the search's own step costs.
     upper_bound = 1e-6
-    sums = np.zeros((n1 + 1, n2 + 1))
+    sums = start_sums = np.zeros((n1 + 1, n2 + 1))
     used_mask = 0
     for k, j in enumerate(_approx_mapping(pv, tv, costs, vocab)):
         j = n2 if j is None else j
@@ -531,7 +550,6 @@ def ged_exact(
     # path of cost f. Queued states hold only their parent's sums and add
     # their own step when bounded and again when expanded, so one array
     # serves all of a parent's children.
-    start_sums = np.zeros((n1 + 1, n2 + 1))
     heap: list = [(lower_bound(0, 0, start_sums), (), (), 0, 0.0, start_sums, True)]
     while heap:
         f, keys, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)

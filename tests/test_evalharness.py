@@ -1,13 +1,17 @@
+import hashlib
 import json
 import logging
 import re
 
 import pytest
 
+import flowrag.chunker as chunker_module
 import flowrag.embed as embed_module
+import flowrag.evalharness as evalharness_module
 from flowrag.chunker import ChunkStrategy
 from flowrag.embed import ProviderConfig, ProviderKind
 from flowrag.errors import ConfigError, FlowragError
+from flowrag.graph_model import serialize_json
 from flowrag.evalharness import (
     ALL_CATEGORY,
     Cell,
@@ -178,6 +182,39 @@ class TestRunEval:
         assert with_text.metadata["text_chunk_count"] > 0
         for key, cell in with_text.cells.items():
             assert cell.numerator <= base.cells[key].numerator
+
+    @pytest.mark.parametrize(
+        "strategies, scenario",
+        [
+            ((ChunkStrategy.FULL_JSON,), Scenario.GRAPH_ONLY),
+            ((ChunkStrategy.PER_NODE,), Scenario.GRAPH_ONLY),
+            (EvalConfig.strategies, Scenario.GRAPH_WITH_TEXT),
+        ],
+        ids=["full-json", "per-node", "all-with-text"],
+    )
+    def test_corpus_hash_serializes_each_graph_once(self, monkeypatch, strategies, scenario):
+        graphs, qa = disjoint_corpus(4)
+        digest = hashlib.sha256()
+        for graph in graphs:
+            digest.update(serialize_json(graph) + b"\n")
+        calls = []
+
+        def counting(graph):
+            calls.append(graph.graph_id)
+            return serialize_json(graph)
+
+        monkeypatch.setattr(chunker_module, "serialize_json", counting)
+        monkeypatch.setattr(evalharness_module, "serialize_json", counting)
+        config = EvalConfig(
+            provider=LOCAL,
+            strategies=strategies,
+            ks=(1,),
+            scenario=scenario,
+            text_documents=("Some prose.",) if scenario is Scenario.GRAPH_WITH_TEXT else (),
+        )
+        report = run_eval(graphs, qa, config)
+        assert report.metadata["corpus_hash"] == digest.hexdigest()
+        assert sorted(calls) == sorted(g.graph_id for g in graphs)
 
     def test_missing_graph_ids_rejected(self):
         graphs, qa = disjoint_corpus(2)

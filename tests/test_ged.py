@@ -1,7 +1,10 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+
+import flowrag.ged as ged_module
 
 from flowrag.graph_model import (
     FlowEdge,
@@ -26,7 +29,9 @@ from flowrag.ged import (
     render_ged_report_markdown,
     GED_REPORT_COLUMNS,
     _anchor_costs,
+    _count_cost,
     _label_vocab,
+    _multiset_cost,
     _View,
 )
 
@@ -256,6 +261,43 @@ class TestGedExact:
             got = _anchor_costs(pv, tv, costs, _label_vocab(pv, tv))
             for array, expected in zip(got, reference_anchor_costs(a, b, costs)):
                 assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
+    )
+    def test_count_cost_matches_multiset_cost(self, costs):
+        # The search prices its open edges with Python ints, the cost tables
+        # with NumPy arrays: the two must give the same float, bit for bit.
+        rng = random.Random("count-cost")
+        for _ in range(500):
+            labels = rng.randint(0, 6)
+            top = rng.choice((1, 3, 40))
+            c1, c2 = ([rng.randint(0, top) for _ in range(labels)] for _ in range(2))
+            expected = float(_multiset_cost(np.array(c1, dtype=np.int64), np.array(c2), costs))
+            assert _count_cost(c1, c2, costs).hex() == expected.hex()
+
+    @pytest.mark.parametrize("costs, expected", [
+        (UNIT, [49, 10, 16, 33, 5, 14]),
+        (NON_DYADIC, [47, 9, 16, 21, 5, 22]),
+    ], ids=["unit", "non-dyadic"])
+    def test_search_effort_is_pinned(self, monkeypatch, costs, expected):
+        # A bound that gets weaker but stays admissible returns the same
+        # distances and only expands more states. The number of assignments
+        # solved per pair (every bound and the approximate mapping) shows it.
+        calls = []
+        solve = ged_module.linear_sum_assignment
+        monkeypatch.setattr(
+            ged_module, "linear_sum_assignment", lambda matrix: calls.append(1) or solve(matrix)
+        )
+        rng = pair_rng(12)
+        pairs = [(same_label_digraph(rng, 7, 8), same_label_digraph(rng, 7, 8))]
+        pairs += [(random_graph(rng, 7), random_graph(rng, 7)) for _ in range(5)]
+        counts = []
+        for a, b in pairs:
+            calls.clear()
+            ged_exact(a, b, costs)
+            counts.append(len(calls))
+        assert counts == expected
 
     @pytest.mark.parametrize("costs", [UNIT, DYADIC], ids=["unit", "dyadic"])
     def test_same_label_ties_pop_in_order(self, costs):
