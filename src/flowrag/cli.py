@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .chunker import ChunkStrategy, chunk_graphs, read_chunks_jsonl, write_chunks_jsonl
 from .embed import ProviderConfig, embed_batch
-from .errors import FlowragError
+from .errors import ConfigError, FlowragError
 from .evalharness import (
     EvalAborted,
     EvalConfig,
@@ -63,6 +63,9 @@ def _apply_env_overrides(data: dict) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    # Checked before the corpus is written, not after it by generate_qa.
+    if args.qa_per_graph < 1:
+        raise ConfigError(f"--qa-per-graph must be >= 1, got {args.qa_per_graph}")
     spec = GenSpec.from_file(args.spec) if args.spec else GenSpec()
     if args.seed is not None:
         spec = GenSpec.from_dict({**spec.to_dict(), "seed": args.seed})

@@ -1,6 +1,8 @@
 """Attributed graph edit distance between flowchart graphs.
 
-Two solvers over the same cost semantics:
+Two solvers over the same cost semantics, both reading one preparation of
+each pair: every node and edge value normalized once, one edge-label
+vocabulary for the two graphs, and one node substitution cost matrix.
 
 * ``ged_exact`` runs an A* search over injective node assignments. Nodes are
   compared by value after normalization (case-fold, whitespace collapse);
@@ -54,12 +56,13 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import FlowragError
-from .graph_model import FlowEdge, FlowGraph, FlowNode, NodeShape
+from .graph_model import FlowEdge, FlowGraph, FlowNode, NodeShape, collapse_whitespace
 from .jsonio import NUMBER, config_kwargs, expect
 
 # Column headings for the aggregate report, in output order.
@@ -98,9 +101,7 @@ class GraphTooLargeError(FlowragError):
 
 def normalize_label(value: str | None) -> str:
     """Case-folded, whitespace-collapsed form used for cost comparisons."""
-    if value is None:
-        return ""
-    return " ".join(value.split()).casefold()
+    return collapse_whitespace(value or "").casefold()
 
 
 @dataclass(frozen=True)
@@ -155,61 +156,75 @@ class GedResult:
     mapping: tuple[tuple[str, str], ...] = ()  # (predicted id, truth id) pairs
 
 
-class _View:
-    """Index-based projection of a graph for the solvers."""
+class _Edge(NamedTuple):
+    edge: FlowEdge
+    norm: str  # the normalized value
+    label: int  # its column in the pair's label-count arrays
 
-    def __init__(self, graph: FlowGraph):
-        self.graph = graph
+
+class _View:
+    """Index-based projection of a graph for the solvers. It normalizes every
+    node and edge value once. ``columns`` maps each normalized edge value to
+    its label column; the two views of a pair fill it in turn."""
+
+    def __init__(self, graph: FlowGraph, columns: dict[str, int]):
         self.nodes = list(graph.nodes)
         self.ids = [n.id for n in self.nodes]
         self.index = {n.id: i for i, n in enumerate(self.nodes)}
         self.norm = [normalize_label(n.value) for n in self.nodes]
-        self.directed: dict[tuple[int, int], list[FlowEdge]] = defaultdict(list)
-        self.bidir: dict[tuple[int, int], list[FlowEdge]] = defaultdict(list)
+        self.directed: dict[tuple[int, int], list[_Edge]] = defaultdict(list)
+        self.bidir: dict[tuple[int, int], list[_Edge]] = defaultdict(list)
         for edge in graph.edges:
+            norm = normalize_label(edge.value)
+            entry = _Edge(edge, norm, columns.setdefault(norm, len(columns)))
             si, di = self.index[edge.src], self.index[edge.dst]
             if edge.bidirectional:
-                self.bidir[(min(si, di), max(si, di))].append(edge)
+                self.bidir[(min(si, di), max(si, di))].append(entry)
             else:
-                self.directed[(si, di)].append(edge)
+                self.directed[(si, di)].append(entry)
 
 
-def _label_vocab(*views: _View) -> dict[str, int]:
-    """Column of every normalized edge value in the given graphs, for the
-    label-count arrays."""
-    vocab: dict[str, int] = {}
-    for view in views:
-        for edge in view.graph.edges:
-            vocab.setdefault(normalize_label(edge.value), len(vocab))
-    return vocab
+class _Pair:
+    """A (predicted, truth) pair as both solvers read it: the two views, the
+    number of distinct normalized edge values, the cost model, and the value
+    substitution cost of every pred node against every truth node."""
+
+    def __init__(self, predicted: FlowGraph, truth: FlowGraph, costs: CostModel):
+        columns: dict[str, int] = {}
+        self.pred = _View(predicted, columns)
+        self.truth = _View(truth, columns)
+        self.labels = len(columns)
+        self.costs = costs
+        self.node_costs = np.array(
+            [[0.0 if pn == tn else costs.node_substitute for tn in self.truth.norm]
+             for pn in self.pred.norm]
+        ).reshape(len(self.pred.norm), len(self.truth.norm))
 
 
-def _group_counts(groups: dict, vocab: dict[str, int]) -> np.ndarray:
+def _group_counts(groups: dict, labels: int) -> np.ndarray:
     """Counts of normalized edge values per edge group, in group order:
     shape (groups, labels)."""
-    counts = np.zeros((len(groups), len(vocab)), dtype=np.int64)
+    counts = np.zeros((len(groups), labels), dtype=np.int64)
     for g, edges in enumerate(groups.values()):
         for edge in edges:
-            counts[g, vocab[normalize_label(edge.value)]] += 1
+            counts[g, edge.label] += 1
     return counts
 
 
-def _signature_counts(view: _View, vocab: dict[str, int]) -> np.ndarray:
+def _signature_counts(view: _View, labels: int) -> np.ndarray:
     """Per node: counts of outgoing, incoming, and bidirectional edge values,
     shape (3, nodes, labels), for the local estimate of the approximate
     solver."""
-    counts = np.zeros((3, len(view.nodes), len(vocab)), dtype=np.int64)
+    counts = np.zeros((3, len(view.nodes), labels), dtype=np.int64)
     for (si, di), edges in view.directed.items():
         for edge in edges:
-            value = vocab[normalize_label(edge.value)]
-            counts[0, si, value] += 1
-            counts[1, di, value] += 1
+            counts[0, si, edge.label] += 1
+            counts[1, di, edge.label] += 1
     for (a, b), edges in view.bidir.items():
         for edge in edges:
-            value = vocab[normalize_label(edge.value)]
-            counts[2, a, value] += 1
+            counts[2, a, edge.label] += 1
             if b != a:
-                counts[2, b, value] += 1
+                counts[2, b, edge.label] += 1
     return counts
 
 
@@ -260,33 +275,27 @@ def _assignment_layout(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
     return template, cells
 
 
-def _node_costs(pv: _View, tv: _View, costs: CostModel) -> np.ndarray:
-    """Value substitution cost of every pred node against every truth node."""
-    return np.array(
-        [[0.0 if pn == tn else costs.node_substitute for tn in tv.norm] for pn in pv.norm]
-    ).reshape(len(pv.norm), len(tv.norm))
-
-
-def _anchor_costs(
-    pv: _View, tv: _View, costs: CostModel, vocab: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _anchor_costs(pair: _Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge costs of every pairing of a pred node pair with a truth node pair.
 
-    ``pair[u, a, t, j]`` is the cost of matching the edges between pred nodes
-    u and a to the edges between truth nodes t and j: u->a against t->j,
-    a->u against j->t, and bidirectional against bidirectional. The diagonal
-    u == a, t == j prices the self-loops, directed loops counted once.
+    ``anchored[u, a, t, j]`` is the cost of matching the edges between pred
+    nodes u and a to the edges between truth nodes t and j: u->a against
+    t->j, a->u against j->t, and bidirectional against bidirectional. The
+    diagonal u == a, t == j prices the self-loops, directed loops counted
+    once.
     ``deleted[u, a]`` and ``inserted[t, j]`` price deleting or inserting all
-    edges between the two nodes. ``pair`` holds n1**2 * n2**2 floats: at
+    edges between the two nodes. ``anchored`` holds n1**2 * n2**2 floats: at
     most 166 KB at the default node budget of 12.
     """
+    pv, tv, costs = pair.pred, pair.truth, pair.costs
     n1, n2 = len(pv.nodes), len(tv.nodes)
 
     def class_costs(pred_groups, truth_groups):
         # One edge class keyed by ordered node pair: delete-all plus
         # insert-all by broadcasting, the multiset bound where both groups
         # hold edges.
-        pred, truth = _group_counts(pred_groups, vocab), _group_counts(truth_groups, vocab)
+        pred = _group_counts(pred_groups, pair.labels)
+        truth = _group_counts(truth_groups, pair.labels)
         pu, pa = np.array(list(pred_groups), dtype=np.intp).reshape(-1, 2).T
         tt, tj = np.array(list(truth_groups), dtype=np.intp).reshape(-1, 2).T
         deleted = np.zeros((n1, n1))
@@ -304,41 +313,36 @@ def _anchor_costs(
 
     directed, d_deleted, d_inserted = class_costs(pv.directed, tv.directed)
     bidir, b_deleted, b_inserted = class_costs(both_ways(pv.bidir), both_ways(tv.bidir))
-    pair = directed + directed.transpose(1, 0, 3, 2) + bidir
+    anchored = directed + directed.transpose(1, 0, 3, 2) + bidir
     deleted = d_deleted + d_deleted.T + b_deleted
     inserted = d_inserted + d_inserted.T + b_inserted
     # The transposed terms count every directed self-loop twice.
     u, t = np.ix_(np.arange(n1), np.arange(n2))
-    pair[u, u, t, t] = directed[u, u, t, t] + bidir[u, u, t, t]
+    anchored[u, u, t, t] = directed[u, u, t, t] + bidir[u, u, t, t]
     np.fill_diagonal(deleted, d_deleted.diagonal() + b_deleted.diagonal())
     np.fill_diagonal(inserted, d_inserted.diagonal() + b_inserted.diagonal())
-    return pair, deleted, inserted
+    return anchored, deleted, inserted
 
 
-def _edge_sort_key(edge: FlowEdge):
-    return (
-        normalize_label(edge.value),
-        edge.value is not None,
-        edge.value or "",
-        edge.src,
-        edge.dst,
-    )
+def _edge_sort_key(entry: _Edge):
+    edge = entry.edge
+    return (entry.norm, edge.value is not None, edge.value or "", edge.src, edge.dst)
 
 
 def _match_group(
-    pred_edges: list[FlowEdge], truth_edges: list[FlowEdge]
-) -> tuple[list[tuple[FlowEdge, FlowEdge]], list[FlowEdge], list[FlowEdge]]:
+    pred_edges: list[_Edge], truth_edges: list[_Edge]
+) -> tuple[list[tuple[_Edge, _Edge]], list[_Edge], list[_Edge]]:
     """Deterministic pairing within one edge group: equal normalized values
     first, then leftovers in sorted order as substitutions."""
     pred_sorted = sorted(pred_edges, key=_edge_sort_key)
     truth_sorted = sorted(truth_edges, key=_edge_sort_key)
     remaining = defaultdict(list)
     for te in truth_sorted:
-        remaining[normalize_label(te.value)].append(te)
-    pairs: list[tuple[FlowEdge, FlowEdge]] = []
-    leftover_pred: list[FlowEdge] = []
+        remaining[te.norm].append(te)
+    pairs: list[tuple[_Edge, _Edge]] = []
+    leftover_pred: list[_Edge] = []
     for pe in pred_sorted:
-        bucket = remaining.get(normalize_label(pe.value))
+        bucket = remaining.get(pe.norm)
         if bucket:
             pairs.append((pe, bucket.pop(0)))
         else:
@@ -359,14 +363,9 @@ def _path_key(op: EditOp):
     return _PATH_ORDER.index(op.kind), (edge.src, edge.dst, edge.value or "", edge.bidirectional)
 
 
-def _result_from_mapping(
-    pred_view: _View,
-    truth_view: _View,
-    mapping: list[int | None],
-    costs: CostModel,
-    exact: bool,
-) -> GedResult:
+def _result_from_mapping(pair: _Pair, mapping: list[int | None], exact: bool) -> GedResult:
     """Price a node assignment and emit its canonical edit path."""
+    pred_view, truth_view, costs = pair.pred, pair.truth, pair.costs
     ops: list[EditOp] = []
     nodes_detected = edges_detected = 0
     for i, j in enumerate(mapping):
@@ -400,18 +399,19 @@ def _result_from_mapping(
                 truth_edges = truth_groups.get(tkey, [])
                 unhandled.discard(tkey)
             pairs, deleted, inserted = _match_group(pred_groups[(a, b)], truth_edges)
-            for pe, te in pairs:
+            for (pe, pnorm, _), (te, tnorm, _) in pairs:
                 edges_detected += 1
-                same = normalize_label(pe.value) == normalize_label(te.value)
-                cost = 0.0 if same else costs.edge_substitute
+                cost = 0.0 if pnorm == tnorm else costs.edge_substitute
                 mapped_src = truth_view.ids[mapping[pred_view.index[pe.src]]]
                 mapped_dst = truth_view.ids[mapping[pred_view.index[pe.dst]]]
                 if cost > 0 or pe.value != te.value or (mapped_src, mapped_dst) != (te.src, te.dst):
                     ops.append(EditOp("substitute-edge", cost, pred_edge=pe, truth_edge=te))
-            ops.extend(EditOp("delete-edge", costs.edge_delete, pred_edge=pe) for pe in deleted)
-            ops.extend(EditOp("insert-edge", costs.edge_insert, truth_edge=te) for te in inserted)
+            for pe, _, _ in deleted:
+                ops.append(EditOp("delete-edge", costs.edge_delete, pred_edge=pe))
+            for te, _, _ in inserted:
+                ops.append(EditOp("insert-edge", costs.edge_insert, truth_edge=te))
         for tkey in sorted(unhandled):
-            for te in sorted(truth_groups[tkey], key=_edge_sort_key):
+            for te, _, _ in sorted(truth_groups[tkey], key=_edge_sort_key):
                 ops.append(EditOp("insert-edge", costs.edge_insert, truth_edge=te))
 
     # Summed in the order the ops were made, which fixes the float result;
@@ -441,39 +441,38 @@ def ged_exact(
     node_budget: int = 12,
 ) -> GedResult:
     """Minimum-cost edit distance via A* over node assignments."""
-    costs = costs or CostModel()
-    pv = _View(predicted)
-    tv = _View(truth)
-    n1, n2 = len(pv.nodes), len(tv.nodes)
+    n1, n2 = len(predicted.nodes), len(truth.nodes)
     if max(n1, n2) > node_budget:
         raise GraphTooLargeError(max(n1, n2), node_budget)
+    costs = costs or CostModel()
+    pair = _Pair(predicted, truth, costs)
+    pv, tv = pair.pred, pair.truth
 
-    vocab = _label_vocab(pv, tv)
     # free[k][c]: label counts of the class-c (directed, bidirectional) pred
     # edges with both endpoints undecided at depth k, loops excluded: the
     # part of the edge set the assignment bound cannot anchor.
-    free = np.zeros((n1 + 1, 2, len(vocab)), dtype=np.int64)
+    free = np.zeros((n1 + 1, 2, pair.labels), dtype=np.int64)
     for c, groups in enumerate((pv.directed, pv.bidir)):
         for (a, b), edges in groups.items():
             if a != b:
                 for edge in edges:
-                    free[: min(a, b) + 1, c, vocab[normalize_label(edge.value)]] += 1
+                    free[: min(a, b) + 1, c, edge.label] += 1
     free = free.tolist()
     # The truth edges, loops excluded, as an endpoint bitmask, a class and a
     # label, for counting those whose endpoints are both unused.
     loose = [
-        ((1 << a) | (1 << b), c, vocab[normalize_label(edge.value)])
+        ((1 << a) | (1 << b), c, edge.label)
         for c, groups in enumerate((tv.directed, tv.bidir))
         for (a, b), edges in groups.items()
         if a != b
         for edge in edges
     ]
 
-    pair, deleted, inserted = _anchor_costs(pv, tv, costs, vocab)
+    anchored, deleted, inserted = _anchor_costs(pair)
     # base[u, t] prices deciding pred node u as truth node t, self-loops
     # included; column n2 is deleting u, row n1 is inserting t.
     base = np.zeros((n1 + 1, n2 + 1))
-    base[:n1, :n2] = _node_costs(pv, tv, costs) + np.einsum("uutt->ut", pair)
+    base[:n1, :n2] = pair.node_costs + np.einsum("uutt->ut", anchored)
     base[:n1, n2] = costs.node_delete + deleted.diagonal()
     base[n1, :n2] = costs.node_insert + inserted.diagonal()
     # step[a, j] is what deciding pred node a as truth node j (j == n2 for a
@@ -485,7 +484,7 @@ def ged_exact(
     # u is decided, and anchors no truth edge. It holds
     # n1 * (n2 + 1) * (n1 + 1) * (n2 + 1) floats: 211 KB at 12 nodes.
     step = np.zeros((n1, n2 + 1, n1 + 1, n2 + 1))
-    step[:, :n2, :n1, :n2] = pair.transpose(1, 3, 0, 2)
+    step[:, :n2, :n1, :n2] = anchored.transpose(1, 3, 0, 2)
     step[:, :n2, :n1, n2] = deleted.T[:, None, :]
     step[:, :n2, n1, :n2] = inserted.T[None, :, :]
     step[:, n2, :n1, :] = deleted.T[:, :, None]
@@ -508,7 +507,7 @@ def ged_exact(
         the cost of the truth nodes and edges still to insert."""
         opened = open_truth.get(used_mask)
         if opened is None:
-            pending = [[0] * len(vocab), [0] * len(vocab)]
+            pending = [[0] * pair.labels, [0] * pair.labels]
             for ends, c, label in loose:
                 if not ends & used_mask:
                     pending[c][label] += 1
@@ -530,7 +529,7 @@ def ged_exact(
     upper_bound = 1e-6
     sums = start_sums = np.zeros((n1 + 1, n2 + 1))
     used_mask = 0
-    for k, j in enumerate(_approx_mapping(pv, tv, costs, vocab)):
+    for k, j in enumerate(_approx_mapping(pair)):
         j = n2 if j is None else j
         upper_bound += float(base[k, j] + sums[k, j])
         sums = sums + step[k, j]
@@ -556,7 +555,7 @@ def ged_exact(
         k = len(decisions)
         if bounded and k == n1:
             mapping = [None if j == n2 else j for j in decisions]
-            result = _result_from_mapping(pv, tv, mapping, costs, exact=True)
+            result = _result_from_mapping(pair, mapping, exact=True)
             assert abs(result.distance - f) < 1e-6, "internal cost mismatch"
             return result
         sums = parent_sums + step[k - 1, decisions[-1]] if decisions else parent_sums
@@ -589,27 +588,23 @@ def ged_approx(
     Pairs whose mapping is not strictly cheaper than delete plus insert are
     unmapped again, and the surviving assignment is priced exactly.
     """
-    costs = costs or CostModel()
-    pv = _View(predicted)
-    tv = _View(truth)
-    mapping = _approx_mapping(pv, tv, costs, _label_vocab(pv, tv))
-    return _result_from_mapping(pv, tv, mapping, costs, exact=False)
+    pair = _Pair(predicted, truth, costs or CostModel())
+    return _result_from_mapping(pair, _approx_mapping(pair), exact=False)
 
 
-def _approx_mapping(
-    pv: _View, tv: _View, costs: CostModel, vocab: dict[str, int]
-) -> list[int | None]:
+def _approx_mapping(pair: _Pair) -> list[int | None]:
     """The node assignment of ``ged_approx``: truth index or None (deleted)
     for each pred node."""
+    pv, tv, costs = pair.pred, pair.truth, pair.costs
     n1 = len(pv.nodes)
     if n1 == 0 or not tv.nodes:
         return [None] * n1
     outgoing, incoming, bidirectional = _multiset_cost(
-        _signature_counts(pv, vocab)[:, :, None, :],
-        _signature_counts(tv, vocab)[:, None, :, :],
+        _signature_counts(pv, pair.labels)[:, :, None, :],
+        _signature_counts(tv, pair.labels)[:, None, :, :],
         costs,
     )
-    base = _node_costs(pv, tv, costs) + (outgoing + incoming + bidirectional)
+    base = pair.node_costs + (outgoing + incoming + bidirectional)
     unmapped_pair = costs.node_delete + costs.node_insert
     renamed = np.array([[pid != tid for tid in tv.ids] for pid in pv.ids])
     matrix = np.minimum(base, unmapped_pair) + np.where(renamed, _ID_TIE_EPS, 0.0)

@@ -184,10 +184,13 @@ class SplitConfig:
     test_fraction: float = 0.20
 
     def __post_init__(self):
-        total = self.train_fraction + self.validation_fraction + self.test_fraction
+        fractions = (self.train_fraction, self.validation_fraction, self.test_fraction)
+        if not all(map(math.isfinite, fractions)):
+            raise ConfigError(f"split fractions must be finite, got {fractions}")
+        total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {total}")
-        if min(self.train_fraction, self.validation_fraction, self.test_fraction) < 0:
+        if min(fractions) < 0:
             raise ConfigError("split fractions must be non-negative")
 
     @classmethod

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from flowrag.ged import _ID_TIE_EPS, GedResult, _result_from_mapping, _View
+from flowrag.ged import _ID_TIE_EPS, GedResult, _Pair, _result_from_mapping
 from flowrag.graph_model import FlowEdge, FlowGraph, FlowNode, LineStyle, NodeShape
 
 VALUE_POOL = ["start", "check alarm", "send report", "stop", "retry", "wait"]
@@ -217,13 +217,14 @@ def _node_signatures(graph: FlowGraph) -> list[tuple[Counter, Counter, Counter]]
 def reference_anchor_costs(pred: FlowGraph, truth: FlowGraph, costs):
     """``_anchor_costs`` of the exact solver, each table cell priced pair by
     pair from Counters of the edge values in its two groups."""
-    pv, tv = _View(pred), _View(truth)
+    pair = _Pair(pred, truth, costs)
+    pv, tv = pair.pred, pair.truth
     n1, n2 = len(pv.nodes), len(tv.nodes)
 
     def class_costs(pred_groups, truth_groups):
-        p_counts = {key: Counter(map(_norm, (e.value for e in edges)))
+        p_counts = {key: Counter(map(_norm, (e.edge.value for e in edges)))
                     for key, edges in pred_groups.items()}
-        t_counts = {key: Counter(map(_norm, (e.value for e in edges)))
+        t_counts = {key: Counter(map(_norm, (e.edge.value for e in edges)))
                     for key, edges in truth_groups.items()}
         deleted = np.zeros((n1, n1))
         inserted = np.zeros((n2, n2))
@@ -274,7 +275,7 @@ def reference_ged_approx(pred: FlowGraph, truth: FlowGraph, costs) -> GedResult:
         for i, j in zip(*linear_sum_assignment(matrix)):
             if base[i, j] < unmapped_pair:
                 mapping[i] = int(j)
-    return _result_from_mapping(_View(pred), _View(truth), mapping, costs, exact=False)
+    return _result_from_mapping(_Pair(pred, truth, costs), mapping, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,14 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_qa_per_graph_below_one_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        code = main(["gen", "--count", "10", "--qa-per-graph", "0", "--out", str(out)])
+        assert code == 1
+        assert "error: --qa-per-graph must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestParseRender:
     def test_round_trip_through_files(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -30,9 +31,8 @@ from flowrag.ged import (
     GED_REPORT_COLUMNS,
     _anchor_costs,
     _count_cost,
-    _label_vocab,
     _multiset_cost,
-    _View,
+    _Pair,
 )
 
 from helpers import (
@@ -76,6 +76,21 @@ def chain(values: list[str], ids: list[str] | None = None) -> FlowGraph:
 
 def pair_rng(seed: int) -> random.Random:
     return random.Random(f"ged-pairs-{seed}")
+
+
+# Node and edge values that differ only in case or whitespace, so that edges
+# tie on their normalized value but not on their raw one.
+SPELLINGS = ["start", "Start", " start", "check  alarm", "Check alarm", "stop"]
+LABEL_SPELLINGS = [None, "", "yes", "Yes", " yes ", "no", "NO"]
+
+
+def _op_record(op):
+    """An edit op as plain values, for hashing."""
+    edges = [
+        None if e is None else (e.src, e.dst, e.value, e.bidirectional, e.line_style.value)
+        for e in (op.pred_edge, op.truth_edge)
+    ]
+    return (op.kind, op.cost.hex(), op.pred_id, op.truth_id, op.value, *edges)
 
 
 class TestCostModel:
@@ -257,8 +272,7 @@ class TestGedExact:
         rng = pair_rng(10)
         for _ in range(60):
             a, b = random_graph(rng, max_nodes=7), random_graph(rng, max_nodes=7)
-            pv, tv = _View(a), _View(b)
-            got = _anchor_costs(pv, tv, costs, _label_vocab(pv, tv))
+            got = _anchor_costs(_Pair(a, b, costs))
             for array, expected in zip(got, reference_anchor_costs(a, b, costs)):
                 assert array.tobytes() == expected.tobytes()
 
@@ -313,6 +327,53 @@ class TestGedExact:
             result = ged_exact(a, b, costs)
             assert result.distance == oracle_ged(a, b, costs)
             assert result.mapping == oracle_tie_break(a, b, costs)
+
+
+    @pytest.mark.parametrize("costs, expected", [
+        (UNIT, "714ab9a9afb31f709efceb0b2990b6bfe095b2224d7b5dd99d6644d0f05f8e88"),
+        (DYADIC, "267aa76af8d768389450e6a2654de478d7703a7efcd77520bc015732edaed1d7"),
+    ], ids=["unit", "dyadic"])
+    def test_golden_digest(self, costs, expected):
+        # Distance, mapping and edit path over a fixed pair set, hashed. A
+        # refactor that leaves results alone leaves the digest alone. Only
+        # costs that sum exactly in binary floating point are hashed: their
+        # distances and tie-breaks cannot move with the NumPy or SciPy
+        # version, so the recorded digest holds on every platform.
+        rng = pair_rng(13)
+        pairs = [(random_graph(rng, 7), random_graph(rng, 7)) for _ in range(100)]
+        pairs += [
+            (random_graph(rng, 6, value_pool=SPELLINGS, label_pool=LABEL_SPELLINGS),
+             random_graph(rng, 6, value_pool=SPELLINGS, label_pool=LABEL_SPELLINGS))
+            for _ in range(100)
+        ]
+        pairs += [
+            (same_label_digraph(rng, 6, 9), same_label_digraph(rng, 7, 10)) for _ in range(4)
+        ]
+        digest = hashlib.sha256()
+        for a, b in pairs:
+            result = ged_exact(a, b, costs)
+            digest.update(repr((
+                result.distance.hex(),
+                result.mapping,
+                [_op_record(op) for op in result.edit_path],
+            )).encode())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("solver", [ged_exact, ged_approx])
+    def test_each_value_is_normalized_once(self, monkeypatch, solver):
+        # One solve normalizes each node value and each edge value of the
+        # two graphs once, however many tables and edit ops read them.
+        calls = []
+        normalize = ged_module.normalize_label
+        monkeypatch.setattr(
+            ged_module, "normalize_label", lambda value: calls.append(1) or normalize(value)
+        )
+        rng = pair_rng(14)
+        for _ in range(20):
+            a, b = random_graph(rng, 7), random_graph(rng, 7)
+            calls.clear()
+            solver(a, b)
+            assert len(calls) <= len(a.nodes) + len(a.edges) + len(b.nodes) + len(b.edges)
 
 
 class TestGedApprox:

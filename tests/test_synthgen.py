@@ -148,6 +148,9 @@ class TestSplit:
             SplitConfig.parse("50/50")
         with pytest.raises(ConfigError):
             SplitConfig(0.5, 0.4, 0.2)
+        for text in ("nan/0/0", "0/0/nan"):
+            with pytest.raises(ConfigError):
+                SplitConfig.parse(text)
 
 
 class TestGenerateCorpus:
