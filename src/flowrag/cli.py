@@ -6,6 +6,7 @@ stderr; data goes to the flagged files or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -68,7 +69,7 @@ def _cmd_gen(args) -> int:
         raise ConfigError(f"--qa-per-graph must be >= 1, got {args.qa_per_graph}")
     spec = GenSpec.from_file(args.spec) if args.spec else GenSpec()
     if args.seed is not None:
-        spec = GenSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = dataclasses.replace(spec, seed=args.seed)
     split = SplitConfig.parse(args.split)
     out_dir = Path(args.out)
     manifest = generate_corpus(spec, args.count, split, out_dir)

@@ -203,23 +203,6 @@ def _split_endpoint(endpoint: str):
     return parts
 
 
-class _Response:
-    """Status and body of one finished HTTP exchange."""
-
-    __slots__ = ("status_code", "body")
-
-    def __init__(self, status_code: int, body: bytes):
-        self.status_code = status_code
-        self.body = body
-
-    @property
-    def text(self) -> str:
-        return self.body.decode("utf-8", errors="replace")
-
-    def json(self):
-        return json.loads(self.body)
-
-
 # A reused connection the server closed while idle fails with one of these
 # before any response arrives (http.client.RemoteDisconnected is a
 # ConnectionResetError).
@@ -270,7 +253,7 @@ class _RemoteClient:
                 return
         conn.close()
 
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> _Response:
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, bytes]:
         # A connection that is already open was used before; one the server
         # answered with "Connection: close" has no socket and reconnects.
         reused = conn.sock is not None
@@ -283,42 +266,43 @@ class _RemoteClient:
             conn.close()
             conn.request("POST", self._path, body, {"Content-Type": "application/json"})
             response = conn.getresponse()
-        return _Response(response.status, response.read())
+        return response.status, response.read()
 
-    def _post(self, body: bytes) -> _Response:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST."""
         conn = self._checkout()
         try:
-            response = self._exchange(conn, body)
+            reply = self._exchange(conn, body)
         except BaseException:
             conn.close()
             raise
         self._checkin(conn)
-        return response
+        return reply
 
     def embed_one_batch(self, texts: list[str]) -> list[EmbeddingVector]:
         body = json.dumps({"model": self.config.model_name, "inputs": texts}).encode()
         last_error = ""
         for attempt in range(1, _RETRY_ATTEMPTS + 1):
             try:
-                response = self._post(body)
+                status, reply = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport failure: {exc}"
             else:
-                if response.status_code == 200:
-                    return self._parse(response)
-                if 400 <= response.status_code < 500:
+                if status == 200:
+                    return self._parse(reply)
+                if 400 <= status < 500:
                     raise ProtocolError(
                         f"embedding service rejected the request "
-                        f"(HTTP {response.status_code}): {_error_text(response)}"
+                        f"(HTTP {status}): {_error_text(reply)}"
                     )
-                last_error = f"HTTP {response.status_code}: {_error_text(response)}"
+                last_error = f"HTTP {status}: {_error_text(reply)}"
             if attempt < _RETRY_ATTEMPTS:
                 time.sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1))
         raise TransportError(last_error, attempts=_RETRY_ATTEMPTS)
 
-    def _parse(self, response) -> list[EmbeddingVector]:
+    def _parse(self, reply: bytes) -> list[EmbeddingVector]:
         try:
-            embeddings = response.json()["embeddings"]
+            embeddings = json.loads(reply)["embeddings"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
         if not isinstance(embeddings, list):
@@ -338,14 +322,15 @@ class _RemoteClient:
         return vectors
 
 
-def _error_text(response) -> str:
+def _error_text(reply: bytes) -> str:
+    text = reply.decode("utf-8", errors="replace")[:200]
     try:
-        payload = response.json()
+        payload = json.loads(reply)
     except ValueError:
         payload = None
     if isinstance(payload, dict):
-        return payload.get("error", response.text[:200])
-    return response.text[:200]
+        return payload.get("error", text)
+    return text
 
 
 @functools.lru_cache(maxsize=16)

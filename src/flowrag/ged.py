@@ -19,16 +19,14 @@ vocabulary for the two graphs, and one node substitution cost matrix.
   it is exact, so a complete state is priced by its bound like any other.
   The bound is lazy: a child is queued under its path cost g, never above
   its f, and bounded only when popped, so bounded states pop in the order
-  they would if every child were bounded when made. States are also pruned
-  against the cost of the ``ged_approx`` assignment priced by the search's
-  own step costs. Neither the bound nor the pruning loses a minimum. Ties
-  between minimum-cost solutions break toward the assignment vector that
-  maps each node (in input order) to the lexicographically smallest truth
-  id, with deletion ordered last. That tie-break is exact only when the
-  costs sum exactly in binary floating point, as unit costs and halves or
-  quarters do; otherwise rounding can make one of two equal-cost solutions
-  look cheaper, and the search may return another mapping of the same
-  distance.
+  they would if every child were bounded when made, and the first bounded
+  complete state to pop is minimal. Ties between minimum-cost solutions
+  break toward the assignment vector that maps each node (in input order)
+  to the lexicographically smallest truth id, with deletion ordered last.
+  That tie-break is exact only when the costs sum exactly in binary
+  floating point, as unit costs and halves or quarters do; otherwise
+  rounding can make one of two equal-cost solutions look cheaper, and the
+  search may return another mapping of the same distance.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate, computed for all
@@ -523,19 +521,6 @@ def ged_exact(
             + _count_cost(free[k][1], bidirectional, costs)
         )
 
-    # Any feasible edit cost bounds the optimum; states whose lower bound
-    # exceeds it can never be minimal and are dropped. The bound prices the
-    # ged_approx assignment with the search's own step costs.
-    upper_bound = 1e-6
-    sums = start_sums = np.zeros((n1 + 1, n2 + 1))
-    used_mask = 0
-    for k, j in enumerate(_approx_mapping(pair)):
-        j = n2 if j is None else j
-        upper_bound += float(base[k, j] + sums[k, j])
-        sums = sums + step[k, j]
-        used_mask |= bits[j]
-    upper_bound += lower_bound(n1, used_mask, sums)
-
     # Equal f values pop in order of these keys: the deterministic
     # tie-break, with deletion ordered last.
     decision_keys = [(0, tid) for tid in tv.ids] + [(1, "")]
@@ -549,6 +534,7 @@ def ged_exact(
     # path of cost f. Queued states hold only their parent's sums and add
     # their own step when bounded and again when expanded, so one array
     # serves all of a parent's children.
+    start_sums = np.zeros((n1 + 1, n2 + 1))
     heap: list = [(lower_bound(0, 0, start_sums), (), (), 0, 0.0, start_sums, True)]
     while heap:
         f, keys, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)
@@ -561,19 +547,17 @@ def ged_exact(
         sums = parent_sums + step[k - 1, decisions[-1]] if decisions else parent_sums
         if not bounded:
             f = g + lower_bound(k, used_mask, sums)
-            if f <= upper_bound:
-                heapq.heappush(heap, (f, keys, decisions, used_mask, g, parent_sums, True))
+            heapq.heappush(heap, (f, keys, decisions, used_mask, g, parent_sums, True))
             continue
         row = base[k] + sums[k]
         for j in range(n2 + 1):
             if used_mask & bits[j]:
                 continue
             new_g = g + float(row[j])
-            if new_g <= upper_bound:
-                heapq.heappush(heap, (
-                    new_g, keys + (decision_keys[j],), decisions + (j,),
-                    used_mask | bits[j], new_g, sums, False,
-                ))
+            heapq.heappush(heap, (
+                new_g, keys + (decision_keys[j],), decisions + (j,),
+                used_mask | bits[j], new_g, sums, False,
+            ))
     raise AssertionError("A* search exhausted without a terminal state")
 
 

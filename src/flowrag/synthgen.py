@@ -90,6 +90,8 @@ class GenSpec:
         object.__setattr__(self, "node_count_range", bounds)
         vocabulary = tuple(expect_list(self.vocabulary, str, "vocabulary"))
         object.__setattr__(self, "vocabulary", vocabulary)
+        if not vocabulary:
+            raise ConfigError("vocabulary must not be empty")
         expect(self.seed, int, "seed")
         if len(bounds) != 2 or not 1 <= bounds[0] <= bounds[1]:
             raise ConfigError(
@@ -234,8 +236,6 @@ def generate_graph(spec: GenSpec, index: int) -> FlowGraph:
     Decision nodes get at least two outgoing edges. ``decision_fraction``
     applies to the non-start nodes.
     """
-    if not spec.vocabulary:
-        raise ConfigError("vocabulary must not be empty")
     rng = _graph_rng(spec.seed, index)
     n = rng.randint(*spec.node_count_range)
     graph_id = f"g{index:05d}"

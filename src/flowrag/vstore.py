@@ -11,11 +11,13 @@ merged list, so every row has a chunk.
 
 ``query_batch`` scores each distinct query once, up to ``_QUERY_BLOCK`` of
 them with one matrix product over the distinct rows. For each query it walks
-the rows by approximate cosine until their chunks cover k, and every row
-whose approximate cosine comes within ``_CANDIDATE_SLACK`` of that k-th
-chunk's is a candidate. Each candidate row is rescored with the
-row-at-a-time formula ``np.dot(row, q) / (norm * qnorm)``, and the first k
-chunks of each, in chunk-id order, are merged by (-score, chunk id).
+the rows by approximate cosine until their chunks cover k, or every chunk
+when there are fewer, and every row whose approximate cosine comes within
+``_CANDIDATE_SLACK`` of that k-th chunk's is a candidate. A zero query
+scores every row 0, so the same rule makes every row a candidate and chunk
+ids decide. Each candidate row is rescored with the row-at-a-time formula
+``np.dot(row, q) / (norm * qnorm)``, and the first k chunks of each, in
+chunk-id order, are merged by (-score, chunk id).
 Reported scores are therefore bit-identical to a linear scan's over the
 chunks, and ties break by ascending chunk id so runs are deterministic.
 
@@ -122,8 +124,7 @@ def _header_int(header: dict, key: str) -> int:
 class _Layout(NamedTuple):
     """Chunk orders for ranking; rebuilt by every write."""
 
-    by_id: np.ndarray  # chunk positions in ascending chunk-id order
-    id_rank: np.ndarray  # each chunk's place in ``by_id``
+    id_rank: np.ndarray  # each chunk's place in ascending chunk-id order
     members: np.ndarray  # chunk positions grouped by row, in chunk-id order
     starts: np.ndarray  # row r's chunks are members[starts[r]:starts[r] + counts[r]]
     counts: np.ndarray  # chunks per row
@@ -211,7 +212,7 @@ class VectorIndex:
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self._chunks, self._rows, self._norms, self._row_of = chunks, rows, norms, row_of
         self._inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        self._layout = _Layout(by_id, id_rank, members, starts, counts)
+        self._layout = _Layout(id_rank, members, starts, counts)
 
     def query(self, vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
         """Exact top-k by cosine."""
@@ -251,37 +252,32 @@ class VectorIndex:
         row r . query / row norm."""
         layout = self._layout
         query_norm = float(np.linalg.norm(query))
-        if query_norm == 0.0:
-            # Every score is zero: the chunk-id order alone decides.
-            chosen = layout.by_id[:k]
-            scores = np.zeros(len(chosen))
-        else:
-            rows = np.arange(len(approx))
-            if len(self._chunks) > k:
-                # Every row has a chunk, so the k best rows hold the k-th
-                # best chunk: walk them in approximate order to reach it.
-                slack = _CANDIDATE_SLACK * query_norm
-                if len(approx) > k:
-                    floor = np.partition(approx, len(approx) - k)[len(approx) - k]
-                    rows = np.flatnonzero(approx >= floor - slack)
-                walk = rows[np.argsort(-approx[rows])]
-                kth = approx[walk[np.searchsorted(np.cumsum(layout.counts[walk]), k)]]
-                rows = rows[approx[rows] >= kth - slack]
-            row_scores = np.empty(len(rows))
-            for i, row in enumerate(rows):
-                denom = self._norms[row] * query_norm
-                row_scores[i] = 0.0 if denom == 0.0 else np.dot(self._rows[row], query) / denom
-            # Only the first k chunks of a row, in chunk-id order, can rank.
-            take = np.minimum(layout.counts[rows], k)
-            chosen = np.concatenate([
-                layout.members[layout.starts[row] : layout.starts[row] + n]
-                for row, n in zip(rows, take)
-            ])
-            scores = np.repeat(row_scores, take)
-            order = np.lexsort((layout.id_rank[chosen], -scores))[:k]
-            chosen, scores = chosen[order], scores[order]
+        # Every row has a chunk, so the k best rows hold the k-th best chunk:
+        # walk them in approximate order to reach it. A zero query scores
+        # every row 0, so every row is a candidate and chunk ids decide.
+        k = min(k, len(self._chunks))
+        slack = _CANDIDATE_SLACK * query_norm
+        rows = np.arange(len(approx))
+        if len(approx) > k:
+            floor = np.partition(approx, len(approx) - k)[len(approx) - k]
+            rows = np.flatnonzero(approx >= floor - slack)
+        walk = rows[np.argsort(-approx[rows])]
+        kth = approx[walk[np.searchsorted(np.cumsum(layout.counts[walk]), k)]]
+        rows = rows[approx[rows] >= kth - slack]
+        row_scores = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            denom = self._norms[row] * query_norm
+            row_scores[i] = 0.0 if denom == 0.0 else np.dot(self._rows[row], query) / denom
+        # Only the first k chunks of a row, in chunk-id order, can rank.
+        take = np.minimum(layout.counts[rows], k)
+        chosen = np.concatenate([
+            layout.members[layout.starts[row] : layout.starts[row] + n]
+            for row, n in zip(rows, take)
+        ])
+        scores = np.repeat(row_scores, take)
+        order = np.lexsort((layout.id_rank[chosen], -scores))[:k]
         hits = []
-        for rank, (position, score) in enumerate(zip(chosen, scores), start=1):
+        for rank, (position, score) in enumerate(zip(chosen[order], scores[order]), start=1):
             chunk = self._chunks[position]
             hits.append(
                 RetrievalHit(

@@ -341,10 +341,10 @@ def test_criterion_11_paper_proportions(tmp_path):
         check=True,
         capture_output=True,
     )
-    counts = {
-        name: sum(1 for _ in open(out_dir / f"graphs.{name}.jsonl", "rb"))
-        for name in ("train", "val", "test")
-    }
+    counts = {}
+    for name in ("train", "val", "test"):
+        with open(out_dir / f"graphs.{name}.jsonl", "rb") as fh:
+            counts[name] = sum(1 for _ in fh)
     assert counts == {"train": 6400, "val": 1600, "test": 2000}
 
     spec = GenSpec(seed=105)

@@ -91,6 +91,16 @@ class TestGen:
         assert "error: --qa-per-graph must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_empty_vocabulary_writes_nothing(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"vocabulary": []}))
+        out = tmp_path / "corpus"
+        out.mkdir()
+        code = main(["gen", "--count", "10", "--spec", str(spec_path), "--out", str(out)])
+        assert code == 1
+        assert "error: vocabulary must not be empty" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestParseRender:
     def test_round_trip_through_files(self, tmp_path):

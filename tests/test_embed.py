@@ -22,14 +22,6 @@ from flowrag.embed import (
 from helpers import StubEmbedServer, stub_vector
 
 
-class FakeResponse:
-    def __init__(self, payload, text=""):
-        self.payload = payload
-        self.text = text
-
-    def json(self):
-        return self.payload
-
 LOCAL64 = ProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=64)
 LOCAL256 = ProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=256)
 
@@ -182,14 +174,14 @@ class TestRemote:
     def test_non_finite_row_is_protocol_error(self, bad):
         client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
         with pytest.raises(ProtocolError) as excinfo:
-            client._parse(FakeResponse({"embeddings": [[0.5, 0.5], [0.1, bad]]}))
+            client._parse(json.dumps({"embeddings": [[0.5, 0.5], [0.1, bad]]}).encode())
         assert "row 1" in str(excinfo.value)
 
     @pytest.mark.parametrize("row", [["a", 1.0], [[1.0], [2.0]], [{"x": 1}]])
     def test_non_numeric_row_is_protocol_error(self, row):
         client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
         with pytest.raises(ProtocolError):
-            client._parse(FakeResponse({"embeddings": [row]}))
+            client._parse(json.dumps({"embeddings": [row]}).encode())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -262,13 +254,12 @@ class TestDuplicateTexts:
 
 class TestErrorText:
     def test_error_field_of_an_object(self):
-        response = FakeResponse({"error": "overloaded"}, text='{"error": "overloaded"}')
-        assert embed_module._error_text(response) == "overloaded"
+        assert embed_module._error_text(b'{"error": "overloaded"}') == "overloaded"
 
     @pytest.mark.parametrize("payload", [[1], "busy", 3, None, {"detail": "x"}])
     def test_other_json_falls_back_to_raw_text(self, payload):
         body = json.dumps(payload)
-        assert embed_module._error_text(FakeResponse(payload, text=body)) == body
+        assert embed_module._error_text(body.encode()) == body
 
     @pytest.mark.parametrize("body", [b"[1]", b'"busy"'])
     def test_5xx_with_non_object_body_is_retried(self, fast_backoff, body):

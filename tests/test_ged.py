@@ -291,13 +291,13 @@ class TestGedExact:
             assert _count_cost(c1, c2, costs).hex() == expected.hex()
 
     @pytest.mark.parametrize("costs, expected", [
-        (UNIT, [49, 10, 16, 33, 5, 14]),
-        (NON_DYADIC, [47, 9, 16, 21, 5, 22]),
+        (UNIT, [47, 8, 14, 31, 3, 12]),
+        (NON_DYADIC, [45, 7, 14, 19, 3, 20]),
     ], ids=["unit", "non-dyadic"])
     def test_search_effort_is_pinned(self, monkeypatch, costs, expected):
         # A bound that gets weaker but stays admissible returns the same
         # distances and only expands more states. The number of assignments
-        # solved per pair (every bound and the approximate mapping) shows it.
+        # solved per pair, one per bound, shows it.
         calls = []
         solve = ged_module.linear_sum_assignment
         monkeypatch.setattr(

@@ -147,6 +147,22 @@ class TestParse:
         with pytest.raises(MermaidSyntaxError):
             parse_mermaid("flowchart TD\nA --> B --> C")
 
+    @pytest.mark.parametrize("arrow", ["<-.-", "<---"])
+    def test_half_bidirectional_link_is_malformed(self, arrow):
+        with pytest.raises(MermaidSyntaxError, match="malformed link") as excinfo:
+            parse_mermaid(f"flowchart TD\nA {arrow} B")
+        assert excinfo.value.line == 2
+
+    def test_link_without_target(self):
+        with pytest.raises(MermaidSyntaxError, match="expected a node reference") as excinfo:
+            parse_mermaid("flowchart TD\nA -->")
+        assert excinfo.value.line == 2
+
+    def test_comment_only_script_lacks_header(self):
+        with pytest.raises(MermaidSyntaxError, match="header") as excinfo:
+            parse_mermaid("%% nothing but a comment\n\n")
+        assert excinfo.value.line == 1
+
     def test_missing_header(self):
         with pytest.raises(MermaidSyntaxError) as excinfo:
             parse_mermaid("A --> B")

@@ -90,10 +90,8 @@ class TestGenerateGraph:
                     assert out >= 2
 
     def test_empty_vocabulary_rejected(self):
-        spec = GenSpec(vocabulary=("x",), seed=1)
-        object.__setattr__(spec, "vocabulary", ())
-        with pytest.raises(ConfigError):
-            generate_graph(spec, 0)
+        with pytest.raises(ConfigError, match="vocabulary must not be empty"):
+            GenSpec(vocabulary=())
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

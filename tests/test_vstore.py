@@ -340,6 +340,26 @@ def rewrite_header(path, **changes):
 
 
 class TestSnapshotHeader:
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "index.snap"
+        path.write_bytes(b"flowrag-vstore 1\n")
+        with pytest.raises(SnapshotError, match="unreadable snapshot header"):
+            VectorIndex.load(path)
+
+    def test_header_json_array(self, tmp_path):
+        path = tmp_path / "index.snap"
+        path.write_bytes(b'["flowrag-vstore", 1]\n')
+        with pytest.raises(SnapshotError, match="must be a JSON object"):
+            VectorIndex.load(path)
+
+    def test_cut_inside_chunk_lines(self, tmp_path):
+        path = tmp_path / "index.snap"
+        build_index(random.Random(36), 3, dim=4).save(path)
+        header, first = path.read_bytes().split(b"\n")[:2]
+        path.write_bytes(header + b"\n" + first + b"\n")
+        with pytest.raises(SnapshotError, match="missing chunk 1"):
+            VectorIndex.load(path)
+
     def test_negative_dimension(self, tmp_path):
         path = tmp_path / "index.snap"
         VectorIndex().save(path)
@@ -473,6 +493,16 @@ class TestQueryBatch:
         assert [(h.chunk_id, h.score) for h in hits] == [
             ("c0000", 0.0), ("c0001", 0.0), ("c0002", 0.0)
         ]
+
+    def test_k_below_one(self):
+        index = build_index(random.Random(45), 4, dim=4)
+        with pytest.raises(FlowragError, match="k must be positive"):
+            index.query_batch(np.ones((2, 4)), 0)
+
+    def test_one_dimensional_queries(self):
+        index = build_index(random.Random(46), 4, dim=4)
+        with pytest.raises(FlowragError, match="2-D array"):
+            index.query_batch(np.ones(4), 3)
 
     def test_dimension_mismatch(self):
         index = build_index(random.Random(43), 4, dim=4)
