@@ -20,9 +20,11 @@ vocabulary for the two graphs, and one node substitution cost matrix.
   The bound is lazy: a child is queued under its path cost g, never above
   its f, and bounded only when popped, so bounded states pop in the order
   they would if every child were bounded when made, and the first bounded
-  complete state to pop is minimal. Ties between minimum-cost solutions
-  break toward the assignment vector that maps each node (in input order)
-  to the lexicographically smallest truth id, with deletion ordered last.
+  complete state to pop is minimal. Truth nodes are numbered in id order,
+  so a state's decisions are its tie-break key and the truth's node order
+  changes no result. Ties between minimum-cost solutions break toward the
+  assignment vector that maps each node (in input order) to the
+  lexicographically smallest truth id, deletion last.
   That tie-break is exact only when the costs sum exactly in binary
   floating point, as unit costs and halves or quarters do; otherwise
   rounding can make one of two equal-cost solutions look cheaper, and the
@@ -443,7 +445,7 @@ def ged_exact(
     if max(n1, n2) > node_budget:
         raise GraphTooLargeError(max(n1, n2), node_budget)
     costs = costs or CostModel()
-    pair = _Pair(predicted, truth, costs)
+    pair = _Pair(predicted, replace(truth, nodes=sorted(truth.nodes, key=lambda n: n.id)), costs)
     pv, tv = pair.pred, pair.truth
 
     # free[k][c]: label counts of the class-c (directed, bidirectional) pred
@@ -521,12 +523,10 @@ def ged_exact(
             + _count_cost(free[k][1], bidirectional, costs)
         )
 
-    # Equal f values pop in order of these keys: the deterministic
-    # tie-break, with deletion ordered last.
-    decision_keys = [(0, tid) for tid in tv.ids] + [(1, "")]
-
-    # Heap entries: (f, keys, decisions, used mask, g, parent's anchor sums,
-    # bounded). No two states share keys, so entries never compare past
+    # Heap entries: (f, decisions, used mask, g, parent's anchor sums,
+    # bounded). Truth nodes are numbered in id order, deletion (n2) last, so
+    # equal f values pop in truth-id order of decisions, the deterministic
+    # tie-break; no two states share decisions, so entries never compare past
     # them. A child enters unbounded under its g, which is never above its
     # f; popped, it gets its bound and re-enters under f = g + h. Bounded
     # states therefore pop in the order they would if every child were
@@ -535,9 +535,9 @@ def ged_exact(
     # their own step when bounded and again when expanded, so one array
     # serves all of a parent's children.
     start_sums = np.zeros((n1 + 1, n2 + 1))
-    heap: list = [(lower_bound(0, 0, start_sums), (), (), 0, 0.0, start_sums, True)]
+    heap: list = [(lower_bound(0, 0, start_sums), (), 0, 0.0, start_sums, True)]
     while heap:
-        f, keys, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)
+        f, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)
         k = len(decisions)
         if bounded and k == n1:
             mapping = [None if j == n2 else j for j in decisions]
@@ -547,17 +547,16 @@ def ged_exact(
         sums = parent_sums + step[k - 1, decisions[-1]] if decisions else parent_sums
         if not bounded:
             f = g + lower_bound(k, used_mask, sums)
-            heapq.heappush(heap, (f, keys, decisions, used_mask, g, parent_sums, True))
+            heapq.heappush(heap, (f, decisions, used_mask, g, parent_sums, True))
             continue
         row = base[k] + sums[k]
         for j in range(n2 + 1):
             if used_mask & bits[j]:
                 continue
             new_g = g + float(row[j])
-            heapq.heappush(heap, (
-                new_g, keys + (decision_keys[j],), decisions + (j,),
-                used_mask | bits[j], new_g, sums, False,
-            ))
+            heapq.heappush(
+                heap, (new_g, decisions + (j,), used_mask | bits[j], new_g, sums, False)
+            )
     raise AssertionError("A* search exhausted without a terminal state")
 
 

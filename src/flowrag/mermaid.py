@@ -114,13 +114,11 @@ def _classify_arrow(match: re.Match, line_no: int) -> tuple[bool, LineStyle]:
 
 class _Builder:
     def __init__(self):
-        self.order: list[str] = []
         self.nodes: dict[str, FlowNode] = {}
         self.edges: list[FlowEdge] = []
 
     def declare(self, node_id: str, value: str | None, shape: NodeShape | None):
         if node_id not in self.nodes:
-            self.order.append(node_id)
             self.nodes[node_id] = FlowNode(
                 id=node_id,
                 value=node_id if value is None else value,
@@ -131,7 +129,7 @@ class _Builder:
             self.nodes[node_id] = FlowNode(id=node_id, value=value, shape=shape)
 
     def build(self, graph_id: str) -> FlowGraph:
-        nodes = tuple(self.nodes[i] for i in self.order)
+        nodes = tuple(self.nodes.values())  # first mention order; overrides keep their place
         return FlowGraph(nodes=nodes, edges=tuple(self.edges), graph_id=graph_id)
 
 

@@ -101,6 +101,12 @@ class TestGen:
         assert "error: vocabulary must not be empty" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_zero_count_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["gen", "--count", "0", "--out", str(out)]) == 1
+        assert "error: count must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParseRender:
     def test_round_trip_through_files(self, tmp_path):
@@ -129,6 +135,12 @@ class TestParseRender:
         doc = json.loads(capsys.readouterr().out)
         assert doc["nodes"][0]["id"] == "A"
 
+    def test_render_to_stdout(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text('{"nodes":[{"id":"A","value":"Start"}],"edges":[]}')
+        assert main(["render", "--graph", str(graph_path)]) == 0
+        assert capsys.readouterr().out.startswith("flowchart TD\n")
+
 
 class TestGed:
     def test_wiring_and_report(self, tmp_path, capsys):
@@ -149,6 +161,21 @@ class TestGed:
         text = report_path.read_text()
         for column in GED_REPORT_COLUMNS:
             assert column in text
+
+    def test_blank_prediction_lines_skipped(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
+        records = [
+            json.dumps({"graph_id": g.graph_id, "predicted": json.loads(serialize_json(g))})
+            for g in graphs
+        ]
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("\n" + "\n  \n".join(records) + "\n\n")
+        report_path = tmp_path / "out.csv"
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        assert "warning:" not in err
+        assert "average edit distance 0.00" in err
 
     def test_unparseable_and_missing_predictions(self, tmp_path, capsys):
         graphs, graphs_path, _ = write_corpus(tmp_path, count=3)
@@ -618,6 +645,16 @@ class TestMalformedFiles:
         assert f"error: {qa_path}:{line_no}: bad QA record: {message}" in self.one_error(
             capsys, code
         )
+
+    def test_ingest_of_empty_chunks_file(self, tmp_path, capsys):
+        chunks_path = tmp_path / "chunks.jsonl"
+        chunks_path.write_text("\n")
+        snapshot = tmp_path / "x.snap"
+        code = main(["ingest", "--chunks", str(chunks_path),
+                     "--provider-config", str(local_provider_file(tmp_path)),
+                     "--snapshot", str(snapshot)])
+        assert f"error: no chunks in {chunks_path}" in self.one_error(capsys, code)
+        assert not snapshot.exists()
 
     def test_bad_snapshot_chunk_record(self, tmp_path, capsys):
         chunks_path = tmp_path / "chunks.jsonl"

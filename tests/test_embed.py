@@ -183,6 +183,19 @@ class TestRemote:
         with pytest.raises(ProtocolError):
             client._parse(json.dumps({"embeddings": [row]}).encode())
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"not json", "malformed embedding response"),
+            (b'{"embeddings": {}}', "embeddings must be an array of rows"),
+            (b'{"embeddings": [[]]}', "embedding rows must be non-empty arrays"),
+        ],
+    )
+    def test_malformed_200_body_is_protocol_error(self, body, message):
+        client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
+        with pytest.raises(ProtocolError, match=message):
+            client._parse(body)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProviderConfig(kind=ProviderKind.REMOTE, endpoint="", model_name="m")
@@ -255,6 +268,9 @@ class TestDuplicateTexts:
 class TestErrorText:
     def test_error_field_of_an_object(self):
         assert embed_module._error_text(b'{"error": "overloaded"}') == "overloaded"
+
+    def test_non_json_body_is_raw_text(self):
+        assert embed_module._error_text(b"upstream exploded") == "upstream exploded"
 
     @pytest.mark.parametrize("payload", [[1], "busy", 3, None, {"detail": "x"}])
     def test_other_json_falls_back_to_raw_text(self, payload):

@@ -326,6 +326,11 @@ class TestEvalConfig:
         assert config.ks == (1, 3)
         assert config.strategies == (ChunkStrategy.PER_NODE,)
 
+    def test_unreadable_document_is_dataset_error(self, tmp_path):
+        data = {"scenario": "graph-with-text", "text_documents": ["missing.txt"]}
+        with pytest.raises(DatasetError, match="cannot read text document .*missing.txt"):
+            EvalConfig.from_dict(data, base_dir=tmp_path)
+
 
 class TestRenderReport:
     def build_report(self):

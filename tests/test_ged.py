@@ -268,6 +268,20 @@ class TestGedExact:
     @pytest.mark.parametrize(
         "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
     )
+    def test_truth_node_order_changes_nothing(self, costs):
+        # random_graph lists its nodes in id order, as the tie-break tests
+        # above use them. The search numbers truth nodes by id, so shuffling
+        # them moves no tie, not even one that rounding decides (these
+        # non-dyadic pairs include one).
+        rng = pair_rng(16)
+        for _ in range(60):
+            a, b = random_graph(rng, max_nodes=6), random_graph(rng, max_nodes=6)
+            shuffled = replace(b, nodes=rng.sample(b.nodes, len(b.nodes)))
+            assert ged_exact(a, shuffled, costs) == ged_exact(a, b, costs)
+
+    @pytest.mark.parametrize(
+        "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
+    )
     def test_anchor_costs_match_counter_reference(self, costs):
         rng = pair_rng(10)
         for _ in range(60):

@@ -137,6 +137,29 @@ class TestParseJson:
             parse_json(b'{"nodes":[{"id":"A"}],"edges":[]}')
         assert excinfo.value.path == "$.nodes[0].value"
 
+    @pytest.mark.parametrize(
+        "doc, message, path",
+        [
+            (b'{"nodes":[1],"edges":[]}', "expected object", "$.nodes[0]"),
+            (
+                b'{"nodes":[{"value":"x"}],"edges":[]}',
+                "missing required key 'id'",
+                "$.nodes[0].id",
+            ),
+            (
+                b'{"nodes":[{"id":"A","value":"x"}],'
+                b'"edges":[{"from":"A","to":"A","line_style":"Wavy"}]}',
+                "unknown line_style 'Wavy'",
+                "$.edges[0].line_style",
+            ),
+        ],
+    )
+    def test_schema_error_message_and_path(self, doc, message, path):
+        with pytest.raises(GraphSchemaError) as excinfo:
+            parse_json(doc)
+        assert str(excinfo.value) == f"{message} at {path}"
+        assert excinfo.value.path == path
+
     def test_unknown_shape_rejected(self):
         with pytest.raises(GraphSchemaError):
             parse_json(b'{"nodes":[{"id":"A","value":"x","shape":"Blob"}],"edges":[]}')

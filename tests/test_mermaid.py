@@ -158,6 +158,11 @@ class TestParse:
             parse_mermaid("flowchart TD\nA -->")
         assert excinfo.value.line == 2
 
+    def test_blank_script_is_empty(self):
+        with pytest.raises(MermaidSyntaxError, match="empty script") as excinfo:
+            parse_mermaid("  \n")
+        assert excinfo.value.line == 1
+
     def test_comment_only_script_lacks_header(self):
         with pytest.raises(MermaidSyntaxError, match="header") as excinfo:
             parse_mermaid("%% nothing but a comment\n\n")

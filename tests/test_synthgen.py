@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from flowrag.graph_model import NodeShape, serialize_json
+from flowrag.errors import FlowragError
+from flowrag.graph_model import FlowGraph, FlowNode, LineStyle, NodeShape, serialize_json
 from flowrag.synthgen import (
     ConfigError,
     GenSpec,
@@ -100,6 +101,10 @@ class TestGenerateGraph:
             GenSpec(decision_fraction=1.5)
         with pytest.raises(ConfigError):
             GenSpec(style_mix={style: 0.0 for style in GenSpec().style_mix})
+        with pytest.raises(ConfigError, match="style_mix weights must be non-negative"):
+            GenSpec(style_mix={LineStyle.SOLID: 1.0, LineStyle.DOTTED: -0.5})
+        with pytest.raises(ConfigError, match="unknown LineStyle in style_mix"):
+            GenSpec.from_dict({"style_mix": {"Wavy": 1}})
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -117,6 +122,12 @@ class TestGenerateGraph:
     def test_constructor_checks_field_types(self, field, value, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             GenSpec(**{field: value})
+
+    def test_decision_only_shape_mix_falls_back_to_process(self):
+        spec = GenSpec(node_count_range=(6, 6), decision_fraction=0.0,
+                       shape_mix={NodeShape.DECISION: 1.0}, seed=15)
+        graph = generate_graph(spec, 0)
+        assert [n.shape for n in graph.nodes[1:]] == [NodeShape.PROCESS] * 5
 
     def test_spec_dict_round_trip(self):
         spec = GenSpec(seed=9, node_count_range=(2, 4), vocabulary=("a", "b"))
@@ -149,6 +160,10 @@ class TestSplit:
         for text in ("nan/0/0", "0/0/nan"):
             with pytest.raises(ConfigError):
                 SplitConfig.parse(text)
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            SplitConfig(1.2, -0.2, 0)
+        with pytest.raises(ConfigError, match="invalid split 'a/b/c'"):
+            SplitConfig.parse("a/b/c")
 
 
 class TestGenerateCorpus:
@@ -183,8 +198,23 @@ class TestGenerateCorpus:
         for name in ("graphs.train.jsonl", "graphs.val.jsonl", "graphs.test.jsonl", "manifest.json"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_zero_count_rejected(self, tmp_path):
+        out = tmp_path / "corpus"
+        with pytest.raises(ConfigError, match="count must be >= 1, got 0"):
+            generate_corpus(GenSpec(), 0, SplitConfig(), out)
+        assert not out.exists()
+
 
 class TestGenerateQa:
+    def test_per_graph_below_one_rejected(self):
+        graph = generate_graph(GenSpec(seed=16), 0)
+        with pytest.raises(ConfigError, match="per_graph must be >= 1, got 0"):
+            generate_qa(graph, 0, seed=16)
+
+    def test_lone_connector_yields_nothing(self):
+        graph = FlowGraph(nodes=(FlowNode("C", "", NodeShape.CONNECTOR),), graph_id="g")
+        assert generate_qa(graph, 5, seed=17) == []
+
     def test_no_decisions_means_no_decision_items(self):
         spec = GenSpec(decision_fraction=0.0, seed=8)
         graph = generate_graph(spec, 0)
@@ -239,6 +269,12 @@ class TestGenerateQa:
         path = tmp_path / "qa.jsonl"
         assert write_qa_jsonl(items, path) == len(items)
         assert read_qa_jsonl(path) == items
+
+    def test_record_without_question_rejected(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps({"graph_id": "g", "gold_node_ids": [], "category": "N"}))
+        with pytest.raises(FlowragError, match="qa.jsonl:1: bad QA record: missing 'question'"):
+            read_qa_jsonl(path)
 
     def test_per_graph_density(self):
         spec = GenSpec(seed=14)
