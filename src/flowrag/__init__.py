@@ -21,13 +21,11 @@ from .graph_model import (
     FlowEdge,
     FlowGraph,
     FlowNode,
-    GraphStats,
     LineStyle,
     NodeShape,
     canonicalize,
     parse_json,
     serialize_json,
-    stats,
 )
 from .mermaid import parse_mermaid, render_mermaid
 from .synthgen import (
@@ -55,7 +53,6 @@ __all__ = [
     "GedReport",
     "GedResult",
     "GenSpec",
-    "GraphStats",
     "IndexEntry",
     "LineStyle",
     "NodeShape",
@@ -87,5 +84,4 @@ __all__ = [
     "render_report",
     "run_eval",
     "serialize_json",
-    "stats",
 ]

@@ -32,7 +32,7 @@ from .ged import (
     render_ged_report_markdown,
 )
 from .graph_model import graph_from_doc, parse_json, read_graphs_jsonl, serialize_json
-from .jsonio import read_json
+from .jsonio import create, read_json
 from .mermaid import DIRECTIONS, parse_mermaid, render_mermaid
 from .synthgen import (
     GenSpec,
@@ -91,7 +91,8 @@ def _cmd_parse(args) -> int:
     graph = parse_mermaid(script)
     payload = serialize_json(graph) + b"\n"
     if args.out:
-        Path(args.out).write_bytes(payload)
+        with create(args.out) as fh:
+            fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
     return 0
@@ -104,7 +105,8 @@ def _cmd_render(args) -> int:
         raise FlowragError(f"{args.graph}: {exc}") from exc
     script = render_mermaid(graph, args.direction)
     if args.out:
-        Path(args.out).write_text(script, encoding="utf-8")
+        with create(args.out) as fh:
+            fh.write(script.encode("utf-8"))
     else:
         sys.stdout.write(script)
     return 0
@@ -185,11 +187,12 @@ def _cmd_ged(args) -> int:
         "they are ignored",
     )
     report = evaluate_predictions(pairs, costs=costs, node_budget=args.budget)
-    out_path = Path(args.report)
-    if out_path.suffix == ".csv":
-        out_path.write_text(render_ged_report_csv(report), encoding="utf-8")
+    if Path(args.report).suffix == ".csv":
+        payload = render_ged_report_csv(report)
     else:
-        out_path.write_text(render_ged_report_markdown(report), encoding="utf-8")
+        payload = render_ged_report_markdown(report)
+    with create(args.report) as fh:
+        fh.write(payload.encode("utf-8"))
     approx = sum(not score.result.exact for score in report.pair_scores)
     print(
         f"scored {len(pairs)} pairs ({approx} above the node budget of "
@@ -231,6 +234,13 @@ def _cmd_query(args) -> int:
     return 0
 
 
+_REPORT_FILES = (
+    (ReportFormat.MARKDOWN, "report.md"),
+    (ReportFormat.CSV, "report.csv"),
+    (ReportFormat.JSON, "report.json"),
+)
+
+
 def _cmd_eval(args) -> int:
     graphs = read_graphs_jsonl(args.graphs)
     qa = read_qa_jsonl(args.qa)
@@ -240,27 +250,25 @@ def _cmd_eval(args) -> int:
     config = EvalConfig.from_dict(data, base_dir=Path(args.config).parent)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    partial_path = out_dir / "report.partial.json"
     try:
         report = run_eval(graphs, qa, config)
     except EvalAborted as exc:
         print(f"evaluation aborted: {exc}", file=sys.stderr)
         if exc.partial is not None:
-            partial_path = out_dir / "report.partial.json"
-            partial_path.write_text(
-                render_report(exc.partial, ReportFormat.JSON), encoding="utf-8"
-            )
+            payload = render_report(exc.partial, ReportFormat.JSON)
+            with create(partial_path) as fh:
+                fh.write(payload.encode("utf-8"))
             print(f"partial progress saved to {partial_path}", file=sys.stderr)
         return 1
-    (out_dir / "report.md").write_text(
-        render_report(report, ReportFormat.MARKDOWN), encoding="utf-8"
-    )
-    (out_dir / "report.csv").write_text(
-        render_report(report, ReportFormat.CSV), encoding="utf-8"
-    )
-    (out_dir / "report.json").write_text(
-        render_report(report, ReportFormat.JSON), encoding="utf-8"
-    )
+    for fmt, name in _REPORT_FILES:
+        payload = render_report(report, fmt)
+        with create(out_dir / name) as fh:
+            fh.write(payload.encode("utf-8"))
     write_trace_jsonl(report, out_dir / "trace.jsonl")
+    # A partial report left by an earlier aborted run no longer describes
+    # this out-dir.
+    partial_path.unlink(missing_ok=True)
     print(f"evaluation written to {out_dir}", file=sys.stderr)
     return 0
 

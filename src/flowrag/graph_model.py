@@ -110,12 +110,6 @@ class FlowGraph:
         return {n.id for n in self.nodes}
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    node_count: int
-    edge_count: int
-
-
 def _violations(graph: FlowGraph) -> list[str]:
     """One description per violated invariant, in node then edge order."""
     violations: list[str] = []
@@ -288,11 +282,6 @@ def canonicalize(graph: FlowGraph) -> FlowGraph:
     )
     edges = tuple(sorted(graph.edges, key=_edge_sort_key))
     return FlowGraph(nodes=nodes, edges=edges, graph_id=graph.graph_id)
-
-
-def stats(graph: FlowGraph) -> GraphStats:
-    """Node and edge counts; a bidirectional edge counts once."""
-    return GraphStats(node_count=len(graph.nodes), edge_count=len(graph.edges))
 
 
 def write_graphs_jsonl(graphs: Iterable[FlowGraph], path: str | Path) -> int:

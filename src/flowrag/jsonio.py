@@ -1,9 +1,13 @@
-"""The one JSON boundary: JSON-Lines record files and JSON config files.
+"""The one JSON boundary, and the one place that opens a file for writing.
 
 A record file holds one compact UTF-8 JSON value per line, with non-ASCII
 text written raw. Reading one skips blank lines, and a record that does not
 decode is an error naming ``path:line``. A config file holds one JSON object
 whose keys are fields of a config dataclass; any other key is an error.
+
+Every file the package writes (records, snapshots, reports, the corpus
+manifest, ``parse``/``render``/``ged`` outputs) is opened by ``create``,
+which makes a new file rather than truncating the old one.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import dataclasses
 import json
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import BinaryIO, Callable, Iterable, TypeVar
 
 from .errors import ConfigError, FlowragError
 
@@ -34,10 +38,27 @@ def encode(obj) -> bytes:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
+def create(path: str | Path) -> BinaryIO:
+    """A new, empty file at ``path``, open for binary writing.
+
+    Whatever the path names is unlinked first, not truncated: on ext4 with
+    default options (``auto_da_alloc``), truncating a file that still has
+    unwritten pages, or renaming a new file over it, makes the write wait
+    for the disk, while the pages of an unlinked file are simply dropped.
+    So a symlink or hard link at ``path`` is replaced, not written through;
+    the new file gets default permissions; and a reader that opened the old
+    file keeps reading the old bytes. A directory at ``path`` raises
+    ``IsADirectoryError`` and stays.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return open(path, "wb")
+
+
 def write_jsonl(path: str | Path, objs: Iterable) -> int:
     """Write each object as one encoded line. Returns the count."""
     count = 0
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         for obj in objs:
             fh.write(encode(obj))
             fh.write(b"\n")

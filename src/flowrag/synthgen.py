@@ -24,7 +24,16 @@ from .graph_model import (
     NodeShape,
     write_graphs_jsonl,
 )
-from .jsonio import NUMBER, config_kwargs, expect, expect_list, read_json, read_jsonl, write_jsonl
+from .jsonio import (
+    NUMBER,
+    config_kwargs,
+    create,
+    expect,
+    expect_list,
+    read_json,
+    read_jsonl,
+    write_jsonl,
+)
 
 
 DEFAULT_VOCABULARY = (
@@ -365,9 +374,9 @@ def generate_corpus(
         test=n_test,
         files=files,
     )
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+    with create(out_dir / "manifest.json") as fh:
+        fh.write(payload.encode("utf-8"))
     return manifest
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .chunker import Chunk
 from .embed import EmbeddingVector
 from .errors import FlowragError
-from .jsonio import encode
+from .jsonio import create, encode
 
 _SNAPSHOT_FORMAT = "flowrag-vstore"
 _SNAPSHOT_VERSION = 1
@@ -291,7 +291,7 @@ class VectorIndex:
         return hits
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
+        with create(path) as fh:
             # Keys in sorted order: the header bytes are part of the format.
             header = {
                 "count": len(self._chunks),

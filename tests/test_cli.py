@@ -26,6 +26,41 @@ def write_corpus(tmp_path, count=4):
     return graphs, graphs_path, qa_path
 
 
+def abort_eval(tmp_path, monkeypatch):
+    """An eval whose remote embedder fails from its third request on, so it
+    aborts and leaves a partial report; returns its out-dir."""
+    monkeypatch.setattr(embed_module, "_BACKOFF_BASE_S", 0.001)
+    _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+    out_dir = tmp_path / "out"
+    with StubEmbedServer(dimension=8, status_plan=[200, 200, 500, 500, 500]) as server:
+        config_path = tmp_path / "eval.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "provider": {
+                        "kind": "remote",
+                        "endpoint": server.endpoint,
+                        "model_name": "m",
+                        "batch_size": 1000,
+                    },
+                    "strategies": ["per-node", "full-json"],
+                    "ks": [1],
+                }
+            )
+        )
+        code = main(
+            [
+                "eval",
+                "--graphs", str(graphs_path),
+                "--qa", str(qa_path),
+                "--config", str(config_path),
+                "--out-dir", str(out_dir),
+            ]
+        )
+    assert code == 1
+    return out_dir
+
+
 def local_provider_file(tmp_path, dimension=64):
     path = tmp_path / "provider.json"
     path.write_text(json.dumps({"kind": "local-hashed", "dimension": dimension}))
@@ -405,41 +440,50 @@ class TestPipeline:
         assert code == 1
         assert "aborted" in capsys.readouterr().err
 
-    def test_eval_partial_progress_written(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(embed_module, "_BACKOFF_BASE_S", 0.001)
-        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+    def test_eval_rerun_is_byte_identical(self, tmp_path):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=5)
+        config_path = tmp_path / "eval.json"
+        config_path.write_text(json.dumps({"provider": {"kind": "local-hashed"}}))
         out_dir = tmp_path / "out"
-        with StubEmbedServer(dimension=8, status_plan=[200, 200, 500, 500, 500]) as server:
-            config_path = tmp_path / "eval.json"
-            config_path.write_text(
-                json.dumps(
-                    {
-                        "provider": {
-                            "kind": "remote",
-                            "endpoint": server.endpoint,
-                            "model_name": "m",
-                            "batch_size": 1000,
-                        },
-                        "strategies": ["per-node", "full-json"],
-                        "ks": [1],
-                    }
-                )
-            )
-            code = main(
-                [
-                    "eval",
-                    "--graphs", str(graphs_path),
-                    "--qa", str(qa_path),
-                    "--config", str(config_path),
-                    "--out-dir", str(out_dir),
-                ]
-            )
-        assert code == 1
+        argv = [
+            "eval",
+            "--graphs", str(graphs_path),
+            "--qa", str(qa_path),
+            "--config", str(config_path),
+            "--out-dir", str(out_dir),
+        ]
+        names = ("report.md", "report.csv", "report.json", "trace.jsonl")
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append({name: (out_dir / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+
+    def test_eval_partial_progress_written(self, tmp_path, monkeypatch):
+        out_dir = abort_eval(tmp_path, monkeypatch)
         partial = json.loads((out_dir / "report.partial.json").read_text())
         per_node = [
             c for c in partial["cells"] if c["strategy"] == "per-node" and c["category"] == "All"
         ]
         assert per_node[0]["denominator"] == 2
+
+    def test_eval_success_removes_stale_partial(self, tmp_path, monkeypatch):
+        out_dir = abort_eval(tmp_path, monkeypatch)
+        assert (out_dir / "report.partial.json").exists()
+        config_path = tmp_path / "eval.json"
+        config_path.write_text(json.dumps({"provider": {"kind": "local-hashed"}}))
+        assert main(
+            [
+                "eval",
+                "--graphs", str(tmp_path / "graphs.jsonl"),
+                "--qa", str(tmp_path / "qa.jsonl"),
+                "--config", str(config_path),
+                "--out-dir", str(out_dir),
+            ]
+        ) == 0
+        assert not (out_dir / "report.partial.json").exists()
+        assert (out_dir / "report.json").exists()
 
     def test_report_rerender(self, tmp_path, capsys):
         _, graphs_path, qa_path = write_corpus(tmp_path, count=3)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -14,7 +15,7 @@ from flowrag.graph_model import (
     read_graphs_jsonl,
     write_graphs_jsonl,
 )
-from flowrag.jsonio import read_jsonl
+from flowrag.jsonio import create, read_jsonl, write_jsonl
 from flowrag.synthgen import GenSpec, QaCategory, QaItem, read_qa_jsonl, write_qa_jsonl
 
 TEXT = "Prüfe Zelle → 信号"
@@ -86,6 +87,48 @@ def test_record_files_share_one_encoding(tmp_path, kind):
     assert read(path) == list(records)
     path.write_bytes(lines[0] + b"\n \n\n" + b"\n".join(lines[1:]))
     assert read(path) == list(records)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_rewrite_creates_a_new_file(tmp_path, kind):
+    write, _, records = WRITERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    write(records, path)
+    with open(path, "rb") as old:
+        before = old.read()
+        write(records, path)
+        assert path.read_bytes() == before
+        assert os.stat(path).st_ino != os.fstat(old.fileno()).st_ino
+        write(records[:1], path)
+        assert path.read_bytes() != before
+        old.seek(0)
+        assert old.read() == before
+
+
+def test_create_refuses_a_directory(tmp_path):
+    directory = tmp_path / "out"
+    directory.mkdir()
+    (directory / "kept").write_bytes(b"x")
+    with pytest.raises(IsADirectoryError):
+        create(directory)
+    assert (directory / "kept").read_bytes() == b"x"
+
+
+def test_create_needs_the_parent_directory(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        create(tmp_path / "missing" / "out.jsonl")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+def test_create_replaces_a_link_not_its_target(tmp_path, link):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"old\n")
+    path = tmp_path / "out.jsonl"
+    link(target, path)
+    assert write_jsonl(path, [1]) == 1
+    assert not path.is_symlink() and path.read_bytes() == b"1\n"
+    assert target.read_bytes() == b"old\n"
 
 
 @pytest.mark.parametrize(
