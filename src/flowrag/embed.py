@@ -51,6 +51,10 @@ from .errors import FlowragError
 from .jsonio import config_kwargs
 
 
+# The JSON number types; json.loads gives bool for true and false.
+_JSON_NUMBERS = frozenset((int, float))
+
+
 class EmbedInputError(FlowragError):
     pass
 
@@ -311,11 +315,15 @@ class _RemoteClient:
         for i, row in enumerate(embeddings):
             if not isinstance(row, list) or not row:
                 raise ProtocolError("embedding rows must be non-empty arrays")
+            # A float32 array would take "0.5" and true as numbers.
+            if not _JSON_NUMBERS.issuperset(map(type, row)):
+                bad = next(item for item in row if type(item) not in _JSON_NUMBERS)
+                raise ProtocolError(f"embedding row {i} is not numeric: found {json.dumps(bad)}")
             try:
                 with np.errstate(over="ignore"):  # overflow to inf is rejected below
                     vector = EmbeddingVector(row)
-            except (TypeError, ValueError, EmbedInputError) as exc:
-                raise ProtocolError(f"embedding row {i} is not numeric: {exc}") from exc
+            except OverflowError as exc:  # an integer beyond any float
+                raise ProtocolError(f"embedding row {i} holds a non-finite value") from exc
             if not np.isfinite(vector.as_array()).all():
                 raise ProtocolError(f"embedding row {i} holds a non-finite value")
             vectors.append(vector)

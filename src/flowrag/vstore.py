@@ -1,21 +1,26 @@
 """In-memory vector index with exact cosine top-k retrieval.
 
-The index stores each distinct vector once: one row matrix (float64, holding
-float32-exact values) with a vector of row norms, and a chunk -> row index
-array. Rows are told apart by their exact float32 bytes, so ``-0.0`` and
-``0.0`` stay separate rows; duplicates are found through a hash of each
-row's bytes, compared against the row itself on a hit. Every write merges
-the new chunks into the stored ones (a known chunk id keeps its place, a new
-one is appended) and rebuilds the rows, norms and ranking layout from the
-merged list, so every row has a chunk.
+The index stores each distinct vector once: one C-contiguous float32 row
+matrix, 4 * dimension bytes per distinct row, with float64 row norms and a
+chunk -> row index array. Rows are told apart by their exact float32 bytes,
+so ``-0.0`` and ``0.0`` stay separate rows; duplicates are found through a
+hash of each row's bytes, compared against the row itself on a hit. Every
+write merges the new chunks into the stored ones (a known chunk id keeps its
+place, a new one is appended) and rebuilds the rows, norms and ranking
+layout from the merged list, so every row has a chunk.
 
 ``query_batch`` scores each distinct query once, up to ``_QUERY_BLOCK`` of
-them with one matrix product over the distinct rows. For each query it walks
-the rows by approximate cosine until their chunks cover k, or every chunk
-when there are fewer, and every row whose approximate cosine comes within
-``_CANDIDATE_SLACK`` of that k-th chunk's is a candidate. A zero query
-scores every row 0, so the same rule makes every row a candidate and chunk
-ids decide. Each candidate row is rescored with the row-at-a-time formula
+them with one float32 matrix product over the rows: each query is scaled to
+norm ``2**-shift`` (so that no finite row can overflow a partial sum) and
+each product is divided by its row's float64 norm. The result lies within
+``err[r] = gamma(d + 4) + d * 2**(shift - 149) / norm[r]`` of the exact score
+(see ``_error_bounds``), so ``approx - err`` and ``approx + err`` bound it.
+The k-th chunk's score is at least the k-th largest lower bound, counting
+each row once per chunk; every row whose upper bound reaches that floor is
+a candidate, and no other row can rank. The slack is thus doubled: both the
+k-th score and each candidate's are approximate. A zero query scores every
+row 0, so every row is a candidate and chunk ids decide. Each candidate row
+is rescored with the row-at-a-time float64 formula
 ``np.dot(row, q) / (norm * qnorm)``, and the first k chunks of each, in
 chunk-id order, are merged by (-score, chunk id).
 Reported scores are therefore bit-identical to a linear scan's over the
@@ -45,10 +50,6 @@ _SNAPSHOT_FORMAT = "flowrag-vstore"
 _SNAPSHOT_VERSION = 1
 # Queries scored per matrix product; bounds the (block, rows) score matrix.
 _QUERY_BLOCK = 64
-# A matrix product differs from a row-at-a-time dot product only in the last
-# bits; rows whose approximate cosine lies this close to the k-th are
-# rescored exactly.
-_CANDIDATE_SLACK = 1e-9
 # Chunk rows expanded per snapshot write; bounds the temporary copy.
 _SAVE_BLOCK = 1024
 
@@ -112,6 +113,38 @@ def _distinct(rows) -> tuple[list[int], np.ndarray]:
     return firsts, row_of
 
 
+def _query_shift(dimension: int) -> int:
+    """The least s with 2**s >= 2 * sqrt(dimension). A query scaled to norm
+    2**-s keeps every partial sum of its product with a finite float32 row
+    below (1 + gamma) * ||row|| * 2**-s <= (1 + gamma) * FLT_MAX / 2, since
+    ||row|| <= sqrt(dimension) * FLT_MAX, so the product cannot overflow."""
+    return ((dimension - 1).bit_length() + 1) // 2 + 1
+
+
+def _error_bounds(dimension: int, inv_norms: np.ndarray) -> np.ndarray:
+    """Per row r, a bound on |approx - score| for every query, where approx
+    is the float32 product of row r with the query scaled to norm 2**-shift,
+    times 2**shift / norm[r], and score is the float64 rescoring.
+
+    The dot-product error bound |fl(r . q) - r . q| <= gamma(n) |r| . |q|
+    <= gamma(n) ||r|| ||q|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1; any summation order, with or without FMA), with
+    gamma(n) = n u / (1 - n u) and u = 2**-24, counts n = d + 4 roundings:
+    d in the product, 1 rounding the query to float32, 1 each for the
+    float64 steps on the query's side (norm, division, scaling) and the
+    row's side (inverse norm, unscaling, the rescoring's own error), each
+    far below 2**-24 for any dimension below 2**28, and 1 that covers the
+    query components that underflow (at most sqrt(d) * 2**(shift - 150) in
+    all). Products that underflow each lose at most 2**-150, which the
+    division by the row norm scales up: d * 2**(shift - 149) / norm[r]
+    covers them twice over, and so covers the float64 rounding of the
+    bounds themselves. Sums of subnormals are exact. A zero row scores 0
+    both ways."""
+    n = dimension + 4
+    gamma = n * 2.0**-24 / (1.0 - n * 2.0**-24)
+    return gamma + dimension * 2.0 ** (_query_shift(dimension) - 149) * inv_norms
+
+
 def _header_int(header: dict, key: str) -> int:
     if key not in header:
         raise SnapshotError(f"snapshot header lacks {key!r}")
@@ -135,9 +168,10 @@ class VectorIndex:
 
     def __init__(self):
         self._chunks: list[Chunk] = []
-        self._rows = np.zeros((0, 0))  # distinct rows
+        self._rows = np.zeros((0, 0), dtype=np.float32)  # distinct rows
         self._norms = np.zeros(0)
-        self._inv_norms = np.zeros(0)
+        self._scale = np.zeros(0)  # 2**shift / norm: unscales a row's product
+        self._err = np.zeros(0)  # bound on a row's approximation error
         self._row_of = np.zeros(0, dtype=np.intp)  # chunk position -> row
         self._layout: _Layout | None = None
 
@@ -185,15 +219,17 @@ class VectorIndex:
         if self._chunks:
             # Merging into an empty index changes nothing; skipping it spares
             # a bulk write one view per row (about 1 MB at 6 000 chunks).
-            stored = self._rows.astype(np.float32)
-            merged = {c.chunk_id: (c, stored[r]) for c, r in zip(self._chunks, self._row_of)}
+            merged = {
+                c.chunk_id: (c, self._rows[r]) for c, r in zip(self._chunks, self._row_of)
+            }
             merged.update((c.chunk_id, (c, v)) for c, v in zip(chunks, vectors))
             chunks = [chunk for chunk, _ in merged.values()]
             vectors = [vector for _, vector in merged.values()]
         firsts, row_of = _distinct(vectors)
-        rows = np.empty((len(firsts), len(vectors[0])))
-        for row, i in zip(rows, firsts):
-            row[:] = vectors[i]
+        if isinstance(vectors, np.ndarray) and len(firsts) == len(vectors):
+            rows = vectors  # every row distinct: the rows are the input
+        else:
+            rows = np.stack([vectors[i] for i in firsts])
         bad = _first_non_finite(rows)
         if bad is not None:
             raise error(
@@ -201,7 +237,7 @@ class VectorIndex:
             )
         # The norm of a 1-D row is sqrt(dot(row, row)); an axis=1 norm would
         # sum in another order and break bit-identity with a linear scan.
-        norms = np.array([np.linalg.norm(row) for row in rows], dtype=np.float64)
+        norms = np.array([np.linalg.norm(row.astype(np.float64)) for row in rows])
         by_id = np.array(
             sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
         )
@@ -211,7 +247,9 @@ class VectorIndex:
         counts = np.bincount(row_of, minlength=len(rows))
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self._chunks, self._rows, self._norms, self._row_of = chunks, rows, norms, row_of
-        self._inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        self._scale = 2.0 ** _query_shift(rows.shape[1]) * inv_norms
+        self._err = _error_bounds(rows.shape[1], inv_norms)
         self._layout = _Layout(id_rank, members, starts, counts)
 
     def query(self, vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
@@ -239,35 +277,61 @@ class VectorIndex:
             raise FlowragError(f"query {bad} has a non-finite vector value")
         firsts, query_of = _distinct(queries)
         distinct = queries if len(firsts) == len(queries) else queries[firsts]
+        k = min(k, len(self._chunks))
         ranked: list[list[RetrievalHit]] = []
         for start in range(0, len(distinct), _QUERY_BLOCK):
             block = distinct[start : start + _QUERY_BLOCK].astype(np.float64)
-            approx = (block @ self._rows.T) * self._inv_norms
-            for query, scores in zip(block, approx):
-                ranked.append(self._top_k(query, scores, k))
+            for query, rows in zip(block, self._candidates(block, k)):
+                ranked.append(self._top_k(query, rows, k))
         return [list(ranked[i]) for i in query_of]
 
-    def _top_k(self, query: np.ndarray, approx: np.ndarray, k: int) -> list[RetrievalHit]:
-        """Exact top-k of one query, given ``approx[r]``, an approximation of
-        row r . query / row norm."""
+    def _candidates(self, block: np.ndarray, k: int) -> list[np.ndarray]:
+        """For each float64 query of ``block``, the rows whose exact score can
+        reach its k-th best chunk's, for k at most the chunk count."""
+        lengths = np.sqrt(np.einsum("ij,ij->i", block, block))
+        factor = np.divide(
+            2.0 ** -_query_shift(block.shape[1]),
+            lengths,
+            out=np.zeros_like(lengths),
+            where=lengths > 0,
+        )
+        units = (block * factor[:, np.newaxis]).astype(np.float32)
+        approx = (units @ self._rows.T).astype(np.float64)
+        approx *= self._scale
+        lower = approx - self._err
+        upper = np.add(approx, self._err, out=approx)
+        # The least of k rows' lower bounds is at most the k-th best row's,
+        # and every row has a chunk, so at most the k-th best chunk's and
+        # its score: the least of the maxima of k row groups is a floor.
+        n_rows = len(self._rows)
+        if n_rows > k:
+            groups = np.arange(k) * n_rows // k
+            floor = np.maximum.reduceat(lower, groups, axis=1).min(axis=1)
+            hits = np.flatnonzero(upper >= floor[:, np.newaxis])
+        else:
+            hits = np.arange(upper.size)
+        owner, row_ids = np.divmod(hits, n_rows)
+        bounds = np.searchsorted(owner, np.arange(len(block) + 1))
+        counts = self._layout.counts
+        candidates = []
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # Walk the rows by lower bound until their chunks cover k: that
+            # row's lower bound, the k-th best chunk's, is the tightest floor.
+            rows = row_ids[lo:hi]
+            walk = rows[np.argsort(-lower[i, rows])]
+            kth = lower[i, walk[np.searchsorted(np.cumsum(counts[walk]), k)]]
+            candidates.append(rows[upper[i, rows] >= kth])
+        return candidates
+
+    def _top_k(self, query: np.ndarray, rows: np.ndarray, k: int) -> list[RetrievalHit]:
+        """Exact top-k of one float64 query among the chunks of ``rows``."""
         layout = self._layout
         query_norm = float(np.linalg.norm(query))
-        # Every row has a chunk, so the k best rows hold the k-th best chunk:
-        # walk them in approximate order to reach it. A zero query scores
-        # every row 0, so every row is a candidate and chunk ids decide.
-        k = min(k, len(self._chunks))
-        slack = _CANDIDATE_SLACK * query_norm
-        rows = np.arange(len(approx))
-        if len(approx) > k:
-            floor = np.partition(approx, len(approx) - k)[len(approx) - k]
-            rows = np.flatnonzero(approx >= floor - slack)
-        walk = rows[np.argsort(-approx[rows])]
-        kth = approx[walk[np.searchsorted(np.cumsum(layout.counts[walk]), k)]]
-        rows = rows[approx[rows] >= kth - slack]
         row_scores = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            denom = self._norms[row] * query_norm
-            row_scores[i] = 0.0 if denom == 0.0 else np.dot(self._rows[row], query) / denom
+        candidates = zip(self._rows[rows].astype(np.float64), self._norms[rows])
+        for i, (row, norm) in enumerate(candidates):
+            denom = norm * query_norm
+            row_scores[i] = 0.0 if denom == 0.0 else np.dot(row, query) / denom
         # Only the first k chunks of a row, in chunk-id order, can rank.
         take = np.minimum(layout.counts[rows], k)
         chosen = np.concatenate([
@@ -306,7 +370,7 @@ class VectorIndex:
             # One row per chunk, expanded a block at a time.
             for start in range(0, len(self._chunks), _SAVE_BLOCK):
                 rows = self._rows[self._row_of[start : start + _SAVE_BLOCK]]
-                fh.write(rows.astype("<f4"))
+                fh.write(rows.astype("<f4", copy=False))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -358,7 +422,7 @@ class VectorIndex:
             if fh.read(1):
                 raise SnapshotError("trailing bytes after snapshot payload")
         # An empty snapshot stores no row, but its dimension is saved back.
-        index._rows = np.zeros((0, dimension))
+        index._rows = np.zeros((0, dimension), dtype=np.float32)
         if count:
             index._put(
                 chunks, np.frombuffer(blob, dtype="<f4").reshape(count, dimension), SnapshotError

@@ -177,11 +177,19 @@ class TestRemote:
             client._parse(json.dumps({"embeddings": [[0.5, 0.5], [0.1, bad]]}).encode())
         assert "row 1" in str(excinfo.value)
 
-    @pytest.mark.parametrize("row", [["a", 1.0], [[1.0], [2.0]], [{"x": 1}]])
+    @pytest.mark.parametrize(
+        "row",
+        [["a", 1.0], [[1.0], [2.0]], [{"x": 1}], ["0.5", "0.25"], [True, False], [0.5, True]],
+    )
     def test_non_numeric_row_is_protocol_error(self, row):
         client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
         with pytest.raises(ProtocolError):
             client._parse(json.dumps({"embeddings": [row]}).encode())
+
+    def test_integer_beyond_float_range_is_protocol_error(self):
+        client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
+        with pytest.raises(ProtocolError, match="row 1 holds a non-finite value"):
+            client._parse(b'{"embeddings": [[0.5], [1' + b"0" * 400 + b"]]}")
 
     @pytest.mark.parametrize(
         "body, message",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -630,3 +631,93 @@ class TestDistinctRows:
         loaded = VectorIndex.load(path)
         assert len(index._rows) == len(loaded._rows) == 4
         assert snapshot_bytes(loaded) == path.read_bytes()
+
+
+def array_entries(rows: np.ndarray) -> list:
+    return [(make_chunk(i), EmbeddingVector(values=tuple(row))) for i, row in enumerate(rows)]
+
+
+def assert_ranks_like_scan(entries, queries: np.ndarray, ks=(1, 3, 10)):
+    index = VectorIndex()
+    index.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in ks:
+            batch = index.query_batch(queries, k)
+            for query, hits in zip(queries, batch):
+                expected = scan_oracle(entries, EmbeddingVector(values=tuple(query)), k)
+                assert [(h.score, h.chunk_id) for h in hits] == expected
+
+
+class TestFloat32Rows:
+    def test_near_ties_inside_the_error_bound_match_scan(self):
+        # Rows a few float32 ulps apart in a few components: their cosines
+        # against the query differ by less than the float32 product's error
+        # bound, so the approximate scores alone cannot order them.
+        rng = np.random.default_rng(70)
+        dim = 64
+        base = rng.standard_normal(dim).astype(np.float32)
+        rows = np.repeat(base[np.newaxis, :], 300, axis=0)
+        for row in rows:
+            for i in rng.integers(0, dim, size=3):
+                step = np.float32(np.inf if rng.random() < 0.5 else -np.inf)
+                for _ in range(rng.integers(1, 4)):
+                    row[i] = np.nextafter(row[i], step)
+        rows = np.concatenate([rows, rng.standard_normal((100, dim)).astype(np.float32)])
+        entries = array_entries(rows)
+        nudged = base + np.float32(1e-3) * rng.standard_normal(dim).astype(np.float32)
+        queries = np.stack([base, nudged])
+        for query in queries:
+            top = scan_oracle(entries, EmbeddingVector(values=tuple(query)), 300)
+            scores = [score for score, _ in top]
+            assert 0.0 < scores[0] - scores[-1] < (dim + 4) * 2.0**-24
+        assert_ranks_like_scan(entries, queries, ks=(1, 5, 50, 299, 301))
+
+    def test_components_near_float32_max_match_scan(self):
+        # A float32 product of these rows and an unscaled query overflows.
+        rng = np.random.default_rng(71)
+        dim = 32
+        huge = np.float32(3.0e38)
+        rows = (rng.uniform(-1.0, 1.0, (60, dim)) * huge).astype(np.float32)
+        rows[:10, :] = huge
+        rows[10, :] = -huge
+        rows = np.concatenate([rows, rng.standard_normal((20, dim)).astype(np.float32)])
+        queries = np.concatenate([
+            (rng.uniform(-1.0, 1.0, (8, dim)) * huge).astype(np.float32),
+            np.full((1, dim), huge, dtype=np.float32),
+            rng.standard_normal((4, dim)).astype(np.float32),
+        ])
+        assert_ranks_like_scan(array_entries(rows), queries)
+
+    def test_subnormal_rows_and_queries_match_scan(self):
+        # Products with these rows underflow in float32, so their
+        # approximate scores are mostly rounding error.
+        rng = np.random.default_rng(72)
+        dim = 16
+        tiny = np.float32(2.0**-149)
+        rows = np.concatenate([
+            (rng.integers(-3, 4, (40, dim)) * tiny).astype(np.float32),
+            (rng.standard_normal((20, dim)) * 1e-39).astype(np.float32),
+            rng.standard_normal((40, dim)).astype(np.float32),
+        ])
+        rows[0, :] = tiny
+        queries = np.concatenate([
+            rng.standard_normal((6, dim)).astype(np.float32),
+            (rng.integers(-3, 4, (3, dim)) * tiny).astype(np.float32),
+            np.full((1, dim), tiny, dtype=np.float32),
+        ])
+        assert_ranks_like_scan(array_entries(rows), queries)
+
+    def test_rows_are_one_float32_matrix(self, tmp_path):
+        rng = random.Random(73)
+        pool = [random_vector(rng, 24) for _ in range(30)]
+        index = VectorIndex()
+        index.upsert([IndexEntry(chunk=make_chunk(i), vector=pool[i % 30]) for i in range(90)])
+        # Two new rows; chunks 35 and 65 still hold chunk 5's old one.
+        index.upsert([pool_entry(i, random_vector(rng, 24).values) for i in (5, 200)])
+        index.save(tmp_path / "index.snap")
+        for stored in (index, VectorIndex.load(tmp_path / "index.snap")):
+            rows = stored._rows
+            assert rows.dtype == np.float32 and rows.flags.c_contiguous
+            assert rows.shape == (32, 24)
+            assert rows.nbytes == 32 * 24 * 4
