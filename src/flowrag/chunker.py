@@ -218,7 +218,7 @@ def chunk_text(
 
 
 def write_chunks_jsonl(chunks: Iterable[Chunk], path: str | Path) -> int:
-    return write_jsonl(path, (chunk.to_dict() for chunk in chunks))
+    return write_jsonl(path, chunks)
 
 
 def read_chunks_jsonl(path: str | Path) -> list[Chunk]:

@@ -35,6 +35,7 @@ import hashlib
 import http.client
 import json
 import math
+import numbers
 import re
 import ssl
 import threading
@@ -69,6 +70,12 @@ class ProtocolError(FlowragError):
     pass
 
 
+def _is_real(kind: type) -> bool:
+    """Whether values of type ``kind`` are real numbers: Python or numpy
+    integers and floats, not bool, str, bytes, None or object."""
+    return kind is not bool and issubclass(kind, numbers.Real)
+
+
 class EmbeddingVector:
     """Fixed-length vector of 32-bit reals, held as one read-only float32
     array, so in-memory scoring and snapshots agree."""
@@ -76,6 +83,22 @@ class EmbeddingVector:
     __slots__ = ("_array",)
 
     def __init__(self, values):
+        # A float32 array would read "0.5" and True as numbers and None as NaN.
+        if isinstance(values, np.ndarray):
+            if not _is_real(values.dtype.type):
+                raise EmbedInputError(
+                    f"vector values must be real numbers, got a {values.dtype} array"
+                )
+        else:
+            try:
+                types = set(map(type, values))
+            except TypeError as exc:
+                raise EmbedInputError(
+                    f"expected a flat vector, got {type(values).__name__}"
+                ) from exc
+            if not all(map(_is_real, types)):
+                bad = next(v for v in values if not _is_real(type(v)))
+                raise EmbedInputError(f"vector values must be real numbers, found {bad!r}")
         array = np.array(values, dtype=np.float32)
         if array.ndim != 1:
             raise EmbedInputError(f"expected a flat vector, got shape {array.shape}")
@@ -315,13 +338,14 @@ class _RemoteClient:
         for i, row in enumerate(embeddings):
             if not isinstance(row, list) or not row:
                 raise ProtocolError("embedding rows must be non-empty arrays")
-            # A float32 array would take "0.5" and true as numbers.
-            if not _JSON_NUMBERS.issuperset(map(type, row)):
-                bad = next(item for item in row if type(item) not in _JSON_NUMBERS)
-                raise ProtocolError(f"embedding row {i} is not numeric: found {json.dumps(bad)}")
             try:
                 with np.errstate(over="ignore"):  # overflow to inf is rejected below
                     vector = EmbeddingVector(row)
+            except EmbedInputError as exc:  # a JSON value other than a number
+                bad = next(item for item in row if type(item) not in _JSON_NUMBERS)
+                raise ProtocolError(
+                    f"embedding row {i} is not numeric: found {json.dumps(bad)}"
+                ) from exc
             except OverflowError as exc:  # an integer beyond any float
                 raise ProtocolError(f"embedding row {i} holds a non-finite value") from exc
             if not np.isfinite(vector.as_array()).all():

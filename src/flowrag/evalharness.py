@@ -134,7 +134,7 @@ class EvalReport:
     categories: tuple[str, ...]  # category letters present in the QA set
     cells: dict = field(default_factory=dict)  # (strategy, k, category) -> Cell
     metadata: dict = field(default_factory=dict)
-    trace: tuple = ()
+    trace: tuple = ()  # one dict per (strategy, question); hits are RetrievalHits or dicts
 
     def cell(self, strategy: ChunkStrategy, k: int, category: str = ALL_CATEGORY) -> Cell:
         return self.cells[(strategy, k, category)]
@@ -304,6 +304,9 @@ def run_eval(
         )
 
     trace: list[dict] = []
+    # One judgments dict per tuple of outcomes, at most 2 ** len(ks), shared
+    # by every record with those outcomes.
+    judgments_of: dict[tuple[bool, ...], dict[str, bool]] = {}
     try:
         question_vectors = embed_batch(config.provider, [item.question for item in qa])
     except TransportError as exc:
@@ -327,26 +330,32 @@ def run_eval(
             [IndexEntry(chunk=c, vector=v) for c, v in zip(chunks, vectors)]
         )
         del vectors
+        # Records hold the hits query_batch returned (a repeated question's
+        # records share them) and are encoded only when the trace is written.
         for item, hits in zip(qa, index.query_batch(questions, kmax)):
-            judgments = {}
-            for k in config.ks:
-                correct = judge(
-                    strategy, hits, item, k, node_ids_by_graph, config.allnodes_union
-                )
-                judgments[k] = correct
+            outcomes = tuple(
+                judge(strategy, hits, item, k, node_ids_by_graph, config.allnodes_union)
+                for k in config.ks
+            )
+            for k, correct in zip(config.ks, outcomes):
                 for category in (item.category.value, ALL_CATEGORY):
                     cell = cells[(strategy, k, category)]
                     cell.denominator += 1
                     if correct:
                         cell.numerator += 1
+            judgments = judgments_of.get(outcomes)
+            if judgments is None:
+                judgments = judgments_of[outcomes] = {
+                    str(k): correct for k, correct in zip(config.ks, outcomes)
+                }
             trace.append(
                 {
                     "question": item.question,
                     "graph_id": item.graph_id,
                     "category": item.category.value,
                     "strategy": strategy.value,
-                    "hits": [h.to_dict() for h in hits],
-                    "judgments": {str(k): v for k, v in judgments.items()},
+                    "hits": hits,
+                    "judgments": judgments,
                 }
             )
     return build_report(trace)

@@ -1,9 +1,12 @@
 """The one JSON boundary, and the one place that opens a file for writing.
 
 A record file holds one compact UTF-8 JSON value per line, with non-ASCII
-text written raw. Reading one skips blank lines, and a record that does not
-decode is an error naming ``path:line``. A config file holds one JSON object
-whose keys are fields of a config dataclass; any other key is an error.
+text written raw. The one encoding turns a record object (a chunk, a QA
+item, a retrieval hit) into JSON through its ``to_dict``, wherever it sits
+in the value, so writers hand it the objects rather than dict copies.
+Reading one skips blank lines, and a record that does not decode is an
+error naming ``path:line``. A config file holds one JSON object whose keys
+are fields of a config dataclass; any other key is an error.
 
 Every file the package writes (records, snapshots, reports, the corpus
 manifest, ``parse``/``render``/``ged`` outputs) is opened by ``create``,
@@ -33,9 +36,20 @@ _NAMES = {
 }
 
 
+def _as_dict(obj) -> dict:
+    """``obj.to_dict()``; a TypeError when ``obj`` has no ``to_dict``."""
+    to_dict = getattr(obj, "to_dict", None)
+    if to_dict is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return to_dict()
+
+
 def encode(obj) -> bytes:
-    """The one record encoding: compact separators, non-ASCII kept raw."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    """The one record encoding: compact separators, non-ASCII kept raw, and
+    any object with a ``to_dict`` encoded as that dict."""
+    return json.dumps(
+        obj, ensure_ascii=False, separators=(",", ":"), default=_as_dict
+    ).encode("utf-8")
 
 
 def create(path: str | Path) -> BinaryIO:

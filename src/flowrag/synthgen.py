@@ -462,7 +462,7 @@ def generate_qa(graph: FlowGraph, per_graph: int, seed: int) -> list[QaItem]:
 
 
 def write_qa_jsonl(items: Iterable[QaItem], path: str | Path) -> int:
-    return write_jsonl(path, (item.to_dict() for item in items))
+    return write_jsonl(path, items)
 
 
 def read_qa_jsonl(path: str | Path) -> list[QaItem]:

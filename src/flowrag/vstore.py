@@ -35,6 +35,7 @@ Snapshot format (single file), unchanged by the distinct-row storage:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -52,6 +53,9 @@ _SNAPSHOT_VERSION = 1
 _QUERY_BLOCK = 64
 # Chunk rows expanded per snapshot write; bounds the temporary copy.
 _SAVE_BLOCK = 1024
+# Rows converted to float64 per norm block: a small temporary (128 KB at
+# dimension 256) beside a loaded snapshot, and as fast as larger blocks.
+_NORM_BLOCK = 64
 
 
 class DimensionMismatchError(FlowragError):
@@ -111,6 +115,18 @@ def _distinct(rows) -> tuple[list[int], np.ndarray]:
             ids.append(row_id)
         row_of[i] = row_id
     return firsts, row_of
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Each float32 row's float64 norm: sqrt(dot(row, row)) of the row alone,
+    as ``np.linalg.norm`` takes a 1-D norm, so the bits are the same, with
+    the rows converted to float64 a block at a time. An axis=1 norm would
+    sum in another order and break bit-identity with a linear scan."""
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), _NORM_BLOCK):
+        block = rows[start : start + _NORM_BLOCK].astype(np.float64)
+        norms[start : start + len(block)] = [math.sqrt(row.dot(row)) for row in block]
+    return norms
 
 
 def _query_shift(dimension: int) -> int:
@@ -235,9 +251,7 @@ class VectorIndex:
             raise error(
                 f"chunk {chunks[firsts[bad]].chunk_id!r} has a non-finite vector value"
             )
-        # The norm of a 1-D row is sqrt(dot(row, row)); an axis=1 norm would
-        # sum in another order and break bit-identity with a linear scan.
-        norms = np.array([np.linalg.norm(row.astype(np.float64)) for row in rows])
+        norms = _norms(rows)
         by_id = np.array(
             sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
         )
@@ -365,7 +379,7 @@ class VectorIndex:
             }
             fh.write(encode(header) + b"\n")
             for chunk in self._chunks:
-                fh.write(encode(chunk.to_dict()))
+                fh.write(encode(chunk))
                 fh.write(b"\n")
             # One row per chunk, expanded a block at a time.
             for start in range(0, len(self._chunks), _SAVE_BLOCK):

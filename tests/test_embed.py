@@ -117,6 +117,42 @@ class TestEmbeddingVector:
         with pytest.raises(EmbedInputError):
             EmbeddingVector([[1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ("0.5", True, 2),
+            [None, 1.0],
+            [b"1", 2.0],
+            [1.0, True],
+            [np.True_, 1.0],
+            np.array([True, False]),
+            np.array(["1", "2"]),
+            np.array([1.0, 2.0], dtype=object),
+            1.0,
+        ],
+        ids=["str", "none", "bytes", "bool", "numpy-bool", "bool-array", "str-array",
+             "object-array", "scalar"],
+    )
+    def test_non_numeric_values_rejected(self, values):
+        with pytest.raises(EmbedInputError):
+            EmbeddingVector(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, 2.5),
+            (np.float32(1.0), np.float32(2.5)),
+            [np.int64(1), np.float64(2.5)],
+            np.array([1.0, 2.5]),
+            np.array([1.0, 2.5], dtype=np.float16),
+            np.array([1, 2], dtype=np.int8),
+        ],
+        ids=["python", "float32-scalars", "numpy-scalars", "float64-array", "float16-array",
+             "int-array"],
+    )
+    def test_numeric_values_accepted(self, values):
+        assert EmbeddingVector(values).values == tuple(float(np.float32(v)) for v in values)
+
 
 class TestRemote:
     def test_order_preserved_and_batches_split(self):

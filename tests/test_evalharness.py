@@ -271,6 +271,35 @@ class TestRunEval:
         record = json.loads(path.read_text().splitlines()[0])
         assert set(record) == {"question", "graph_id", "category", "strategy", "hits", "judgments"}
 
+    def test_trace_holds_the_hits_query_batch_returned(self):
+        graphs, qa = disjoint_corpus(3)
+        # The first question twice: its records share one hit list's objects.
+        qa = qa + qa[:1]
+        config = EvalConfig(provider=LOCAL, strategies=(ChunkStrategy.PER_NODE,), ks=(1, 3))
+        report = run_eval(graphs, qa, config)
+        assert len(report.trace) == len(qa)
+        hits = [record["hits"] for record in report.trace]
+        assert all(type(hit) is RetrievalHit for record_hits in hits for hit in record_hits)
+        first, repeat = report.trace[0], report.trace[-1]
+        assert first["question"] == repeat["question"]
+        assert len(first["hits"]) == 3
+        assert all(a is b for a, b in zip(first["hits"], repeat["hits"], strict=True))
+        assert all(
+            a is not b for a, b in zip(first["hits"], report.trace[1]["hits"], strict=True)
+        )
+
+    def test_records_share_one_judgments_dict_per_outcome(self):
+        graphs, qa = disjoint_corpus(4)
+        # Right and wrong gold graphs, so both outcomes occur.
+        config = EvalConfig(provider=LOCAL, ks=(1, 3))
+        report = run_eval(graphs, qa + mismatch_qa(qa), config)
+        by_outcome: dict = {}
+        for record in report.trace:
+            outcome = tuple(record["judgments"].items())
+            assert by_outcome.setdefault(outcome, record["judgments"]) is record["judgments"]
+        assert (("1", True), ("3", True)) in by_outcome
+        assert (("1", False), ("3", False)) in by_outcome
+
 
 class TestEvalConfig:
     def test_ks_must_be_ascending_distinct(self):

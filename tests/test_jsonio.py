@@ -15,8 +15,9 @@ from flowrag.graph_model import (
     read_graphs_jsonl,
     write_graphs_jsonl,
 )
-from flowrag.jsonio import create, read_jsonl, write_jsonl
+from flowrag.jsonio import create, encode, read_jsonl, write_jsonl
 from flowrag.synthgen import GenSpec, QaCategory, QaItem, read_qa_jsonl, write_qa_jsonl
+from flowrag.vstore import RetrievalHit
 
 TEXT = "Prüfe Zelle → 信号"
 
@@ -30,6 +31,26 @@ def write_trace(records, path):
 
 def read_trace(path):
     return read_jsonl(path, lambda record: record, "trace")
+
+
+def read_hit_trace(path):
+    return [
+        {**record, "hits": [RetrievalHit(**hit) for hit in record["hits"]]}
+        for record in read_trace(path)
+    ]
+
+
+HIT_TRACE = (
+    {
+        "question": TEXT,
+        "hits": [
+            RetrievalHit("g1:node:A", 0.75, 1, graph_id="g1", node_id="A"),
+            RetrievalHit("doc000:text:00000", 1 / 3, 2),
+        ],
+        "judgments": {"1": True},
+    },
+    {"question": "q", "hits": [RetrievalHit("g2:json", 0.0, 1, graph_id="g2")], "judgments": {}},
+)
 
 
 WRITERS = {
@@ -69,6 +90,7 @@ WRITERS = {
             {"question": "q", "hits": [], "judgments": {"1": False}},
         ),
     ),
+    "trace-hits": (write_trace, read_hit_trace, HIT_TRACE),
 }
 
 
@@ -103,6 +125,21 @@ def test_rewrite_creates_a_new_file(tmp_path, kind):
         assert path.read_bytes() != before
         old.seek(0)
         assert old.read() == before
+
+
+def test_hit_objects_encode_as_their_dicts(tmp_path):
+    as_dicts = [
+        {**record, "hits": [hit.to_dict() for hit in record["hits"]]} for record in HIT_TRACE
+    ]
+    write_trace(HIT_TRACE, tmp_path / "objects.jsonl")
+    write_trace(as_dicts, tmp_path / "dicts.jsonl")
+    assert (tmp_path / "objects.jsonl").read_bytes() == (tmp_path / "dicts.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"], ids=["object", "set", "bytes"])
+def test_encode_refuses_objects_without_to_dict(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        encode({"hits": [value]})
 
 
 def test_create_refuses_a_directory(tmp_path):

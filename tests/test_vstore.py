@@ -18,6 +18,7 @@ from flowrag.vstore import (
     IndexEntry,
     SnapshotError,
     VectorIndex,
+    _norms,
 )
 
 
@@ -707,6 +708,27 @@ class TestFloat32Rows:
             np.full((1, dim), tiny, dtype=np.float32),
         ])
         assert_ranks_like_scan(array_entries(rows), queries)
+
+    @pytest.mark.parametrize("dim", [1, 3, 16, 33, 256])
+    def test_norms_match_linalg_norm_bit_for_bit(self, dim):
+        # Rows with subnormal components, components near float32 max and
+        # ordinary ones, more of them than one block of rows.
+        rng = np.random.default_rng(74)
+        count = 300
+        tiny = np.float32(2.0**-149)
+        huge = np.finfo(np.float32).max
+        rows = rng.standard_normal((count, dim)).astype(np.float32)
+        rows[: count // 3] *= np.float32(1e-39)
+        rows[count // 2 :: 7, ::2] *= tiny
+        rows[count // 3 : count // 2] = (
+            rng.uniform(-1.0, 1.0, (count // 2 - count // 3, dim)) * huge
+        ).astype(np.float32)
+        rows[0, :] = huge
+        rows[1, :] = -tiny
+        rows[2, :] = 0.0
+        expected = np.array([np.linalg.norm(row.astype(np.float64)) for row in rows])
+        assert np.isfinite(expected).all()
+        assert np.array_equal(_norms(rows).view(np.int64), expected.view(np.int64))
 
     def test_rows_are_one_float32_matrix(self, tmp_path):
         rng = random.Random(73)
