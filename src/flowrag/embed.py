@@ -49,11 +49,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import FlowragError
-from .jsonio import config_kwargs
-
-
-# The JSON number types; json.loads gives bool for true and false.
-_JSON_NUMBERS = frozenset((int, float))
+from .jsonio import NUMBER, config_kwargs
 
 
 class EmbedInputError(FlowragError):
@@ -342,7 +338,8 @@ class _RemoteClient:
                 with np.errstate(over="ignore"):  # overflow to inf is rejected below
                     vector = EmbeddingVector(row)
             except EmbedInputError as exc:  # a JSON value other than a number
-                bad = next(item for item in row if type(item) not in _JSON_NUMBERS)
+                # json.loads gives bool for true and false; type() keeps it out.
+                bad = next(item for item in row if type(item) not in NUMBER)
                 raise ProtocolError(
                     f"embedding row {i} is not numeric: found {json.dumps(bad)}"
                 ) from exc

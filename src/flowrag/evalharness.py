@@ -412,18 +412,16 @@ def render_report(report: EvalReport, fmt: ReportFormat = ReportFormat.MARKDOWN)
         writer.writerow(
             ["scenario", "strategy", "k", "category", "numerator", "denominator", "accuracy"]
         )
-        for (strategy, k, category), cell in sorted(
-            report.cells.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])
-        ):
+        for cell in report.to_dict()["cells"]:
             writer.writerow(
                 [
                     report.scenario.value,
-                    strategy.value,
-                    k,
-                    category,
-                    cell.numerator,
-                    cell.denominator,
-                    f"{cell.accuracy:.6f}",
+                    cell["strategy"],
+                    cell["k"],
+                    cell["category"],
+                    cell["numerator"],
+                    cell["denominator"],
+                    f"{cell['accuracy']:.6f}",
                 ]
             )
         return buffer.getvalue()

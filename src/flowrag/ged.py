@@ -2,7 +2,9 @@
 
 Two solvers over the same cost semantics, both reading one preparation of
 each pair: every node and edge value normalized once, one edge-label
-vocabulary for the two graphs, and one node substitution cost matrix.
+vocabulary for the two graphs, and one node substitution cost matrix. Truth
+nodes are numbered in id order, so neither solver's result depends on the
+order in which the truth lists its nodes.
 
 * ``ged_exact`` runs an A* search over injective node assignments. Nodes are
   compared by value after normalization (case-fold, whitespace collapse);
@@ -20,11 +22,10 @@ vocabulary for the two graphs, and one node substitution cost matrix.
   The bound is lazy: a child is queued under its path cost g, never above
   its f, and bounded only when popped, so bounded states pop in the order
   they would if every child were bounded when made, and the first bounded
-  complete state to pop is minimal. Truth nodes are numbered in id order,
-  so a state's decisions are its tie-break key and the truth's node order
-  changes no result. Ties between minimum-cost solutions break toward the
-  assignment vector that maps each node (in input order) to the
-  lexicographically smallest truth id, deletion last.
+  complete state to pop is minimal. With truth nodes in id order, a
+  state's decisions are its tie-break key: ties between minimum-cost
+  solutions break toward the assignment vector that maps each node (in
+  input order) to the lexicographically smallest truth id, deletion last.
   That tie-break is exact only when the costs sum exactly in binary
   floating point, as unit costs and halves or quarters do; otherwise
   rounding can make one of two equal-cost solutions look cheaper, and the
@@ -33,8 +34,10 @@ vocabulary for the two graphs, and one node substitution cost matrix.
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate, computed for all
   node pairs at once from per-node label-count arrays), then prices the
-  edit script induced by that assignment. The result is always a feasible
-  edit path, hence an upper bound on the exact distance.
+  edit script induced by that assignment. Among equal-cost assignments the
+  solver prefers kept ids, then earlier truth columns, which are in id
+  order. The result is always a feasible edit path, hence an upper bound on
+  the exact distance.
 
 Both report the edit path induced by their node assignment. It contains only
 operations that change something: costed inserts, deletes, and
@@ -56,7 +59,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -163,18 +166,21 @@ class _Edge(NamedTuple):
 
 
 class _View:
-    """Index-based projection of a graph for the solvers. It normalizes every
-    node and edge value once. ``columns`` maps each normalized edge value to
-    its label column; the two views of a pair fill it in turn."""
+    """Index-based projection of a graph's nodes, in the order given, and its
+    edges for the solvers. It normalizes every node and edge value once.
+    ``columns`` maps each normalized edge value to its label column; the two
+    views of a pair fill it in turn."""
 
-    def __init__(self, graph: FlowGraph, columns: dict[str, int]):
-        self.nodes = list(graph.nodes)
+    def __init__(
+        self, nodes: Iterable[FlowNode], edges: Iterable[FlowEdge], columns: dict[str, int]
+    ):
+        self.nodes = list(nodes)
         self.ids = [n.id for n in self.nodes]
         self.index = {n.id: i for i, n in enumerate(self.nodes)}
         self.norm = [normalize_label(n.value) for n in self.nodes]
         self.directed: dict[tuple[int, int], list[_Edge]] = defaultdict(list)
         self.bidir: dict[tuple[int, int], list[_Edge]] = defaultdict(list)
-        for edge in graph.edges:
+        for edge in edges:
             norm = normalize_label(edge.value)
             entry = _Edge(edge, norm, columns.setdefault(norm, len(columns)))
             si, di = self.index[edge.src], self.index[edge.dst]
@@ -187,12 +193,13 @@ class _View:
 class _Pair:
     """A (predicted, truth) pair as both solvers read it: the two views, the
     number of distinct normalized edge values, the cost model, and the value
-    substitution cost of every pred node against every truth node."""
+    substitution cost of every pred node against every truth node. Pred
+    nodes keep their input order; truth nodes are numbered in id order."""
 
     def __init__(self, predicted: FlowGraph, truth: FlowGraph, costs: CostModel):
         columns: dict[str, int] = {}
-        self.pred = _View(predicted, columns)
-        self.truth = _View(truth, columns)
+        self.pred = _View(predicted.nodes, predicted.edges, columns)
+        self.truth = _View(sorted(truth.nodes, key=lambda n: n.id), truth.edges, columns)
         self.labels = len(columns)
         self.costs = costs
         self.node_costs = np.array(
@@ -445,7 +452,7 @@ def ged_exact(
     if max(n1, n2) > node_budget:
         raise GraphTooLargeError(max(n1, n2), node_budget)
     costs = costs or CostModel()
-    pair = _Pair(predicted, replace(truth, nodes=sorted(truth.nodes, key=lambda n: n.id)), costs)
+    pair = _Pair(predicted, truth, costs)
     pv, tv = pair.pred, pair.truth
 
     # free[k][c]: label counts of the class-c (directed, bidirectional) pred

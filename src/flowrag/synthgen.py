@@ -7,6 +7,7 @@ without changing the output.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -390,6 +391,18 @@ def _successors(graph: FlowGraph, node_id: str) -> list[str]:
     return out
 
 
+def _node_question(node: FlowNode) -> str:
+    return f"What happens after {node.value}?"
+
+
+def _edge_question(source: FlowNode, edge: FlowEdge) -> str:
+    return f"Which step follows {source.value} when {edge.value}?"
+
+
+def _decision_question(first: FlowNode, second: FlowNode) -> str:
+    return f"What is checked to decide between {first.value} and {second.value}?"
+
+
 def generate_qa(graph: FlowGraph, per_graph: int, seed: int) -> list[QaItem]:
     """Build up to ``per_graph`` QA items cycling the three categories.
 
@@ -397,7 +410,8 @@ def generate_qa(graph: FlowGraph, per_graph: int, seed: int) -> list[QaItem]:
     edge; decision questions need a decision node with two labeled-value
     successors. Categories that the graph cannot support are skipped, and
     duplicate question texts are dropped, so small graphs may yield fewer
-    than ``per_graph`` items.
+    than ``per_graph`` items. Generation stops once every question the graph
+    supports has been made: later slots could only draw repeats.
     """
     if per_graph < 1:
         raise ConfigError(f"per_graph must be >= 1, got {per_graph}")
@@ -425,27 +439,33 @@ def generate_qa(graph: FlowGraph, per_graph: int, seed: int) -> list[QaItem]:
         available.append(QaCategory.DECISION)
     if not available:
         return []
+    supported = {_node_question(node) for node in node_pool}
+    supported.update(_edge_question(by_id[edge.src], edge) for edge in edge_pool)
+    supported.update(
+        _decision_question(by_id[first], by_id[second])
+        for _, successors in decision_pool
+        for first, second in itertools.permutations(successors, 2)
+    )
 
     items: list[QaItem] = []
     seen_questions: set[str] = set()
     for slot in range(per_graph):
+        if len(seen_questions) == len(supported):
+            break
         category = available[slot % len(available)]
         for _attempt in range(6):
             if category is QaCategory.NODE:
                 node = rng.choice(node_pool)
-                question = f"What happens after {node.value}?"
+                question = _node_question(node)
                 gold = {node.id}
             elif category is QaCategory.EDGE:
                 edge = rng.choice(edge_pool)
-                question = f"Which step follows {by_id[edge.src].value} when {edge.value}?"
+                question = _edge_question(by_id[edge.src], edge)
                 gold = {edge.src, edge.dst}
             else:
                 node, successors = rng.choice(decision_pool)
                 first, second = rng.sample(successors, 2)
-                question = (
-                    f"What is checked to decide between {by_id[first].value} "
-                    f"and {by_id[second].value}?"
-                )
+                question = _decision_question(by_id[first], by_id[second])
                 gold = {node.id, *_successors(graph, node.id)}
             if question not in seen_questions:
                 seen_questions.add(question)

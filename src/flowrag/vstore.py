@@ -5,9 +5,10 @@ matrix, 4 * dimension bytes per distinct row, with float64 row norms and a
 chunk -> row index array. Rows are told apart by their exact float32 bytes,
 so ``-0.0`` and ``0.0`` stay separate rows; duplicates are found through a
 hash of each row's bytes, compared against the row itself on a hit. Every
-write merges the new chunks into the stored ones (a known chunk id keeps its
-place, a new one is appended) and rebuilds the rows, norms and ranking
-layout from the merged list, so every row has a chunk.
+write (``upsert`` or ``load``) goes through ``_put``, which holds every
+write check, merges the new chunks into the stored ones (a known chunk id
+keeps its place, a new one is appended) and rebuilds the rows, norms and
+ranking orders from the merged list, so every row has a chunk.
 
 ``query_batch`` scores each distinct query once, up to ``_QUERY_BLOCK`` of
 them with one float32 matrix product over the rows: each query is scaled to
@@ -38,7 +39,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -170,15 +170,6 @@ def _header_int(header: dict, key: str) -> int:
     return value
 
 
-class _Layout(NamedTuple):
-    """Chunk orders for ranking; rebuilt by every write."""
-
-    id_rank: np.ndarray  # each chunk's place in ascending chunk-id order
-    members: np.ndarray  # chunk positions grouped by row, in chunk-id order
-    starts: np.ndarray  # row r's chunks are members[starts[r]:starts[r] + counts[r]]
-    counts: np.ndarray  # chunks per row
-
-
 class VectorIndex:
     """Exact cosine index over chunks; one writer, then many readers."""
 
@@ -189,7 +180,10 @@ class VectorIndex:
         self._scale = np.zeros(0)  # 2**shift / norm: unscales a row's product
         self._err = np.zeros(0)  # bound on a row's approximation error
         self._row_of = np.zeros(0, dtype=np.intp)  # chunk position -> row
-        self._layout: _Layout | None = None
+        # Chunk orders for ranking: row r's chunks, in chunk-id order, are
+        # members[starts[r]:starts[r] + counts[r]], and id_rank is each
+        # chunk's place in ascending chunk-id order.
+        self._id_rank = self._members = self._starts = self._counts = self._row_of
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -200,38 +194,29 @@ class VectorIndex:
 
     def upsert(self, entries: list[IndexEntry]) -> int:
         """Insert or replace entries; all-or-nothing on bad input."""
-        if not entries:
-            return 0
-        dimension = self.dimension
-        seen: set[str] = set()
-        for entry in entries:
-            if entry.chunk.chunk_id in seen:
-                raise FlowragError(
-                    f"duplicate chunk_id {entry.chunk.chunk_id!r} in one upsert call"
-                )
-            seen.add(entry.chunk.chunk_id)
-            if dimension is None:
-                dimension = entry.vector.dimension
-            elif entry.vector.dimension != dimension:
-                raise DimensionMismatchError(
-                    f"chunk {entry.chunk.chunk_id!r} has dimension "
-                    f"{entry.vector.dimension}, index uses {dimension}"
-                )
-        if dimension == 0:
-            raise DimensionMismatchError("vectors need at least one component")
-        self._put(
-            [entry.chunk for entry in entries],
-            [entry.vector.as_array() for entry in entries],
-            FlowragError,
-        )
+        if entries:
+            self._put(
+                [entry.chunk for entry in entries],
+                [entry.vector.as_array() for entry in entries],
+                FlowragError,
+            )
         return len(entries)
 
     def _put(self, chunks: list[Chunk], vectors, error: type[FlowragError]) -> None:
         """Write one float32 vector per chunk (a 2-D array or a list of 1-D
         arrays): merge them into the stored chunks, where a known chunk id
         keeps its place and a new one is appended, then rebuild the rows,
-        norms and ranking layout from the merged list. Raises ``error`` and
-        changes nothing when a vector is not finite."""
+        norms and ranking orders from the merged list. Every write check is
+        here, before anything changes: a chunk id repeated among ``chunks``
+        or a non-finite value raises ``error``; a vector with no component,
+        or of another dimension than the index's (the first vector's, for an
+        empty index), raises ``DimensionMismatchError`` naming its chunk."""
+        # Repeats are checked before the merge, which would keep the last alone.
+        seen: set[str] = set()
+        for chunk in chunks:
+            if chunk.chunk_id in seen:
+                raise error(f"duplicate chunk_id {chunk.chunk_id!r}")
+            seen.add(chunk.chunk_id)
         if self._chunks:
             # Merging into an empty index changes nothing; skipping it spares
             # a bulk write one view per row (about 1 MB at 6 000 chunks).
@@ -242,6 +227,17 @@ class VectorIndex:
             chunks = [chunk for chunk, _ in merged.values()]
             vectors = [vector for _, vector in merged.values()]
         firsts, row_of = _distinct(vectors)
+        # Equal rows have equal lengths, so the first chunk of a wrong length
+        # is the first copy of its row.
+        dimension = self.dimension or len(vectors[firsts[0]])
+        if dimension < 1:
+            raise DimensionMismatchError("vectors need at least one component")
+        for i in firsts:
+            if len(vectors[i]) != dimension:
+                raise DimensionMismatchError(
+                    f"chunk {chunks[i].chunk_id!r} has dimension "
+                    f"{len(vectors[i])}, index uses {dimension}"
+                )
         if isinstance(vectors, np.ndarray) and len(firsts) == len(vectors):
             rows = vectors  # every row distinct: the rows are the input
         else:
@@ -255,16 +251,15 @@ class VectorIndex:
         by_id = np.array(
             sorted(range(len(chunks)), key=lambda i: chunks[i].chunk_id), dtype=np.intp
         )
-        id_rank = np.empty_like(by_id)
-        id_rank[by_id] = np.arange(len(by_id))
-        members = by_id[np.argsort(row_of[by_id], kind="stable")]
-        counts = np.bincount(row_of, minlength=len(rows))
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self._id_rank = np.empty_like(by_id)
+        self._id_rank[by_id] = np.arange(len(by_id))
+        self._members = by_id[np.argsort(row_of[by_id], kind="stable")]
+        self._counts = np.bincount(row_of, minlength=len(rows))
+        self._starts = np.concatenate([[0], np.cumsum(self._counts)[:-1]])
         self._chunks, self._rows, self._norms, self._row_of = chunks, rows, norms, row_of
         inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         self._scale = 2.0 ** _query_shift(rows.shape[1]) * inv_norms
         self._err = _error_bounds(rows.shape[1], inv_norms)
-        self._layout = _Layout(id_rank, members, starts, counts)
 
     def query(self, vector: EmbeddingVector, k: int) -> list[RetrievalHit]:
         """Exact top-k by cosine."""
@@ -326,7 +321,7 @@ class VectorIndex:
             hits = np.arange(upper.size)
         owner, row_ids = np.divmod(hits, n_rows)
         bounds = np.searchsorted(owner, np.arange(len(block) + 1))
-        counts = self._layout.counts
+        counts = self._counts
         candidates = []
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             # Walk the rows by lower bound until their chunks cover k: that
@@ -339,7 +334,6 @@ class VectorIndex:
 
     def _top_k(self, query: np.ndarray, rows: np.ndarray, k: int) -> list[RetrievalHit]:
         """Exact top-k of one float64 query among the chunks of ``rows``."""
-        layout = self._layout
         query_norm = float(np.linalg.norm(query))
         row_scores = np.empty(len(rows))
         candidates = zip(self._rows[rows].astype(np.float64), self._norms[rows])
@@ -347,13 +341,13 @@ class VectorIndex:
             denom = norm * query_norm
             row_scores[i] = 0.0 if denom == 0.0 else np.dot(row, query) / denom
         # Only the first k chunks of a row, in chunk-id order, can rank.
-        take = np.minimum(layout.counts[rows], k)
+        take = np.minimum(self._counts[rows], k)
         chosen = np.concatenate([
-            layout.members[layout.starts[row] : layout.starts[row] + n]
+            self._members[self._starts[row] : self._starts[row] + n]
             for row, n in zip(rows, take)
         ])
         scores = np.repeat(row_scores, take)
-        order = np.lexsort((layout.id_rank[chosen], -scores))[:k]
+        order = np.lexsort((self._id_rank[chosen], -scores))[:k]
         hits = []
         for rank, (position, score) in enumerate(zip(chosen[order], scores[order]), start=1):
             chunk = self._chunks[position]
@@ -413,7 +407,6 @@ class VectorIndex:
             if dimension < (1 if count else 0):
                 raise SnapshotError(f"snapshot dimension {dimension} is invalid")
             chunks = []
-            seen: set[str] = set()
             for i in range(count):
                 line = fh.readline()
                 if not line:
@@ -422,18 +415,17 @@ class VectorIndex:
                     chunk = Chunk.from_dict(json.loads(line))
                 except (KeyError, ValueError, FlowragError) as exc:
                     raise SnapshotError(f"{path}:{i + 2}: bad chunk record: {exc}") from exc
-                if chunk.chunk_id in seen:
-                    raise SnapshotError(f"duplicate chunk_id {chunk.chunk_id!r} in snapshot")
-                seen.add(chunk.chunk_id)
                 chunks.append(chunk)
+            # The payload is whatever follows, so a header can claim no more
+            # than the file holds.
             row_bytes = 4 * dimension
-            blob = fh.read(row_bytes * count)
-            if len(blob) != row_bytes * count:
+            blob = fh.read()
+            if len(blob) < row_bytes * count:
                 raise SnapshotError(
                     f"truncated snapshot: missing vector for "
                     f"{chunks[len(blob) // row_bytes].chunk_id!r}"
                 )
-            if fh.read(1):
+            if len(blob) > row_bytes * count:
                 raise SnapshotError("trailing bytes after snapshot payload")
         # An empty snapshot stores no row, but its dimension is saved back.
         index._rows = np.zeros((0, dimension), dtype=np.float32)

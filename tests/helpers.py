@@ -8,6 +8,7 @@ import random
 import socket
 import threading
 from collections import Counter
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -254,6 +255,8 @@ def reference_anchor_costs(pred: FlowGraph, truth: FlowGraph, costs):
 
 
 def reference_ged_approx(pred: FlowGraph, truth: FlowGraph, costs) -> GedResult:
+    # Truth nodes in id order, as ``_Pair`` numbers them.
+    truth = replace(truth, nodes=tuple(sorted(truth.nodes, key=lambda n: n.id)))
     p_nodes, t_nodes = list(pred.nodes), list(truth.nodes)
     n1, n2 = len(p_nodes), len(t_nodes)
     mapping: list = [None] * n1

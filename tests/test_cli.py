@@ -716,6 +716,22 @@ class TestMalformedFiles:
             self.one_error(capsys, code)
         )
 
+    def test_snapshot_header_beyond_its_payload(self, tmp_path, capsys):
+        chunks_path = tmp_path / "chunks.jsonl"
+        chunks_path.write_text(json.dumps({"chunk_id": "c", "text": "t", "source_kind": "text"}))
+        provider = local_provider_file(tmp_path)
+        snapshot = tmp_path / "index.snap"
+        assert main(["ingest", "--chunks", str(chunks_path), "--provider-config",
+                     str(provider), "--snapshot", str(snapshot)]) == 0
+        header, rest = snapshot.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["dimension"] = 10**15
+        snapshot.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        capsys.readouterr()
+        code = main(["query", "--snapshot", str(snapshot), "--text", "t",
+                     "--provider-config", str(provider)])
+        assert "error: truncated snapshot: missing vector for 'c'" in self.one_error(capsys, code)
+
     @pytest.mark.parametrize(
         "report, message",
         [

@@ -153,6 +153,10 @@ class TestEmbeddingVector:
     def test_numeric_values_accepted(self, values):
         assert EmbeddingVector(values).values == tuple(float(np.float32(v)) for v in values)
 
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(EmbedInputError, match=r"expected a flat vector, got shape \(2, 2\)"):
+            EmbeddingVector(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
 
 class TestRemote:
     def test_order_preserved_and_batches_split(self):

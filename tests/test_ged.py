@@ -457,6 +457,18 @@ class TestGedApprox:
             assert result.mapping == expected.mapping
             assert result.edit_path == expected.edit_path
 
+    @pytest.mark.parametrize(
+        "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
+    )
+    def test_truth_node_order_changes_nothing(self, costs):
+        # The assignment breaks cost ties by column, and columns follow the
+        # truth's node ids, not the order the truth lists its nodes in.
+        rng = pair_rng(17)
+        for _ in range(1000):
+            a, b = random_graph(rng), random_graph(rng)
+            shuffled = replace(b, nodes=rng.sample(b.nodes, len(b.nodes)))
+            assert ged_approx(a, shuffled, costs) == ged_approx(a, b, costs)
+
 
 def _disjoint_cycle(rng: random.Random, tag: str) -> FlowGraph:
     n = rng.randint(2, 5)

@@ -1,8 +1,11 @@
 import json
+import random
 import re
+import types
 
 import pytest
 
+import flowrag.synthgen as synthgen
 from flowrag.errors import FlowragError
 from flowrag.graph_model import FlowGraph, FlowNode, LineStyle, NodeShape, serialize_json
 from flowrag.synthgen import (
@@ -33,6 +36,54 @@ def reachable_from_start(graph) -> set[str]:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def supported_questions(graph) -> set[str]:
+    """Every question text ``generate_qa`` can draw from ``graph``."""
+    by_id = {n.id: n for n in graph.nodes}
+    questions = {f"What happens after {n.value}?" for n in graph.nodes if n.value}
+    questions |= {
+        f"Which step follows {by_id[e.src].value} when {e.value}?"
+        for e in graph.edges
+        if e.value and by_id[e.src].value
+    }
+    for node in graph.nodes:
+        if node.shape is not NodeShape.DECISION:
+            continue
+        after = {e.dst for e in graph.edges if e.src == node.id}
+        after |= {e.src for e in graph.edges if e.bidirectional and e.dst == node.id}
+        named = [by_id[i].value for i in after if by_id[i].value]
+        if len(named) >= 2:
+            questions |= {
+                f"What is checked to decide between {a} and {b}?"
+                for i, a in enumerate(named)
+                for j, b in enumerate(named)
+                if i != j
+            }
+    return questions
+
+
+class BoundedRandom(random.Random):
+    """A generator that fails once it has made more draws than any graph of
+    the tests below needs, so a loop that keeps drawing fails fast."""
+
+    limit = 20_000
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def _count(self):
+        self.draws += 1
+        assert self.draws <= self.limit, "generate_qa kept drawing"
+
+    def choice(self, seq):
+        self._count()
+        return super().choice(seq)
+
+    def sample(self, population, k):
+        self._count()
+        return super().sample(population, k)
 
 
 class TestGenerateGraph:
@@ -275,6 +326,19 @@ class TestGenerateQa:
         path.write_text(json.dumps({"graph_id": "g", "gold_node_ids": [], "category": "N"}))
         with pytest.raises(FlowragError, match="qa.jsonl:1: bad QA record: missing 'question'"):
             read_qa_jsonl(path)
+
+    def test_huge_per_graph_makes_every_question_once(self, monkeypatch):
+        spec = GenSpec(node_count_range=(6, 9), decision_fraction=0.5,
+                       edge_value_probability=1.0, seed=18)
+        graphs = [generate_graph(spec, index) for index in range(20)]
+        smaller = [generate_qa(graph, 7, seed=18) for graph in graphs]
+        monkeypatch.setattr(synthgen, "random", types.SimpleNamespace(Random=BoundedRandom))
+        for graph, prefix in zip(graphs, smaller):
+            items = generate_qa(graph, 10**8, seed=18)
+            questions = [item.question for item in items]
+            assert len(set(questions)) == len(questions)
+            assert set(questions) == supported_questions(graph)
+            assert items[: len(prefix)] == prefix
 
     def test_per_graph_density(self):
         spec = GenSpec(seed=14)

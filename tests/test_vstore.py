@@ -111,6 +111,20 @@ class TestUpsert:
             index.upsert(entries)
         assert len(index) == 0
 
+    def test_repeated_new_id_rejected_before_the_merge(self):
+        # The merge keeps one entry per id, so the check must come first.
+        rng = random.Random(37)
+        index = build_index(rng, 3, dim=4)
+        saved = snapshot_bytes(index)
+        entries = [
+            IndexEntry(chunk=make_chunk(7), vector=random_vector(rng, 4)),
+            IndexEntry(chunk=make_chunk(7), vector=random_vector(rng, 4)),
+        ]
+        with pytest.raises(FlowragError, match="duplicate chunk_id 'c0007'"):
+            index.upsert(entries)
+        assert len(index) == 3
+        assert snapshot_bytes(index) == saved
+
 
 class TestQuery:
     def test_stored_vector_is_rank_one(self):
@@ -397,6 +411,17 @@ class TestSnapshotHeader:
         build_index(random.Random(33), 2, dim=4).save(path)
         rewrite_header(path, **changes)
         with pytest.raises(SnapshotError):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "dimension, missing", [(5, "c0001"), (10**15, "c0000")], ids=["small", "huge"]
+    )
+    def test_header_claims_more_payload_than_the_file_holds(self, tmp_path, dimension, missing):
+        # The payload is read as it is, never as large as the header says.
+        path = tmp_path / "index.snap"
+        build_index(random.Random(38), 2, dim=4).save(path)
+        rewrite_header(path, dimension=dimension)
+        with pytest.raises(SnapshotError, match=f"missing vector for '{missing}'"):
             VectorIndex.load(path)
 
     def test_duplicate_chunk_id(self, tmp_path):
