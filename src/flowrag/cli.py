@@ -175,12 +175,18 @@ def _cmd_ged(args) -> int:
     predictions = _read_predictions(args.pred)
     costs = CostModel.from_dict(read_json(args.costs)) if args.costs else CostModel()
     pairs = [(predictions.get(truth.graph_id), truth) for truth in truths]
+    truth_ids: set[str] = set()
+    repeated: list[str] = []
+    for truth in truths:
+        if truth.graph_id in truth_ids:
+            repeated.append(truth.graph_id)
+        truth_ids.add(truth.graph_id)
+    _warn_ids("truths repeat an earlier graph_id", repeated, "each copy is scored")
     _warn_ids(
         "truths have no prediction for their graph_id",
         [truth.graph_id for truth in truths if truth.graph_id not in predictions],
         "they score as missing",
     )
-    truth_ids = {truth.graph_id for truth in truths}
     _warn_ids(
         "predictions have a graph_id not among the truths",
         [graph_id for graph_id in predictions if graph_id not in truth_ids],

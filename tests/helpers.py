@@ -4,6 +4,8 @@ embedding server."""
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
 import socket
 import threading
@@ -12,10 +14,18 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
+import pytest
 from scipy.optimize import linear_sum_assignment
 
 from flowrag.ged import _ID_TIE_EPS, GedResult, _Pair, _result_from_mapping
 from flowrag.graph_model import FlowEdge, FlowGraph, FlowNode, LineStyle, NodeShape
+
+# ``evaluate_predictions`` spreads pairs over processes only where both exist.
+NEEDS_FORK = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork and sched_getaffinity",
+)
 
 VALUE_POOL = ["start", "check alarm", "send report", "stop", "retry", "wait"]
 LABEL_POOL = [None, "yes", "no", "ok"]

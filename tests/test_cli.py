@@ -2,16 +2,19 @@ import argparse
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 
 import pytest
 
 import flowrag.embed as embed_module
+import flowrag.ged as ged_module
 from flowrag.cli import build_parser, main
 from flowrag.ged import GED_REPORT_COLUMNS
 from flowrag.graph_model import FlowGraph, parse_json, read_graphs_jsonl, serialize_json
 from flowrag.synthgen import read_qa_jsonl
 
-from helpers import StubEmbedServer, disjoint_corpus
+from helpers import NEEDS_FORK, StubEmbedServer, disjoint_corpus
 
 
 def write_corpus(tmp_path, count=4):
@@ -268,6 +271,53 @@ class TestGed:
         assert main(argv + ["--report", str(clean_report)]) == 0
         assert "warning:" not in capsys.readouterr().err
         assert report_path.read_text() == clean_report.read_text()
+
+    def test_repeated_truth_ids_warn_once(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
+        graphs_path.write_text(graphs_path.read_text() * 2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text(
+            json.dumps({"graph_id": graphs[0].graph_id, "predicted": json.loads(serialize_json(graphs[0]))})
+            + "\n"
+        )
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(tmp_path / "out.md")]) == 0
+        err = capsys.readouterr().err
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings[0] == (
+            f"warning: 2 truths repeat an earlier graph_id ({graphs[0].graph_id!r}, "
+            f"{graphs[1].graph_id!r}); each copy is scored"
+        )
+        assert warnings[1].startswith("warning: 2 truths have no prediction")
+        assert "scored 4 pairs" in err
+
+    @NEEDS_FORK
+    def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=64)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("".join(
+            json.dumps({"graph_id": g.graph_id, "predicted": json.loads(serialize_json(g))}) + "\n"
+            for g in graphs
+        ))
+        parent = os.getpid()
+        solve = ged_module.ged_exact
+
+        def dying(predicted, truth, *args):
+            if truth.graph_id == graphs[40].graph_id and os.getpid() != parent:
+                os._exit(1)
+            return solve(predicted, truth, *args)
+
+        # Forked workers inherit the patched solver.
+        monkeypatch.setattr(ged_module, "ged_exact", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        report_path = tmp_path / "out.md"
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a GED worker process died: ")
+        assert "Traceback" not in err
+        assert not report_path.exists()
+        assert multiprocessing.active_children() == []
 
     def test_non_string_graph_id_is_unreadable(self, tmp_path, capsys):
         graphs, graphs_path, _ = write_corpus(tmp_path, count=2)

@@ -1,5 +1,8 @@
 import hashlib
+import multiprocessing
+import os
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from flowrag.ged import (
     evaluate_predictions,
     ged_approx,
     ged_exact,
+    PairScore,
     render_ged_report_csv,
     render_ged_report_markdown,
     GED_REPORT_COLUMNS,
@@ -36,6 +40,7 @@ from flowrag.ged import (
 )
 
 from helpers import (
+    NEEDS_FORK,
     oracle_ged,
     oracle_tie_break,
     random_graph,
@@ -647,3 +652,103 @@ class TestEvaluatePredictions:
         assert csv_text.splitlines()[0] == "Model," + ",".join(
             f'"{c}"' if "," in c else c for c in GED_REPORT_COLUMNS
         )
+
+
+MIXED_BUDGET = 5
+
+
+def mixed_batch(count: int = 72) -> list:
+    """Pairs of up to 7 nodes: every ninth prediction is unparseable (None),
+    and pairs above ``MIXED_BUDGET`` nodes take ``ged_approx``."""
+    rng = pair_rng(40)
+    pairs = []
+    for i in range(count):
+        truth = random_graph(rng, max_nodes=7, graph_id=f"g{i:03d}")
+        predicted = None if i % 9 == 4 else random_graph(rng, max_nodes=7)
+        pairs.append((predicted, truth))
+    return pairs
+
+
+def expected_scores(pairs, costs) -> tuple:
+    """``evaluate_predictions``'s scores, from one solver call per pair."""
+    scores = []
+    for predicted, truth in pairs:
+        graph = predicted if predicted is not None else FlowGraph()
+        if max(len(graph.nodes), len(truth.nodes)) <= MIXED_BUDGET:
+            result = ged_exact(graph, truth, costs, MIXED_BUDGET)
+        else:
+            result = ged_approx(graph, truth, costs)
+        scores.append(PairScore(truth.graph_id, len(truth.nodes), len(truth.edges),
+                                predicted is not None, result))
+    return tuple(scores)
+
+
+def forbid_processes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(ged_module, "ProcessPoolExecutor", refuse)
+
+
+@NEEDS_FORK
+class TestEvaluateInProcesses:
+    def test_process_path_matches_per_pair_solves(self, monkeypatch):
+        pairs = mixed_batch()
+        expected = expected_scores(pairs, NON_DYADIC)
+        assert any(p is None for p, _ in pairs)
+        assert any(s.result.exact for s in expected) and not all(s.result.exact for s in expected)
+        started = []
+
+        class Recorded(ged_module.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                started.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(ged_module, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        report = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
+        assert started == [2]  # 72 pairs hold two processes' worth, not three
+        assert report.pair_scores == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cpus, count", [({0}, 72), ({0, 1}, 63)], ids=["one-cpu", "small-batch"]
+    )
+    def test_in_process_below_two_workers(self, monkeypatch, cpus, count):
+        pairs = mixed_batch(count)
+        forbid_processes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        report = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
+        assert report.pair_scores == expected_scores(pairs, NON_DYADIC)
+        assert ged_module._worker_job is None
+
+    def test_second_thread_scores_in_process(self, monkeypatch):
+        pairs = mixed_batch()
+        forbid_processes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            report = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert report.pair_scores == expected_scores(pairs, NON_DYADIC)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        pairs = mixed_batch()
+        solve = ged_exact
+
+        def failing(predicted, truth, *args):
+            if truth.graph_id == "g040":
+                raise ValueError("cannot score g040")
+            return solve(predicted, truth, *args)
+
+        # Forked workers inherit the patched solver.
+        monkeypatch.setattr(ged_module, "ged_exact", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match="^cannot score g040$"):
+            evaluate_predictions(pairs, UNIT, 12)
+        assert multiprocessing.active_children() == []
