@@ -25,14 +25,8 @@ from .evalharness import (
     run_eval,
     write_trace_jsonl,
 )
-from .ged import (
-    CostModel,
-    evaluate_predictions,
-    render_ged_report_csv,
-    render_ged_report_markdown,
-)
 from .graph_model import graph_from_doc, parse_json, read_graphs_jsonl, serialize_json
-from .jsonio import create, read_json
+from .jsonio import create, decode, read_json
 from .mermaid import DIRECTIONS, parse_mermaid, render_mermaid
 from .synthgen import (
     GenSpec,
@@ -144,7 +138,7 @@ def _read_predictions(path: str) -> dict[str, object]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = decode(line)
                 graph_id = record["graph_id"]
                 if not isinstance(graph_id, str):
                     raise TypeError(f"graph_id must be a string, got {graph_id!r}")
@@ -171,6 +165,14 @@ def _read_predictions(path: str) -> dict[str, object]:
 
 
 def _cmd_ged(args) -> int:
+    # Imported here, so scipy loads only for the command that uses it.
+    from .ged import (
+        CostModel,
+        evaluate_predictions,
+        render_ged_report_csv,
+        render_ged_report_markdown,
+    )
+
     truths = read_graphs_jsonl(args.truth)
     predictions = _read_predictions(args.pred)
     costs = CostModel.from_dict(read_json(args.costs)) if args.costs else CostModel()

@@ -49,7 +49,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import FlowragError
-from .jsonio import NUMBER, config_kwargs
+from .jsonio import NUMBER, config_kwargs, decode
 
 
 class EmbedInputError(FlowragError):
@@ -325,7 +325,7 @@ class _RemoteClient:
 
     def _parse(self, reply: bytes) -> list[EmbeddingVector]:
         try:
-            embeddings = json.loads(reply)["embeddings"]
+            embeddings = decode(reply)["embeddings"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
         if not isinstance(embeddings, list):
@@ -338,7 +338,7 @@ class _RemoteClient:
                 with np.errstate(over="ignore"):  # overflow to inf is rejected below
                     vector = EmbeddingVector(row)
             except EmbedInputError as exc:  # a JSON value other than a number
-                # json.loads gives bool for true and false; type() keeps it out.
+                # decode gives bool for true and false; type() keeps it out.
                 bad = next(item for item in row if type(item) not in NUMBER)
                 raise ProtocolError(
                     f"embedding row {i} is not numeric: found {json.dumps(bad)}"
@@ -354,7 +354,7 @@ class _RemoteClient:
 def _error_text(reply: bytes) -> str:
     text = reply.decode("utf-8", errors="replace")[:200]
     try:
-        payload = json.loads(reply)
+        payload = decode(reply)
     except ValueError:
         payload = None
     if isinstance(payload, dict):

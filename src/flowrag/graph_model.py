@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError, FlowragError
-from .jsonio import encode, read_jsonl, write_jsonl
+from .jsonio import decode, encode, read_jsonl, write_jsonl
 
 
 class NodeShape(Enum):
@@ -201,7 +201,7 @@ def parse_json(text: bytes | str) -> FlowGraph:
         except UnicodeDecodeError as exc:
             raise GraphJsonParseError("invalid UTF-8", exc.start) from exc
     try:
-        doc = json.loads(text)
+        doc = decode(text)
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise GraphJsonParseError(exc.msg, offset) from exc

@@ -4,9 +4,13 @@ A record file holds one compact UTF-8 JSON value per line, with non-ASCII
 text written raw. The one encoding turns a record object (a chunk, a QA
 item, a retrieval hit) into JSON through its ``to_dict``, wherever it sits
 in the value, so writers hand it the objects rather than dict copies.
-Reading one skips blank lines, and a record that does not decode is an
-error naming ``path:line``. A config file holds one JSON object whose keys
-are fields of a config dataclass; any other key is an error.
+Everything the package reads as JSON (records, configs, graph documents,
+snapshot headers, embedding replies) goes through the one decoder,
+``decode``, which reports a value nested too deep as bad JSON rather than
+as a ``RecursionError``. Reading a record file skips blank lines, and a
+record that does not decode is an error naming ``path:line``. A config
+file holds one JSON object whose keys are fields of a config dataclass;
+any other key is an error.
 
 Every file the package writes (records, snapshots, reports, the corpus
 manifest, ``parse``/``render``/``ged`` outputs) is opened by ``create``,
@@ -80,15 +84,25 @@ def write_jsonl(path: str | Path, objs: Iterable) -> int:
     return count
 
 
-def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> list[T]:
-    """``decode`` of every record in a JSON-Lines file, blank lines skipped."""
+def decode(data: bytes | str):
+    """The one JSON decoder: the value in ``data``. A value nested deeper
+    than the interpreter's recursion limit is a ``JSONDecodeError`` like any
+    other bad document, not a ``RecursionError``."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise json.JSONDecodeError("value nested too deep", "", 0) from None
+
+
+def read_jsonl(path: str | Path, build: Callable[[object], T], what: str) -> list[T]:
+    """``build`` of every record in a JSON-Lines file, blank lines skipped."""
     out = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(decode(json.loads(line)))
+                out.append(build(decode(line)))
             except KeyError as exc:
                 raise FlowragError(f"{path}:{line_no}: bad {what} record: missing {exc}") from exc
             except (ValueError, FlowragError) as exc:
@@ -99,7 +113,7 @@ def read_jsonl(path: str | Path, decode: Callable[[object], T], what: str) -> li
 def read_json(path: str | Path):
     """The JSON value in the file at ``path``."""
     try:
-        return json.loads(Path(path).read_bytes())
+        return decode(Path(path).read_bytes())
     except ValueError as exc:
         raise FlowragError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -79,12 +79,53 @@ _NODE_RE = re.compile(
     r")?"
 )
 
-# Label-between-dashes link forms: A -- label --> B, A -. label .-> B, etc.
-_INLINE_LABEL_RES: list[tuple[re.Pattern, LineStyle]] = [
-    (re.compile(r"^\s*--\s+(.+?)\s+-->\s*"), LineStyle.SOLID),
-    (re.compile(r"^\s*-\.\s+(.+?)\s+\.->\s*"), LineStyle.DOTTED),
-    (re.compile(r"^\s*==\s+(.+?)\s+==>\s*"), LineStyle.SOLID),
-]
+# Label-between-dashes link forms, A -- label --> B, A -. label .-> B and
+# A == label ==> B: each opener's closer and line style.
+_INLINE_LABEL_FORMS = {
+    "--": ("-->", LineStyle.SOLID),
+    "-.": (".->", LineStyle.DOTTED),
+    "==": ("==>", LineStyle.SOLID),
+}
+
+
+def _blanks(text: str, start: int) -> int:
+    """The length of the whitespace run at ``text[start:]``."""
+    return len(text) - start - len(text[start:].lstrip())
+
+
+def _match_inline_label(rest: str) -> tuple[str, LineStyle, int] | None:
+    r"""What ``^\s*OPEN\s+(.+?)\s+CLOSE\s*`` matches in ``rest`` for one
+    inline label form: (group 1, the form's style, the match's end), or None.
+
+    One forward scan finds it, where the regex backtracks through every
+    split of a whitespace run and takes quadratic time. The regex's first
+    choice starts the label at the first non-blank after the opener and
+    ends it at the blanks before the first closer after that which follows
+    a blank. Failing that, it gives blanks back to the label: ``--   -->``
+    has a one-blank label.
+    """
+    opener_at = _blanks(rest, 0)
+    form = _INLINE_LABEL_FORMS.get(rest[opener_at : opener_at + 2])
+    if form is None:
+        return None
+    close, style = form
+    after = opener_at + 2
+    blanks = _blanks(rest, after)
+    if not blanks:
+        return None
+    start = after + blanks
+    close_at = rest.find(close, start + 1)
+    while close_at != -1 and not rest[close_at - 1].isspace():
+        close_at = rest.find(close, close_at + 1)
+    if close_at != -1:
+        label = rest[start:close_at].rstrip()
+    elif blanks >= 3 and rest.startswith(close, start):
+        label, close_at = rest[start - 2], start
+    else:
+        return None
+    end = close_at + len(close)
+    return label, style, end + _blanks(rest, end)
+
 
 _ARROW_RE = re.compile(
     r"^\s*(?P<bidi><)?(?P<body>-(?P<dots>\.+)->|-(?P<udots>\.+)-(?!>)|-{2,}>|-{3,}|={2,}>|={3,})"
@@ -153,24 +194,19 @@ def _parse_node_ref(builder: _Builder, text: str, line_no: int) -> tuple[str, st
 
 def _parse_link_line(builder: _Builder, line: str, line_no: int) -> None:
     src_id, rest = _parse_node_ref(builder, line, line_no)
-    label: str | None = None
-    bidirectional = False
-    style: LineStyle | None = None
-    for pattern, inline_style in _INLINE_LABEL_RES:
-        match = pattern.match(rest)
-        if match:
-            label = unescape_text(match.group(1)).strip()
-            style = inline_style
-            rest = rest[match.end():]
-            break
-    if style is None:
+    inline = _match_inline_label(rest)
+    if inline:
+        label, style, end = inline
+        bidirectional = False
+    else:
         match = _ARROW_RE.match(rest)
         if not match:
             raise MermaidSyntaxError(f"malformed link near '{rest.strip()}'", line_no)
         bidirectional, style = _classify_arrow(match, line_no)
-        if match.group("label") is not None:
-            label = unescape_text(match.group("label")).strip()
-        rest = rest[match.end():]
+        label, end = match.group("label"), match.end()
+    if label is not None:
+        label = unescape_text(label).strip()
+    rest = rest[end:]
     dst_id, rest = _parse_node_ref(builder, rest, line_no)
     if rest.strip():
         raise MermaidSyntaxError(f"unexpected trailing content '{rest.strip()}'", line_no)

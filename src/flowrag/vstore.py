@@ -45,7 +45,7 @@ import numpy as np
 from .chunker import Chunk
 from .embed import EmbeddingVector
 from .errors import FlowragError
-from .jsonio import create, encode
+from .jsonio import create, decode, encode
 
 _SNAPSHOT_FORMAT = "flowrag-vstore"
 _SNAPSHOT_VERSION = 1
@@ -386,7 +386,7 @@ class VectorIndex:
         with open(path, "rb") as fh:
             header_line = fh.readline()
             try:
-                header = json.loads(header_line)
+                header = decode(header_line)
             except json.JSONDecodeError as exc:
                 raise SnapshotError(f"unreadable snapshot header: {exc}") from exc
             if not isinstance(header, dict):
@@ -412,7 +412,7 @@ class VectorIndex:
                 if not line:
                     raise SnapshotError(f"truncated snapshot: missing chunk {i}")
                 try:
-                    chunk = Chunk.from_dict(json.loads(line))
+                    chunk = Chunk.from_dict(decode(line))
                 except (KeyError, ValueError, FlowragError) as exc:
                     raise SnapshotError(f"{path}:{i + 2}: bad chunk record: {exc}") from exc
                 chunks.append(chunk)

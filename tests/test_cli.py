@@ -4,6 +4,8 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +64,10 @@ def abort_eval(tmp_path, monkeypatch):
         )
     assert code == 1
     return out_dir
+
+
+# One JSON value nested far deeper than the interpreter's recursion limit.
+DEEP = "[" * 200_000 + "]" * 200_000 + "\n"
 
 
 def local_provider_file(tmp_path, dimension=64):
@@ -232,6 +238,21 @@ class TestGed:
         assert "no prediction for" in err
         rows = report_path.read_text().splitlines()
         assert rows[0].startswith("Model,")
+
+    def test_deeply_nested_prediction_is_unreadable(self, tmp_path, capsys):
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        good = {"graph_id": graphs[0].graph_id, "predicted": json.loads(serialize_json(graphs[0]))}
+        preds_path.write_text(json.dumps(good) + "\n" + DEEP)
+        report_path = tmp_path / "out.md"
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        assert (
+            f"warning: 1 prediction lines are unreadable (first: {preds_path}:2: "
+            f"unreadable prediction: value nested too deep"
+        ) in err
+        assert "Traceback" not in err
 
     def test_repeated_and_unknown_ids_warn_once(self, tmp_path, capsys):
         graphs, graphs_path, _ = write_corpus(tmp_path, count=3)
@@ -828,6 +849,25 @@ class TestMalformedFiles:
         line = self.one_error(capsys, main(["render", "--graph", str(graph_path)]))
         assert line.startswith(f"error: {graph_path}: ") and message in line
 
+    @pytest.mark.parametrize("flag", ["render --graph", "ged --truth", "report --in",
+                                      "eval --config", "query --snapshot"])
+    def test_value_nested_too_deep(self, tmp_path, capsys, flag):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("")
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP)
+        command, option = flag.split()
+        others = {
+            "render": [],
+            "ged": ["--pred", preds_path, "--report", tmp_path / "out.md"],
+            "report": [],
+            "eval": ["--graphs", graphs_path, "--qa", qa_path, "--out-dir", tmp_path / "out"],
+            "query": ["--text", "t"],
+        }[command]
+        code = main([command, option, str(deep)] + [str(arg) for arg in others])
+        assert "value nested too deep" in self.one_error(capsys, code)
+
     def test_invalid_costs_json_names_the_file(self, tmp_path, capsys):
         _, graphs_path, _ = write_corpus(tmp_path, count=2)
         preds_path = tmp_path / "preds.jsonl"
@@ -854,6 +894,63 @@ class TestMalformedFiles:
         code = main(["gen", "--count", "3", "--spec", str(spec_path),
                      "--out", str(tmp_path / "corpus")])
         assert message in self.one_error(capsys, code)
+
+
+class TestImports:
+    """Only ``flowrag ged`` imports scipy; every other command runs without
+    paying for its import."""
+
+    def scipy_after(self, code: str) -> list[str]:
+        """The scipy modules loaded once ``code`` has run in a new process."""
+        script = (
+            "import json, sys\n" + code + "\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def main_calls(self, *argvs) -> str:
+        calls = "".join(
+            f"assert main({[str(arg) for arg in argv]!r}) == 0\n" for argv in argvs
+        )
+        return "from flowrag.cli import main\n" + calls
+
+    def test_importing_the_cli(self):
+        assert self.scipy_after("import flowrag.cli") == []
+
+    def test_eval(self, tmp_path):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=3)
+        config_path = tmp_path / "eval.json"
+        config_path.write_text("{}")
+        code = self.main_calls(
+            ["eval", "--graphs", graphs_path, "--qa", qa_path,
+             "--config", config_path, "--out-dir", tmp_path / "out"]
+        )
+        assert self.scipy_after(code) == []
+        assert (tmp_path / "out" / "report.json").exists()
+
+    def test_ingest_then_query(self, tmp_path):
+        _, graphs_path, _ = write_corpus(tmp_path, count=3)
+        chunks_path = tmp_path / "chunks.jsonl"
+        snapshot = tmp_path / "index.snap"
+        code = self.main_calls(
+            ["chunk", "--graphs", graphs_path, "--strategy", "per-node", "--out", chunks_path],
+            ["ingest", "--chunks", chunks_path, "--snapshot", snapshot],
+            ["query", "--snapshot", snapshot, "--text", "t"],
+        )
+        assert self.scipy_after(code) == []
+
+    def test_ged_does_import_scipy(self, tmp_path):
+        _, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("")
+        code = self.main_calls(
+            ["ged", "--pred", preds_path, "--truth", graphs_path, "--report", tmp_path / "out.md"]
+        )
+        assert "scipy.optimize" in self.scipy_after(code)
 
 
 class TestUsage:

@@ -244,6 +244,13 @@ class TestRemote:
         with pytest.raises(ProtocolError, match=message):
             client._parse(body)
 
+    def test_deeply_nested_reply_is_protocol_error(self):
+        deep = b'{"embeddings": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+        client = embed_module._RemoteClient(remote_config("http://127.0.0.1:1"))
+        with pytest.raises(ProtocolError, match="malformed embedding response"):
+            client._parse(deep)
+        assert embed_module._error_text(deep) == deep[:200].decode()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProviderConfig(kind=ProviderKind.REMOTE, endpoint="", model_name="m")

@@ -15,7 +15,7 @@ from flowrag.graph_model import (
     read_graphs_jsonl,
     write_graphs_jsonl,
 )
-from flowrag.jsonio import create, encode, read_jsonl, write_jsonl
+from flowrag.jsonio import create, decode, encode, read_jsonl, write_jsonl
 from flowrag.synthgen import GenSpec, QaCategory, QaItem, read_qa_jsonl, write_qa_jsonl
 from flowrag.vstore import RetrievalHit
 
@@ -183,3 +183,11 @@ def test_configs_reject_unknown_keys_and_non_objects(from_dict):
 def test_eval_config_rejects_unknown_provider_key():
     with pytest.raises(FlowragError, match="unknown provider config keys"):
         EvalConfig.from_dict({"provider": {"kind": "local-hashed", "dimention": 64}})
+
+
+@pytest.mark.parametrize(
+    "deep", ["[" * 200_000 + "]" * 200_000, b'{"a":' * 200_000 + b"1" + b"}" * 200_000]
+)
+def test_decode_reports_deep_nesting_as_bad_json(deep):
+    with pytest.raises(json.JSONDecodeError, match="value nested too deep"):
+        decode(deep)

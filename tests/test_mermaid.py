@@ -1,4 +1,7 @@
+import itertools
 import random
+import re
+import time
 
 import pytest
 
@@ -14,6 +17,7 @@ from flowrag.graph_model import (
 from flowrag.mermaid import (
     MermaidSyntaxError,
     UnsupportedFeatureError,
+    _match_inline_label,
     parse_mermaid,
     render_mermaid,
 )
@@ -192,6 +196,67 @@ class TestParse:
     def test_self_loop(self):
         graph = parse_mermaid("flowchart TD\nA --> A")
         assert graph.edges[0].src == graph.edges[0].dst == "A"
+
+
+# The backtracking patterns the inline label scan replaced, kept as its
+# reference.
+REFERENCE_INLINE_LABEL_RES = [
+    (re.compile(r"^\s*--\s+(.+?)\s+-->\s*"), LineStyle.SOLID),
+    (re.compile(r"^\s*-\.\s+(.+?)\s+\.->\s*"), LineStyle.DOTTED),
+    (re.compile(r"^\s*==\s+(.+?)\s+==>\s*"), LineStyle.SOLID),
+]
+
+
+def reference_inline_label(rest: str):
+    for pattern, style in REFERENCE_INLINE_LABEL_RES:
+        match = pattern.match(rest)
+        if match:
+            return match.group(1), style, match.end()
+    return None
+
+
+class TestInlineLabelScan:
+    @pytest.mark.parametrize("opener", ["--", "-.", "=="])
+    def test_whitespace_run_fails_in_linear_time(self, opener):
+        # The backtracking patterns took about 0.7 s at 32 000 blanks, and four
+        # times as long for each doubling.
+        script = f"flowchart TD\nA {opener} x{' ' * 200_000}y"
+        started = time.perf_counter()
+        with pytest.raises(MermaidSyntaxError, match="malformed link") as excinfo:
+            parse_mermaid(script)
+        assert time.perf_counter() - started < 2.0
+        assert excinfo.value.line == 2
+
+    def test_same_match_as_the_reference_patterns(self):
+        # Every line of up to five pieces, each piece one of ` -.=>x|` or a
+        # closer, after nothing, a blank or an opener: it covers each form's
+        # label, closer and given-back blanks.
+        pieces = list(" -.=>x|") + ["-->", ".->", "==>"]
+        tails = [
+            "".join(chosen)
+            for size in range(6)
+            for chosen in itertools.product(pieces, repeat=size)
+        ]
+        matched = 0
+        for head in ("", " ", "--", "-.", "==", " -- "):
+            for tail in tails:
+                rest = head + tail
+                expected = reference_inline_label(rest)
+                assert _match_inline_label(rest) == expected, rest
+                matched += expected is not None
+        assert matched > 600
+
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            "\t--\u3000a\xa0b\t-->\u2003B",
+            " == a ==> b  ==> B",
+            " -. .-> x .-> B",
+            "--\x1c\t\u3000-->B",
+        ],
+    )
+    def test_longer_lines_and_unicode_blanks_match_the_reference(self, rest):
+        assert _match_inline_label(rest) == reference_inline_label(rest)
 
 
 class TestRender:
