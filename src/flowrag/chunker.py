@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import FlowragError
 from .graph_model import FlowGraph, serialize_json
-from .jsonio import expect, read_jsonl, write_jsonl
+from .jsonio import expect, member, read_jsonl, shown, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -69,10 +69,14 @@ class Chunk:
         return cls(
             chunk_id=expect(data["chunk_id"], str, "chunk_id"),
             text=expect(data["text"], str, "text"),
-            source_kind=SourceKind(data["source_kind"]),
+            source_kind=member(data["source_kind"], SourceKind, "source_kind"),
             graph_id=expect(data.get("graph_id"), (str, type(None)), "graph_id"),
             node_id=expect(data.get("node_id"), (str, type(None)), "node_id"),
-            strategy=ChunkStrategy(data["strategy"]) if data.get("strategy") else None,
+            strategy=(
+                member(data["strategy"], ChunkStrategy, "strategy")
+                if data.get("strategy")
+                else None
+            ),
         )
 
 
@@ -103,7 +107,7 @@ def chunk_graph(graph: FlowGraph, strategy: ChunkStrategy) -> list[Chunk]:
         values = [node.value for node in graph.nodes if node.value]
         if not values:
             raise ChunkError(
-                f"graph {graph.graph_id!r} has no node text to embed under all-nodes"
+                f"graph {shown(graph.graph_id)} has no node text to embed under all-nodes"
             )
         return [
             Chunk(
@@ -163,10 +167,10 @@ def chunk_graphs(graphs: Iterable[FlowGraph], strategy: ChunkStrategy) -> list[C
             skipped.extend((graph.graph_id, node.id) for node in graph.nodes if not node.value)
     if skipped:
         logger.warning(
-            "skipped %d empty-value nodes under per-node chunking (first: node %r of graph %r)",
+            "skipped %d empty-value nodes under per-node chunking (first: node %s of graph %s)",
             len(skipped),
-            skipped[0][1],
-            skipped[0][0],
+            shown(skipped[0][1]),
+            shown(skipped[0][0]),
         )
     return chunks
 
@@ -182,7 +186,8 @@ def chunk_text(
     """
     if max_chars <= overlap_chars or overlap_chars < 0:
         raise ChunkError(
-            f"require max_chars > overlap_chars >= 0, got {max_chars}/{overlap_chars}"
+            "require max_chars > overlap_chars >= 0, "
+            f"got {shown(max_chars)}/{shown(overlap_chars)}"
         )
     if not document:
         return []

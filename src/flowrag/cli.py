@@ -26,7 +26,7 @@ from .evalharness import (
     write_trace_jsonl,
 )
 from .graph_model import graph_from_doc, parse_json, read_graphs_jsonl, serialize_json
-from .jsonio import create, decode, read_json
+from .jsonio import create, decode, read_json, shown
 from .mermaid import DIRECTIONS, parse_mermaid, render_mermaid
 from .synthgen import (
     GenSpec,
@@ -110,9 +110,9 @@ def _warn_ids(what: str, ids: list[str], consequence: str) -> None:
     """One warning for all offenders: their count and the first few ids."""
     if ids:
         distinct = list(dict.fromkeys(ids))
-        shown = ", ".join(repr(i) for i in distinct[:5])
+        first = ", ".join(map(shown, distinct[:5]))
         more = ", ..." if len(distinct) > 5 else ""
-        print(f"warning: {len(ids)} {what} ({shown}{more}); {consequence}", file=sys.stderr)
+        print(f"warning: {len(ids)} {what} ({first}{more}); {consequence}", file=sys.stderr)
 
 
 def _warn_first(what: str, messages: list[str], consequence: str) -> None:
@@ -141,7 +141,7 @@ def _read_predictions(path: str) -> dict[str, object]:
                 record = decode(line)
                 graph_id = record["graph_id"]
                 if not isinstance(graph_id, str):
-                    raise TypeError(f"graph_id must be a string, got {graph_id!r}")
+                    raise TypeError(f"graph_id must be a string, got {shown(graph_id)}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 unreadable.append(f"{path}:{line_no}: unreadable prediction: {exc}")
                 continue
@@ -151,7 +151,7 @@ def _read_predictions(path: str) -> dict[str, object]:
                 predictions[graph_id] = graph_from_doc(record["predicted"])
             except (FlowragError, KeyError, TypeError) as exc:
                 unparsed.append(
-                    f"{path}:{line_no}: prediction for {graph_id!r} does not parse: {exc}"
+                    f"{path}:{line_no}: prediction for {shown(graph_id)} does not parse: {exc}"
                 )
                 predictions[graph_id] = None
     _warn_first("prediction lines are unreadable", unreadable, "they are skipped")

@@ -48,8 +48,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import FlowragError
-from .jsonio import NUMBER, config_kwargs, decode
+from .errors import ConfigError, FlowragError
+from .jsonio import NUMBER, config_kwargs, decode, expect, member, shown
 
 
 class EmbedInputError(FlowragError):
@@ -94,7 +94,7 @@ class EmbeddingVector:
                 ) from exc
             if not all(map(_is_real, types)):
                 bad = next(v for v in values if not _is_real(type(v)))
-                raise EmbedInputError(f"vector values must be real numbers, found {bad!r}")
+                raise EmbedInputError(f"vector values must be real numbers, found {shown(bad)}")
         array = np.array(values, dtype=np.float32)
         if array.ndim != 1:
             raise EmbedInputError(f"expected a flat vector, got shape {array.shape}")
@@ -122,7 +122,7 @@ class EmbeddingVector:
         return hash((self._array + np.float32(0.0)).tobytes())
 
     def __repr__(self) -> str:
-        return f"EmbeddingVector(values={self.values!r})"
+        return f"EmbeddingVector(values={self.values})"
 
 
 class ProviderKind(Enum):
@@ -141,26 +141,19 @@ class ProviderConfig:
     max_concurrency: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.kind, ProviderKind):
-            raise ValueError(f"kind must be a ProviderKind, got {self.kind!r}")
+        expect(self.kind, ProviderKind, "kind")
         for name in ("dimension", "batch_size", "max_concurrency"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        timeout = self.timeout_s
-        if (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or not math.isfinite(timeout)
-            or timeout <= 0
-        ):
-            raise ValueError(f"timeout_s must be a finite number > 0, got {timeout!r}")
+            value = expect(getattr(self, name), int, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {shown(value)}")
+        timeout = expect(self.timeout_s, NUMBER, "timeout_s")
+        if not math.isfinite(timeout) or timeout <= 0:
+            raise ConfigError(f"timeout_s must be finite and > 0, got {shown(timeout)}")
         if self.kind is ProviderKind.REMOTE:
-            if not self.endpoint or not self.model_name:
-                raise ValueError("remote provider requires endpoint and model_name")
-            if not isinstance(self.endpoint, str) or not isinstance(self.model_name, str):
-                raise ValueError("endpoint and model_name must be strings")
-            _split_endpoint(self.endpoint)
+            endpoint = expect(self.endpoint, str, "endpoint")
+            if not endpoint or not expect(self.model_name, str, "model_name"):
+                raise ConfigError("remote provider requires endpoint and model_name")
+            _split_endpoint(endpoint)
 
     def describe(self) -> str:
         if self.kind is ProviderKind.LOCAL_HASHED:
@@ -170,11 +163,13 @@ class ProviderConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ProviderConfig":
         kwargs = config_kwargs(cls, data, "provider config")
-        kwargs["kind"] = ProviderKind(kwargs.get("kind", "local-hashed"))
+        kwargs["kind"] = member(kwargs.get("kind", "local-hashed"), ProviderKind, "kind")
         return cls(**kwargs)
 
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+# http.client refuses to send these in a host or path.
+_UNSENDABLE_RE = re.compile(r"[\x00-\x20\x7f]")
 
 _RETRY_ATTEMPTS = 3
 _BACKOFF_BASE_S = 0.25
@@ -209,19 +204,27 @@ def _hash_embed(texts: list[str], dimension: int) -> list[EmbeddingVector]:
 
 def _split_endpoint(endpoint: str):
     """The endpoint's URL parts; ValueError unless it is an http:// or
-    https:// URL with a host and no credentials, query or fragment."""
+    https:// URL with a host that can be sent (no blank or control
+    character anywhere, each host label 1-63 characters once encoded with
+    IDNA) and no credentials, query or fragment."""
+    if _UNSENDABLE_RE.search(endpoint):
+        raise ValueError(
+            f"endpoint {shown(endpoint)} must not hold blanks or control characters"
+        )
     try:
         parts = urlsplit(endpoint)
         parts.port  # raises ValueError on a malformed port
+        if parts.hostname:
+            parts.hostname.encode("idna")  # UnicodeError, a ValueError, on a bad label
     except ValueError as exc:
-        raise ValueError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from exc
+        raise ValueError(f"endpoint {shown(endpoint)} is not a valid URL: {exc}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(
-            f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
+            f"endpoint must be an http:// or https:// URL with a host, got {shown(endpoint)}"
         )
     if parts.username is not None or parts.query or parts.fragment:
         raise ValueError(
-            f"endpoint {endpoint!r} must not carry credentials, a query or a fragment"
+            f"endpoint {shown(endpoint)} must not carry credentials, a query or a fragment"
         )
     return parts
 
@@ -341,7 +344,7 @@ class _RemoteClient:
                 # decode gives bool for true and false; type() keeps it out.
                 bad = next(item for item in row if type(item) not in NUMBER)
                 raise ProtocolError(
-                    f"embedding row {i} is not numeric: found {json.dumps(bad)}"
+                    f"embedding row {i} is not numeric: found {shown(bad)}"
                 ) from exc
             except OverflowError as exc:  # an integer beyond any float
                 raise ProtocolError(f"embedding row {i} holds a non-finite value") from exc
@@ -357,8 +360,8 @@ def _error_text(reply: bytes) -> str:
         payload = decode(reply)
     except ValueError:
         payload = None
-    if isinstance(payload, dict):
-        return payload.get("error", text)
+    if isinstance(payload, dict) and isinstance(payload.get("error"), str):
+        return payload["error"][:200]
     return text
 
 

@@ -23,7 +23,7 @@ from .chunker import Chunk, ChunkStrategy, chunk_graphs, chunk_text
 from .embed import ProviderConfig, TransportError, embed_batch
 from .errors import ConfigError, FlowragError
 from .graph_model import FlowGraph, serialize_json
-from .jsonio import config_kwargs, expect, expect_list, read_json, write_jsonl
+from .jsonio import config_kwargs, expect, expect_list, member, read_json, shown, write_jsonl
 from .synthgen import QaCategory, QaItem
 from .vstore import IndexEntry, RetrievalHit, VectorIndex
 
@@ -85,7 +85,7 @@ class EvalConfig:
         expect(self.scenario, Scenario, "scenario")
         object.__setattr__(self, "text_documents", tuple(self.text_documents))
         if not self.ks or list(self.ks) != sorted(set(self.ks)) or self.ks[0] < 1:
-            raise FlowragError(f"ks must be distinct ascending positive, got {self.ks}")
+            raise FlowragError(f"ks must be distinct ascending positive, got {shown(self.ks)}")
         if not self.strategies:
             raise ConfigError("at least one chunking strategy is required")
         if self.scenario is Scenario.GRAPH_WITH_TEXT and not self.text_documents:
@@ -97,9 +97,11 @@ class EvalConfig:
         kwargs["provider"] = ProviderConfig.from_dict(kwargs.get("provider", {}))
         if "strategies" in kwargs:
             names = expect_list(kwargs["strategies"], str, "strategies")
-            kwargs["strategies"] = [ChunkStrategy(name) for name in names]
+            kwargs["strategies"] = [
+                member(name, ChunkStrategy, "each item of strategies") for name in names
+            ]
         if "scenario" in kwargs:
-            kwargs["scenario"] = Scenario(kwargs["scenario"])
+            kwargs["scenario"] = member(kwargs["scenario"], Scenario, "scenario")
         if "text_documents" in kwargs:
             texts = []
             for rel in expect_list(kwargs["text_documents"], str, "text_documents"):
@@ -169,7 +171,7 @@ class EvalReport:
             cells = {}
             for row in expect_list(data["cells"], dict, "cells"):
                 key = (
-                    ChunkStrategy(row["strategy"]),
+                    member(row["strategy"], ChunkStrategy, "strategy"),
                     expect(row["k"], int, "k"),
                     expect(row["category"], str, "category"),
                 )
@@ -178,10 +180,11 @@ class EvalReport:
                     denominator=expect(row["denominator"], int, "denominator"),
                 )
             report = cls(
-                scenario=Scenario(data["scenario"]),
+                scenario=member(data["scenario"], Scenario, "scenario"),
                 ks=tuple(expect_list(data["ks"], int, "ks")),
                 strategies=tuple(
-                    map(ChunkStrategy, expect_list(data["strategies"], str, "strategies"))
+                    member(name, ChunkStrategy, "each item of strategies")
+                    for name in expect_list(data["strategies"], str, "strategies")
                 ),
                 categories=tuple(expect_list(data["categories"], str, "categories")),
                 cells=cells,

@@ -7,7 +7,7 @@ JSON document and corpora are stored as JSON-Lines, one graph per line.
 Every ``FlowGraph`` satisfies the graph invariant: unique non-empty node
 ids, edge endpoints that name nodes, unique ``(from, to, value)`` edge
 triples, and empty values only on ``Connector`` nodes. The constructor
-checks it and raises :class:`GraphIntegrityError` listing every violation,
+checks it and raises :class:`GraphIntegrityError` holding every violation,
 so no other code re-checks a graph it is given.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError, FlowragError
-from .jsonio import decode, encode, read_jsonl, write_jsonl
+from .jsonio import decode, encode, read_jsonl, shown, write_jsonl
 
 
 class NodeShape(Enum):
@@ -54,10 +54,15 @@ class GraphSchemaError(FlowragError):
 
 
 class GraphIntegrityError(FlowragError):
-    """A structurally complete graph that violates graph invariants."""
+    """A structurally complete graph that violates graph invariants. The
+    message names the first five violations and counts the rest;
+    ``violations`` holds every one."""
 
     def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
+        message = "; ".join(violations[:5])
+        if len(violations) > 5:
+            message += f"; and {len(violations) - 5} more"
+        super().__init__(message)
         self.violations = list(violations)
 
 
@@ -72,7 +77,7 @@ class FlowNode:
     def __post_init__(self):
         # An inline check, not jsonio.expect: nodes are built in hot loops.
         if not isinstance(self.shape, NodeShape):
-            raise ConfigError(f"shape must be a NodeShape, got {self.shape!r}")
+            raise ConfigError(f"shape must be a NodeShape, got {shown(self.shape)}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class FlowEdge:
 
     def __post_init__(self):
         if not isinstance(self.line_style, LineStyle):
-            raise ConfigError(f"line_style must be a LineStyle, got {self.line_style!r}")
+            raise ConfigError(f"line_style must be a LineStyle, got {shown(self.line_style)}")
 
 
 @dataclass(frozen=True)
@@ -118,22 +123,22 @@ def _violations(graph: FlowGraph) -> list[str]:
         if not node.id:
             violations.append("empty node id")
         elif node.id in seen_ids:
-            violations.append(f"duplicate node id '{node.id}'")
+            violations.append(f"duplicate node id {shown(node.id)}")
         else:
             seen_ids.add(node.id)
         if not node.value and node.shape is not NodeShape.CONNECTOR:
             violations.append(
-                f"node '{node.id}' has empty value but shape {node.shape.value}"
+                f"node {shown(node.id)} has empty value but shape {node.shape.value}"
             )
     seen_edges: set[tuple[str, str, str | None]] = set()
     for edge in graph.edges:
         for endpoint in (edge.src, edge.dst):
             if endpoint not in seen_ids:
-                violations.append(f"edge references unknown node '{endpoint}'")
+                violations.append(f"edge references unknown node {shown(endpoint)}")
         triple = (edge.src, edge.dst, edge.value)
         if triple in seen_edges:
             violations.append(
-                f"duplicate edge ('{edge.src}', '{edge.dst}', {edge.value!r})"
+                f"duplicate edge {shown((edge.src, edge.dst, edge.value))}"
             )
         seen_edges.add(triple)
     return violations
@@ -161,7 +166,7 @@ def _node_from_obj(obj, path: str) -> FlowNode:
     if obj.get("shape") is not None:
         name = _expect(obj["shape"], str, f"{path}.shape", "string")
         if name not in _SHAPES_BY_NAME:
-            raise GraphSchemaError(f"unknown shape {name!r}", f"{path}.shape")
+            raise GraphSchemaError(f"unknown shape {shown(name)}", f"{path}.shape")
         shape = _SHAPES_BY_NAME[name]
     return FlowNode(id=node_id, value=value, shape=shape)
 
@@ -182,7 +187,7 @@ def _edge_from_obj(obj, path: str) -> FlowEdge:
     if obj.get("line_style") is not None:
         name = _expect(obj["line_style"], str, f"{path}.line_style", "string")
         if name not in _STYLES_BY_NAME:
-            raise GraphSchemaError(f"unknown line_style {name!r}", f"{path}.line_style")
+            raise GraphSchemaError(f"unknown line_style {shown(name)}", f"{path}.line_style")
         line_style = _STYLES_BY_NAME[name]
     return FlowEdge(
         src=src, dst=dst, value=value, bidirectional=bidirectional, line_style=line_style

@@ -12,6 +12,11 @@ record that does not decode is an error naming ``path:line``. A config
 file holds one JSON object whose keys are fields of a config dataclass;
 any other key is an error.
 
+Every value read from outside the program is named in an error message
+through ``shown``, which quotes at most 60 characters of it, so no input
+can make an error line longer than a few hundred characters; an enum name
+is read through ``member``, whose error lists the allowed names.
+
 Every file the package writes (records, snapshots, reports, the corpus
 manifest, ``parse``/``render``/``ged`` outputs) is opened by ``create``,
 which makes a new file rather than truncating the old one.
@@ -20,13 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 from collections.abc import Mapping
+from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, TypeVar
 
 from .errors import ConfigError, FlowragError
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 NUMBER = (int, float)
 _NAMES = {
@@ -38,6 +46,23 @@ _NAMES = {
     NUMBER: "a number",
     (str, type(None)): "a string or null",
 }
+
+
+_SHOWN_CHARS = 60
+# Python 3.10's Repr takes no arguments. Containers show 6 items, 6 levels deep.
+_QUOTER = reprlib.Repr()
+_QUOTER.maxstring = _QUOTER.maxlong = _QUOTER.maxother = _SHOWN_CHARS
+_QUOTER.maxdict = 6
+
+
+def shown(value) -> str:
+    """``value`` as an error message quotes it: its repr, with a long string,
+    number or whole repr cut in the middle to 60 characters. Short values
+    read as their repr, except that an object's keys come in sorted order."""
+    text = _QUOTER.repr(value)
+    if len(text) > _SHOWN_CHARS:  # 6 levels of 6 items can still run to megabytes
+        text = text[:28] + "..." + text[-29:]  # reprlib's cut of a 60-character string
+    return text
 
 
 def _as_dict(obj) -> dict:
@@ -125,7 +150,7 @@ def config_kwargs(cls, data, what: str) -> dict:
         raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {shown(sorted(unknown))}")
     return dict(data)
 
 
@@ -135,8 +160,18 @@ def expect(value, kinds, what: str):
     types = kinds if isinstance(kinds, tuple) else (kinds,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         name = _NAMES[kinds] if kinds in _NAMES else f"a {kinds.__name__}"
-        raise ConfigError(f"{what} must be {name}, got {value!r}")
+        raise ConfigError(f"{what} must be {name}, got {shown(value)}")
     return value
+
+
+def member(value, kind: type[E], what: str) -> E:
+    """The member of the enum ``kind`` whose value is ``value``, a name
+    decoded from JSON; a ConfigError listing the allowed names if none is."""
+    try:
+        return kind(value)
+    except ValueError:
+        names = ", ".join(m.value for m in kind)
+        raise ConfigError(f"{what} must be one of {names}, got {shown(value)}") from None
 
 
 def expect_list(value, kinds, what: str) -> list | tuple:

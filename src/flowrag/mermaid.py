@@ -21,6 +21,7 @@ import re
 
 from .errors import FlowragError
 from .graph_model import FlowEdge, FlowGraph, FlowNode, LineStyle, NodeShape
+from .jsonio import shown
 
 DIRECTIONS = ("TD", "TB", "LR", "RL", "BT")
 
@@ -142,14 +143,14 @@ def _classify_arrow(match: re.Match, line_no: int) -> tuple[bool, LineStyle]:
         return bidi, style
     if match.group("udots") is not None:
         if bidi:
-            raise MermaidSyntaxError(f"malformed link '{match.group(0).strip()}'", line_no)
+            raise MermaidSyntaxError(f"malformed link {shown(match.group(0).strip())}", line_no)
         style = LineStyle.DOTTED if len(match.group("udots")) == 1 else LineStyle.DASHED
         return True, style
     if body.endswith(">"):
         return bidi, LineStyle.SOLID
     # --- or === with no arrowhead: undirected, stored as bidirectional
     if bidi:
-        raise MermaidSyntaxError(f"malformed link '{match.group(0).strip()}'", line_no)
+        raise MermaidSyntaxError(f"malformed link {shown(match.group(0).strip())}", line_no)
     return True, LineStyle.SOLID
 
 
@@ -188,7 +189,7 @@ def _parse_node_ref(builder: _Builder, text: str, line_no: int) -> tuple[str, st
     """Consume one node reference; returns (node_id, rest_of_line)."""
     match = _NODE_RE.match(text)
     if not match:
-        raise MermaidSyntaxError(f"expected a node reference near '{text}'", line_no)
+        raise MermaidSyntaxError(f"expected a node reference near {shown(text)}", line_no)
     return _declare_node(builder, match), text[match.end():]
 
 
@@ -201,7 +202,7 @@ def _parse_link_line(builder: _Builder, line: str, line_no: int) -> None:
     else:
         match = _ARROW_RE.match(rest)
         if not match:
-            raise MermaidSyntaxError(f"malformed link near '{rest.strip()}'", line_no)
+            raise MermaidSyntaxError(f"malformed link near {shown(rest.strip())}", line_no)
         bidirectional, style = _classify_arrow(match, line_no)
         label, end = match.group("label"), match.end()
     if label is not None:
@@ -209,7 +210,9 @@ def _parse_link_line(builder: _Builder, line: str, line_no: int) -> None:
     rest = rest[end:]
     dst_id, rest = _parse_node_ref(builder, rest, line_no)
     if rest.strip():
-        raise MermaidSyntaxError(f"unexpected trailing content '{rest.strip()}'", line_no)
+        raise MermaidSyntaxError(
+            f"unexpected trailing content {shown(rest.strip())}", line_no
+        )
     builder.edges.append(
         FlowEdge(
             src=src_id,
@@ -276,7 +279,7 @@ def render_mermaid(graph: FlowGraph, direction: str = "TD") -> str:
     """Render a FlowGraph as a flowchart script (UTF-8, LF, trailing
     newline). Unspecified shapes render as process boxes."""
     if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {shown(direction)}")
     lines = [f"flowchart {direction}"]
     for node in graph.nodes:
         opener, closer = _SHAPE_BRACKETS[node.shape]

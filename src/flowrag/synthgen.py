@@ -31,8 +31,10 @@ from .jsonio import (
     create,
     expect,
     expect_list,
+    member,
     read_json,
     read_jsonl,
+    shown,
     write_jsonl,
 )
 
@@ -105,12 +107,13 @@ class GenSpec:
         expect(self.seed, int, "seed")
         if len(bounds) != 2 or not 1 <= bounds[0] <= bounds[1]:
             raise ConfigError(
-                f"node_count_range must be [min, max] with 1 <= min <= max, got {list(bounds)}"
+                "node_count_range must be [min, max] with 1 <= min <= max, "
+                f"got {shown(list(bounds))}"
             )
         for name in ("decision_fraction", "edge_value_probability", "bidirectional_probability"):
             p = expect(getattr(self, name), NUMBER, name)
             if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
+                raise ConfigError(f"{name} must be in [0, 1], got {shown(p)}")
         for name, mix, kind in (
             ("style_mix", self.style_mix, LineStyle), ("shape_mix", self.shape_mix, NodeShape)
         ):
@@ -138,11 +141,10 @@ class GenSpec:
         kwargs = config_kwargs(cls, data, "generator spec")
         for key, kind in (("style_mix", LineStyle), ("shape_mix", NodeShape)):
             if key in kwargs:
-                mix = expect(kwargs[key], dict, key)
-                try:
-                    kwargs[key] = {kind(name): weight for name, weight in mix.items()}
-                except ValueError as exc:
-                    raise ConfigError(f"unknown {kind.__name__} in {key}: {exc}") from exc
+                kwargs[key] = {
+                    member(name, kind, f"each {key} key"): weight
+                    for name, weight in expect(kwargs[key], dict, key).items()
+                }
         return cls(**kwargs)
 
     @classmethod
@@ -185,7 +187,7 @@ class QaItem:
             question=expect(data["question"], str, "question"),
             graph_id=expect(data["graph_id"], str, "graph_id"),
             gold_node_ids=frozenset(expect_list(data["gold_node_ids"], str, "gold_node_ids")),
-            category=QaCategory(data["category"]),
+            category=member(data["category"], QaCategory, "category"),
         )
 
 
@@ -210,11 +212,11 @@ class SplitConfig:
         """Parse '64/16/20' or '0.64/0.16/0.2' into a SplitConfig."""
         parts = text.split("/")
         if len(parts) != 3:
-            raise ConfigError(f"split must have three components, got {text!r}")
+            raise ConfigError(f"split must have three components, got {shown(text)}")
         try:
             values = [float(p) for p in parts]
         except ValueError as exc:
-            raise ConfigError(f"invalid split {text!r}") from exc
+            raise ConfigError(f"invalid split {shown(text)}") from exc
         if sum(values) > 1.5:
             values = [v / 100.0 for v in values]
         return cls(*values)

@@ -45,7 +45,7 @@ import numpy as np
 from .chunker import Chunk
 from .embed import EmbeddingVector
 from .errors import FlowragError
-from .jsonio import create, decode, encode
+from .jsonio import create, decode, encode, shown
 
 _SNAPSHOT_FORMAT = "flowrag-vstore"
 _SNAPSHOT_VERSION = 1
@@ -163,10 +163,10 @@ def _error_bounds(dimension: int, inv_norms: np.ndarray) -> np.ndarray:
 
 def _header_int(header: dict, key: str) -> int:
     if key not in header:
-        raise SnapshotError(f"snapshot header lacks {key!r}")
+        raise SnapshotError(f"snapshot header lacks '{key}'")
     value = header[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SnapshotError(f"snapshot header {key!r} must be an integer, found {value!r}")
+        raise SnapshotError(f"snapshot header '{key}' must be an integer, found {shown(value)}")
     return value
 
 
@@ -215,7 +215,7 @@ class VectorIndex:
         seen: set[str] = set()
         for chunk in chunks:
             if chunk.chunk_id in seen:
-                raise error(f"duplicate chunk_id {chunk.chunk_id!r}")
+                raise error(f"duplicate chunk_id {shown(chunk.chunk_id)}")
             seen.add(chunk.chunk_id)
         if self._chunks:
             # Merging into an empty index changes nothing; skipping it spares
@@ -235,7 +235,7 @@ class VectorIndex:
         for i in firsts:
             if len(vectors[i]) != dimension:
                 raise DimensionMismatchError(
-                    f"chunk {chunks[i].chunk_id!r} has dimension "
+                    f"chunk {shown(chunks[i].chunk_id)} has dimension "
                     f"{len(vectors[i])}, index uses {dimension}"
                 )
         if isinstance(vectors, np.ndarray) and len(firsts) == len(vectors):
@@ -245,7 +245,7 @@ class VectorIndex:
         bad = _first_non_finite(rows)
         if bad is not None:
             raise error(
-                f"chunk {chunks[firsts[bad]].chunk_id!r} has a non-finite vector value"
+                f"chunk {shown(chunks[firsts[bad]].chunk_id)} has a non-finite vector value"
             )
         norms = _norms(rows)
         by_id = np.array(
@@ -393,19 +393,19 @@ class VectorIndex:
                 raise SnapshotError("snapshot header must be a JSON object")
             if header.get("format") != _SNAPSHOT_FORMAT:
                 raise SnapshotError(
-                    f"expected format {_SNAPSHOT_FORMAT!r}, found {header.get('format')!r}"
+                    f"expected format '{_SNAPSHOT_FORMAT}', found {shown(header.get('format'))}"
                 )
             if header.get("version") != _SNAPSHOT_VERSION:
                 raise SnapshotError(
                     f"expected snapshot version {_SNAPSHOT_VERSION}, "
-                    f"found {header.get('version')}"
+                    f"found {shown(header.get('version'))}"
                 )
             count = _header_int(header, "count")
             dimension = _header_int(header, "dimension")
             if count < 0:
-                raise SnapshotError(f"snapshot count must be >= 0, found {count}")
+                raise SnapshotError(f"snapshot count must be >= 0, found {shown(count)}")
             if dimension < (1 if count else 0):
-                raise SnapshotError(f"snapshot dimension {dimension} is invalid")
+                raise SnapshotError(f"snapshot dimension {shown(dimension)} is invalid")
             chunks = []
             for i in range(count):
                 line = fh.readline()
@@ -423,7 +423,7 @@ class VectorIndex:
             if len(blob) < row_bytes * count:
                 raise SnapshotError(
                     f"truncated snapshot: missing vector for "
-                    f"{chunks[len(blob) // row_bytes].chunk_id!r}"
+                    f"{shown(chunks[len(blob) // row_bytes].chunk_id)}"
                 )
             if len(blob) > row_bytes * count:
                 raise SnapshotError("trailing bytes after snapshot payload")

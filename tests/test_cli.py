@@ -13,7 +13,13 @@ import flowrag.embed as embed_module
 import flowrag.ged as ged_module
 from flowrag.cli import build_parser, main
 from flowrag.ged import GED_REPORT_COLUMNS
-from flowrag.graph_model import FlowGraph, parse_json, read_graphs_jsonl, serialize_json
+from flowrag.graph_model import (
+    FlowGraph,
+    GraphIntegrityError,
+    parse_json,
+    read_graphs_jsonl,
+    serialize_json,
+)
 from flowrag.synthgen import read_qa_jsonl
 
 from helpers import NEEDS_FORK, StubEmbedServer, disjoint_corpus
@@ -68,6 +74,9 @@ def abort_eval(tmp_path, monkeypatch):
 
 # One JSON value nested far deeper than the interpreter's recursion limit.
 DEEP = "[" * 200_000 + "]" * 200_000 + "\n"
+
+# A bad value far longer than any error line should be.
+LONG = "x" * 100_000
 
 
 def local_provider_file(tmp_path, dimension=64):
@@ -867,6 +876,74 @@ class TestMalformedFiles:
         }[command]
         code = main([command, option, str(deep)] + [str(arg) for arg in others])
         assert "value nested too deep" in self.one_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "flag, text, field",
+        [
+            pytest.param("eval --config", json.dumps({"scenario": LONG}), "scenario",
+                         id="eval-scenario"),
+            pytest.param("eval --config", json.dumps({"ks": [LONG]}), "each item of ks",
+                         id="eval-ks-item"),
+            pytest.param("eval --config", json.dumps({"provider": {"dimension": LONG}}),
+                         "dimension", id="eval-provider-dimension"),
+            pytest.param("eval --qa", json.dumps({"question": "q", "graph_id": "g",
+                                                  "gold_node_ids": ["A"], "category": LONG}),
+                         "category", id="qa-category"),
+            pytest.param("ingest --chunks", json.dumps({"chunk_id": "c", "text": "t",
+                                                        "source_kind": LONG}),
+                         "source_kind", id="chunk-source-kind"),
+            pytest.param("parse --mermaid", "flowchart TD\nA -- x" + " " * 100_000 + "y\n",
+                         "malformed link", id="mermaid-link"),
+            pytest.param("render --graph", json.dumps(
+                {"nodes": [{"id": "A", "value": "v", "shape": LONG}], "edges": []}
+            ), "shape", id="graph-shape"),
+            pytest.param("render --graph", json.dumps(
+                {"nodes": [{"id": LONG, "value": "v"}] * 2, "edges": []}
+            ), "duplicate node id", id="graph-repeated-id"),
+            pytest.param("query --snapshot", json.dumps({"format": LONG}) + "\n", "format",
+                         id="snapshot-format"),
+            pytest.param("report --in", json.dumps(
+                {"scenario": "graph-only", "ks": [1], "strategies": ["per-node"],
+                 "categories": [], "cells": [{"strategy": LONG, "k": 1, "category": "All",
+                                              "numerator": 1, "denominator": 2}]}
+            ), "strategy", id="report-strategy"),
+        ],
+    )
+    def test_long_value_is_cut(self, tmp_path, capsys, flag, text, field):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=2)
+        config_path = tmp_path / "eval.json"
+        config_path.write_text("{}")
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        command, option = flag.split()
+        others = {
+            "eval --config": ["--graphs", graphs_path, "--qa", qa_path],
+            "eval --qa": ["--graphs", graphs_path, "--config", config_path],
+            "ingest --chunks": ["--provider-config", local_provider_file(tmp_path),
+                                "--snapshot", tmp_path / "x.snap"],
+            "parse --mermaid": [],
+            "render --graph": [],
+            "query --snapshot": ["--text", "t"],
+            "report --in": [],
+        }[flag]
+        if command == "eval":
+            others += ["--out-dir", tmp_path / "out"]
+        line = self.one_error(capsys, main([command, option, str(bad)] + list(map(str, others))))
+        assert len(line) <= 300 and field in line
+
+    def test_many_graph_violations_are_counted(self, tmp_path, capsys):
+        doc = {"nodes": [{"id": "A", "value": "v"}] * 20_000,
+               "edges": [{"from": "A", "to": "B"}] * 20_000}
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(doc))
+        with pytest.raises(GraphIntegrityError) as excinfo:
+            parse_json(graph_path.read_bytes())
+        violations = excinfo.value.violations
+        assert len(violations) > 40_000
+        line = self.one_error(capsys, main(["render", "--graph", str(graph_path)]))
+        assert len(line) < 500
+        assert line.endswith(f"; and {len(violations) - 5} more")
+        assert "; ".join(violations[:5]) in line
 
     def test_invalid_costs_json_names_the_file(self, tmp_path, capsys):
         _, graphs_path, _ = write_corpus(tmp_path, count=2)

@@ -324,6 +324,15 @@ class TestErrorText:
     def test_error_field_of_an_object(self):
         assert embed_module._error_text(b'{"error": "overloaded"}') == "overloaded"
 
+    def test_error_field_is_cut_like_the_raw_body(self):
+        body = json.dumps({"error": "x" * 100_000}).encode()
+        assert embed_module._error_text(body) == "x" * 200
+
+    @pytest.mark.parametrize("error", [5, None, ["busy"], {"deep": "x" * 1000}])
+    def test_error_field_that_is_not_a_string_gives_the_raw_text(self, error):
+        body = json.dumps({"error": error}).encode()
+        assert embed_module._error_text(body) == body[:200].decode()
+
     def test_non_json_body_is_raw_text(self):
         assert embed_module._error_text(b"upstream exploded") == "upstream exploded"
 
@@ -373,6 +382,9 @@ class TestProviderConfigValidation:
             ("endpoint", "http://x:port"),
             ("endpoint", "http://user:pw@x"),
             ("endpoint", "http://x/?key=1"),
+            ("endpoint", "http://" + "a" * 64 + ".example.com:9/"),
+            ("endpoint", "http://a..b:9/"),
+            ("endpoint", "http://exa mple.com:9/"),
             ("endpoint", 8080),
             ("model_name", 5),
         ],

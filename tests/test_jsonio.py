@@ -5,7 +5,7 @@ import pytest
 
 from flowrag.chunker import Chunk, SourceKind, read_chunks_jsonl, write_chunks_jsonl
 from flowrag.embed import ProviderConfig
-from flowrag.errors import FlowragError
+from flowrag.errors import ConfigError, FlowragError
 from flowrag.evalharness import EvalConfig, EvalReport, Scenario, write_trace_jsonl
 from flowrag.ged import CostModel
 from flowrag.graph_model import (
@@ -15,7 +15,7 @@ from flowrag.graph_model import (
     read_graphs_jsonl,
     write_graphs_jsonl,
 )
-from flowrag.jsonio import create, decode, encode, read_jsonl, write_jsonl
+from flowrag.jsonio import create, decode, encode, member, read_jsonl, shown, write_jsonl
 from flowrag.synthgen import GenSpec, QaCategory, QaItem, read_qa_jsonl, write_qa_jsonl
 from flowrag.vstore import RetrievalHit
 
@@ -191,3 +191,41 @@ def test_eval_config_rejects_unknown_provider_key():
 def test_decode_reports_deep_nesting_as_bad_json(deep):
     with pytest.raises(json.JSONDecodeError, match="value nested too deep"):
         decode(deep)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["x" * 58, 12345, 2.5, None, True, ["per-node", "all-nodes"], [("Process", 1.0)], {"a": [1]}],
+)
+def test_shown_quotes_a_short_value_as_its_repr(value):
+    assert shown(value) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "x" * 100_000,
+        10 ** 4000,
+        ["y" * 60] * 100,
+        {str(i): i for i in range(100)},
+        # Six levels of six 60-character strings: 46 656 leaves, 2.9 MB of repr.
+        [[[[[["z" * 60] * 6] * 6] * 6] * 6] * 6] * 6,
+    ],
+)
+def test_shown_cuts_a_long_or_deep_value_to_60_characters(value):
+    text = shown(value)
+    assert len(text) == 60 and "..." in text
+    assert text[0] == repr(value)[0] and text[-1] == repr(value)[-1]
+
+
+def test_member_reads_an_enum_value():
+    assert member("D", QaCategory, "category") is QaCategory.DECISION
+    assert member(QaCategory.EDGE, QaCategory, "category") is QaCategory.EDGE
+
+
+@pytest.mark.parametrize("value", ["X", "d", 1, None, ["D"], {"D": 1}, "x" * 100_000])
+def test_member_names_the_allowed_values(value):
+    with pytest.raises(ConfigError) as excinfo:
+        member(value, QaCategory, "category")
+    assert str(excinfo.value) == f"category must be one of D, N, E, got {shown(value)}"
+    assert excinfo.value.__cause__ is None and excinfo.value.__suppress_context__

@@ -154,7 +154,10 @@ class TestGenerateGraph:
             GenSpec(style_mix={style: 0.0 for style in GenSpec().style_mix})
         with pytest.raises(ConfigError, match="style_mix weights must be non-negative"):
             GenSpec(style_mix={LineStyle.SOLID: 1.0, LineStyle.DOTTED: -0.5})
-        with pytest.raises(ConfigError, match="unknown LineStyle in style_mix"):
+        with pytest.raises(
+            ConfigError,
+            match="each style_mix key must be one of Solid, Dotted, Dashed, got 'Wavy'",
+        ):
             GenSpec.from_dict({"style_mix": {"Wavy": 1}})
 
     @pytest.mark.parametrize(
