@@ -147,8 +147,13 @@ class ProviderConfig:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {shown(value)}")
         timeout = expect(self.timeout_s, NUMBER, "timeout_s")
-        if not math.isfinite(timeout) or timeout <= 0:
-            raise ConfigError(f"timeout_s must be finite and > 0, got {shown(timeout)}")
+        # A socket takes no timeout above TIMEOUT_MAX; comparing an integer
+        # too large for a float with it is exact, where converting it raises.
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"timeout_s must be > 0 and at most {threading.TIMEOUT_MAX:.0f}, "
+                f"got {shown(timeout)}"
+            )
         if self.kind is ProviderKind.REMOTE:
             endpoint = expect(self.endpoint, str, "endpoint")
             if not endpoint or not expect(self.model_name, str, "model_name"):

@@ -69,9 +69,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import FlowragError
+from .errors import ConfigError, FlowragError
 from .graph_model import FlowEdge, FlowGraph, FlowNode, NodeShape, collapse_whitespace
-from .jsonio import NUMBER, config_kwargs, expect
+from .jsonio import NUMBER, config_kwargs, expect, shown
 
 # Column headings for the aggregate report, in output order.
 GED_REPORT_COLUMNS = (
@@ -137,7 +137,13 @@ class CostModel:
     @classmethod
     def from_dict(cls, data: dict) -> "CostModel":
         kwargs = config_kwargs(cls, data, "cost model")
-        return cls(**{key: float(expect(value, NUMBER, key)) for key, value in kwargs.items()})
+        costs = {}
+        for key, value in kwargs.items():
+            try:
+                costs[key] = float(expect(value, NUMBER, key))
+            except OverflowError:  # an integer too large for a float
+                raise ConfigError(f"{key} must be finite, got {shown(value)}") from None
+        return cls(**costs)
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,15 @@ def _as_dict(obj) -> dict:
     return to_dict()
 
 
+# What ``json.dumps`` with these arguments builds on every call; one shared
+# encoder spares that per call, which the trace writer pays per distinct value.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_as_dict)
+
+
 def encode(obj) -> bytes:
     """The one record encoding: compact separators, non-ASCII kept raw, and
     any object with a ``to_dict`` encoded as that dict."""
-    return json.dumps(
-        obj, ensure_ascii=False, separators=(",", ":"), default=_as_dict
-    ).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def create(path: str | Path) -> BinaryIO:

@@ -710,6 +710,11 @@ class TestMalformedFiles:
             ({"ks": [True]}, "each item of ks must be an integer, got True"),
             ({"dimention": 64}, "unknown eval config keys: ['dimention']"),
             ({"provider": {"dimention": 64}}, "unknown provider config keys: ['dimention']"),
+            # An integer too large for a float, and a float too large for a socket.
+            ({"provider": {"kind": "local-hashed", "timeout_s": 10**400}},
+             "timeout_s must be > 0 and at most"),
+            ({"provider": {"kind": "local-hashed", "timeout_s": 1e300}},
+             "timeout_s must be > 0 and at most"),
         ],
     )
     def test_bad_eval_config(self, tmp_path, capsys, config, message):
@@ -956,6 +961,18 @@ class TestMalformedFiles:
         assert f"error: {costs_path}: invalid JSON: Expecting property name" in (
             self.one_error(capsys, code)
         )
+
+    def test_cost_too_large_for_a_float(self, tmp_path, capsys):
+        _, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("")
+        costs_path = tmp_path / "costs.json"
+        costs_path.write_text('{"node_substitute": 1' + "0" * 400 + "}")
+        code = main(["ged", "--pred", str(preds_path), "--truth", str(graphs_path),
+                     "--costs", str(costs_path), "--report", str(tmp_path / "out.md")])
+        line = self.one_error(capsys, code)
+        assert line.startswith("error: node_substitute must be finite, got 10000")
+        assert len(line) < 120
 
     @pytest.mark.parametrize(
         "spec, message",

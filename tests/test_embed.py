@@ -1,8 +1,10 @@
 import json
 import math
+import socket
 import subprocess
 import sys
 import textwrap
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +20,7 @@ from flowrag.embed import (
     TransportError,
     embed_batch,
 )
+from flowrag.errors import ConfigError
 
 from helpers import StubEmbedServer, stub_vector
 
@@ -394,6 +397,16 @@ class TestProviderConfigValidation:
             ProviderConfig(**{**REMOTE, field: value})
         with pytest.raises(ValueError):
             ProviderConfig.from_dict({**REMOTE, "kind": "remote", field: value})
+
+    @pytest.mark.parametrize("value", [10**400, 1e300], ids=["beyond-float", "beyond-socket"])
+    def test_timeout_a_socket_cannot_take_rejected(self, value):
+        with pytest.raises(ConfigError, match="timeout_s must be > 0 and at most"):
+            ProviderConfig.from_dict({**REMOTE, "kind": "remote", "timeout_s": value})
+
+    def test_longest_socket_timeout_accepted(self):
+        config = ProviderConfig(**{**REMOTE, "timeout_s": threading.TIMEOUT_MAX})
+        with socket.socket() as sock:
+            sock.settimeout(config.timeout_s)
 
     def test_string_kind_rejected(self):
         with pytest.raises(ValueError):

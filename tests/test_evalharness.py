@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,7 @@ import flowrag.chunker as chunker_module
 import flowrag.embed as embed_module
 import flowrag.evalharness as evalharness_module
 from flowrag.chunker import ChunkStrategy
-from flowrag.embed import ProviderConfig, ProviderKind
+from flowrag.embed import ProviderConfig, ProviderKind, TransportError
 from flowrag.errors import ConfigError, FlowragError
 from flowrag.graph_model import serialize_json
 from flowrag.evalharness import (
@@ -97,6 +98,90 @@ class TestJudge:
         text_hits = [hit(1, "doc:text:00000", None)]
         for strategy in ChunkStrategy:
             assert judge(strategy, text_hits, item(), 1, NODE_IDS) is False
+
+
+def reference_judge(strategy, hits, qa, k, node_ids_by_graph, allnodes_union=False):
+    """``judge`` as a filter of the top-k hits, the rule it must keep."""
+    within = [h for h in hits if h.rank <= k and h.graph_id is not None]
+    if strategy is ChunkStrategy.PER_NODE:
+        return any(h.graph_id == qa.graph_id and h.node_id in qa.gold_node_ids for h in within)
+    if strategy is ChunkStrategy.ALL_NODES:
+        if allnodes_union:
+            covered: set[str] = set()
+            for h in within:
+                covered |= node_ids_by_graph.get(h.graph_id, set())
+            return qa.gold_node_ids <= covered
+        return any(qa.gold_node_ids <= node_ids_by_graph.get(h.graph_id, set()) for h in within)
+    return any(h.graph_id == qa.graph_id for h in within)
+
+
+class TestJudgeMatchesReference:
+    @pytest.mark.parametrize(
+        "hits, gold",
+        [
+            # Out of rank order, with a shared rank.
+            ([hit(3, "g1:node:N1", "g1", "N1"), hit(1, "x", None), hit(2, "g3:n", "g3", "N9")],
+             ("N1", "N9")),
+            ([hit(2, "g2:n", "g2", "N2"), hit(2, "g1:n", "g1", "N1"), hit(1, "g1:n2", "g1", "N2")],
+             ("N1", "N2")),
+            # An empty gold set, and a graph missing from the node ids.
+            ([hit(2, "g1:n", "g1", "N1"), hit(1, "x", None)], ()),
+            ([hit(1, "g9:n", "g9", "N1")], ()),
+            ([], ("N1",)),
+            ([], ()),
+        ],
+    )
+    @pytest.mark.parametrize("union", [False, True], ids=["literal", "union"])
+    @pytest.mark.parametrize("strategy", list(ChunkStrategy), ids=lambda s: s.value)
+    def test_hand_made_hits(self, strategy, union, hits, gold):
+        qa = item(graph_id="g1", gold=gold)
+        for k in range(0, 5):
+            assert judge(strategy, hits, qa, k, NODE_IDS, union) is reference_judge(
+                strategy, hits, qa, k, NODE_IDS, union
+            )
+
+    @pytest.mark.parametrize("union", [False, True], ids=["literal", "union"])
+    def test_run_eval_records(self, union):
+        spec = GenSpec(seed=51, decision_fraction=0.4, edge_value_probability=1.0)
+        graphs = [generate_graph(spec, i) for i in range(12)]
+        qa = [q for graph in graphs for q in generate_qa(graph, 5, seed=51)]
+        # Prose quoting node values, so text chunks take ranks from graph hits.
+        documents = tuple(
+            f"See {graph.nodes[1].value} and {graph.nodes[2].value}." for graph in graphs
+        )
+        config = EvalConfig(
+            provider=LOCAL,
+            ks=(1, 2, 4),
+            scenario=Scenario.GRAPH_WITH_TEXT,
+            text_documents=documents,
+            allnodes_union=union,
+        )
+        report = run_eval(graphs, qa, config)
+        node_ids = {g.graph_id: g.node_ids() for g in graphs}
+        records = report.trace
+        assert len(records) == len(qa) * len(config.strategies)
+        assert any(h.graph_id is None for record in records for h in record["hits"])
+        outcomes = set()
+        for record, qa_item in zip(records, qa * len(config.strategies)):
+            strategy = ChunkStrategy(record["strategy"])
+            assert record["question"] == qa_item.question
+            for k in range(1, max(config.ks) + 2):
+                expected = reference_judge(strategy, record["hits"], qa_item, k, node_ids, union)
+                assert judge(strategy, record["hits"], qa_item, k, node_ids, union) is expected
+                if k in config.ks:
+                    assert record["judgments"][str(k)] is expected
+            outcomes.add(tuple(record["judgments"].values()))
+        assert {(False, False, False), (True, True, True)} < outcomes
+        for strategy, k in product(config.strategies, config.ks):
+            for category in report.categories + (ALL_CATEGORY,):
+                chosen = [
+                    record for record in records
+                    if record["strategy"] == strategy.value
+                    and category in (record["category"], ALL_CATEGORY)
+                ]
+                cell = report.cells[(strategy, k, category)]
+                assert cell.denominator == len(chosen)
+                assert cell.numerator == sum(record["judgments"][str(k)] for record in chosen)
 
 
 class TestRunEval:
@@ -260,6 +345,34 @@ class TestRunEval:
         assert partial is not None
         assert partial.cell(ChunkStrategy.PER_NODE, 1).denominator == len(qa)
         assert partial.cell(ChunkStrategy.FULL_JSON, 1).denominator == 0
+
+    def test_abort_keeps_every_finished_strategy_cell(self, monkeypatch):
+        spec = GenSpec(seed=51, decision_fraction=0.4, edge_value_probability=1.0)
+        graphs = [generate_graph(spec, i) for i in range(12)]
+        qa = [q for graph in graphs for q in generate_qa(graph, 5, seed=51)]
+        config = EvalConfig(provider=LOCAL, ks=(1, 3))
+        full = run_eval(graphs, qa, config)
+        calls = []
+
+        def failing_third_strategy(provider, texts):
+            calls.append(len(texts))
+            # Calls: the questions, then one per strategy.
+            if len(calls) == 4:
+                raise TransportError("connection reset", attempts=3)
+            return embed_module.embed_batch(provider, texts)
+
+        monkeypatch.setattr(evalharness_module, "embed_batch", failing_third_strategy)
+        with pytest.raises(EvalAborted) as excinfo:
+            run_eval(graphs, qa, config)
+        partial = excinfo.value.partial
+        assert partial.cells.keys() == full.cells.keys()
+        for (strategy, k, category), cell in partial.cells.items():
+            if strategy is ChunkStrategy.FULL_JSON:
+                assert cell == Cell()
+            else:
+                assert cell == full.cells[(strategy, k, category)]
+        assert len(partial.trace) == 2 * len(qa)
+        assert any(cell.numerator for cell in partial.cells.values())
 
     def test_trace_written(self, tmp_path):
         graphs, qa = disjoint_corpus(2)

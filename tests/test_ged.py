@@ -133,7 +133,15 @@ class TestCostModel:
             CostModel.from_dict({"node_insert": float(value), "node_delete": float(value)})
 
     @pytest.mark.parametrize(
-        "data", [{"edge_insert": None}, {"edge_insert": True}, {"edge_insert": "1"}, [1.0], 2.0]
+        "data",
+        [
+            {"edge_insert": None},
+            {"edge_insert": True},
+            {"edge_insert": "1"},
+            {"edge_insert": 10**400},  # too large for a float
+            [1.0],
+            2.0,
+        ],
     )
     def test_from_dict_malformed_rejected(self, data):
         with pytest.raises(ValueError):

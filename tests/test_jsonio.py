@@ -136,6 +136,61 @@ def test_hit_objects_encode_as_their_dicts(tmp_path):
     assert (tmp_path / "objects.jsonl").read_bytes() == (tmp_path / "dicts.jsonl").read_bytes()
 
 
+def shared_value_trace():
+    """Trace records whose values repeat in every way the trace writer caches."""
+    hits = [
+        RetrievalHit("g1:node:A", 0.75, 1, graph_id="g1", node_id="A"),
+        RetrievalHit("doc000:text:00000", 1 / 3, 2),
+    ]
+    judgments = {"1": True, "3": False}
+    return (
+        {"question": TEXT, "strategy": "per-node", "hits": hits, "judgments": judgments},
+        # A repeated question: a new list of the same hit objects.
+        {"question": TEXT, "strategy": "per-node", "hits": list(hits), "judgments": judgments},
+        # Equal hits and judgments in distinct objects.
+        {
+            "question": TEXT,
+            "strategy": "per-node",
+            "hits": [RetrievalHit("g1:node:A", 0.75, 1, graph_id="g1", node_id="A")],
+            "judgments": {"1": True, "3": False},
+        },
+        {"question": "q", "strategy": "all-nodes", "hits": [h.to_dict() for h in hits]},
+        {"question": "q", "strategy": "per-node", "hits": hits, "judgments": judgments},
+        # No strategy; values and items that hash alike but encode apart.
+        {"question": "q", "hits": [True], "n": True},
+        {"question": "q", "hits": [1], "n": 1},
+        {"question": "q", "hits": [1.0], "n": 1.0},
+        {"question": "q", "hits": [], "n": None, "nested": {"a": [True, {"b": TEXT}]}},
+        {},
+        {1: "an integer key"},
+        [TEXT, 1],
+        TEXT,
+    )
+
+
+def test_trace_lines_are_the_one_encoding(tmp_path):
+    records = shared_value_trace()
+    assert write_trace(records, tmp_path / "trace.jsonl") == len(records)
+    assert write_jsonl(tmp_path / "plain.jsonl", records) == len(records)
+    assert (tmp_path / "trace.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+
+def test_trace_cache_holds_what_it_keys_by_identity(tmp_path):
+    # Records built and dropped one at a time: without the cache holding
+    # them, a new list or dict could reuse a dropped one's identity.
+    def records():
+        for i in range(200):
+            yield {
+                "question": "q",
+                "hits": [{"chunk_id": f"c{i}", "rank": 1}],
+                "judgments": {"1": i % 2 == 0},
+            }
+
+    write_trace(records(), tmp_path / "trace.jsonl")
+    write_jsonl(tmp_path / "plain.jsonl", records())
+    assert (tmp_path / "trace.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"], ids=["object", "set", "bytes"])
 def test_encode_refuses_objects_without_to_dict(value):
     with pytest.raises(TypeError, match="is not JSON serializable"):
