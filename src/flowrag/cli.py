@@ -168,12 +168,16 @@ def _cmd_ged(args) -> int:
     # Imported here, so scipy loads only for the command that uses it.
     from .ged import (
         CostModel,
+        check_node_budget,
         evaluate_predictions,
         render_ged_report_csv,
         render_ged_report_markdown,
     )
 
+    check_node_budget(args.budget)
     truths = read_graphs_jsonl(args.truth)
+    if not truths:
+        raise FlowragError(f"no truth graphs in {args.truth}")
     predictions = _read_predictions(args.pred)
     costs = CostModel.from_dict(read_json(args.costs)) if args.costs else CostModel()
     pairs = [(predictions.get(truth.graph_id), truth) for truth in truths]

@@ -11,25 +11,31 @@ order in which the truth lists its nodes.
   the edges induced by an assignment are compared by direction class and
   value. Bidirectional edges only ever match bidirectional edges, as an
   unordered endpoint pair. Node shapes and edge line styles never enter the
-  cost. A state's anchor sums, one (n1 + 1) x (n2 + 1) array (column n2
-  deletes, row n1 inserts), add up the slices of a per-pair edge-cost table
-  over its decided nodes, deletions included; they are the search's only
-  record of decided costs, and a child adds one slice to its parent's. The
-  admissible lower bound is a linear assignment over the sums, which prices
-  every edge with a decided endpoint exactly, plus a label-count bound on
-  the edges with both endpoints open; once every predicted node is decided
-  it is exact, so a complete state is priced by its bound like any other.
-  The bound is lazy: a child is queued under its path cost g, never above
-  its f, and bounded only when popped, so bounded states pop in the order
-  they would if every child were bounded when made, and the first bounded
-  complete state to pop is minimal. With truth nodes in id order, a
-  state's decisions are its tie-break key: ties between minimum-cost
-  solutions break toward the assignment vector that maps each node (in
-  input order) to the lexicographically smallest truth id, deletion last.
-  That tie-break is exact only when the costs sum exactly in binary
-  floating point, as unit costs and halves or quarters do; otherwise
-  rounding can make one of two equal-cost solutions look cheaper, and the
-  search may return another mapping of the same distance.
+  cost. A state's cost rows, one (n1 + 1) x (n2 + 1) array (column n2
+  deletes, row n1 inserts), price each open decision: the node costs plus,
+  for each decided node, deletions included, a slice of a per-pair
+  edge-cost table; they are the search's only record of decided costs, and
+  a child adds one slice to its parent's. The admissible lower bound h is a
+  linear assignment over the rows, which prices every edge with a decided
+  endpoint exactly, plus a label-count bound on the edges with both
+  endpoints open; once every predicted node is decided it is exact, so a
+  complete state is priced by its bound like any other. Keys follow
+  pathmax (Mérō, Artificial Intelligence 23, 1984): a child is queued
+  under the larger of its parent's key and its path cost g, bounded only
+  when popped, and queued again under the larger of that key and g + h.
+  The parent's key bounds every completion through the child from below,
+  so keys stay lower bounds; no key is queued below the one just popped,
+  so popped keys never decrease and each bounds the distance from below.
+  An unbounded key is never above the bounded one, so bounded states pop
+  in the order they would if every child were bounded when made, and the
+  first bounded complete state to pop is minimal, its key its cost. With
+  truth nodes in id order, a state's decisions are its tie-break key: ties
+  between minimum-cost solutions break toward the assignment vector that
+  maps each node (in input order) to the lexicographically smallest truth
+  id, deletion last. That tie-break is exact only when the costs sum
+  exactly in binary floating point, as unit costs and halves or quarters
+  do; otherwise rounding can make one of two equal-cost solutions look
+  cheaper, and the search may return another mapping of the same distance.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate, computed for all
@@ -222,11 +228,8 @@ class _Pair:
 def _group_counts(groups: dict, labels: int) -> np.ndarray:
     """Counts of normalized edge values per edge group, in group order:
     shape (groups, labels)."""
-    counts = np.zeros((len(groups), labels), dtype=np.int64)
-    for g, edges in enumerate(groups.values()):
-        for edge in edges:
-            counts[g, edge.label] += 1
-    return counts
+    cells = [g * labels + edge.label for g, edges in enumerate(groups.values()) for edge in edges]
+    return np.bincount(cells, minlength=len(groups) * labels).reshape(len(groups), labels)
 
 
 def _signature_counts(view: _View, labels: int) -> np.ndarray:
@@ -265,10 +268,15 @@ def _multiset_cost(c1: np.ndarray, c2: np.ndarray, costs: CostModel) -> np.ndarr
 
 def _count_cost(c1: list[int], c2: list[int], costs: CostModel) -> float:
     """``_multiset_cost`` of one pair of label-count lists in Python ints and
-    floats: the same operations in the same order, hence the same float."""
+    floats: the same operations in the same order, hence the same float.
+    When one side is empty nothing pairs, and the two products left are
+    that float too."""
+    total1, total2 = sum(c1), sum(c2)
+    if not (total1 and total2):
+        return total1 * costs.edge_delete + total2 * costs.edge_insert
     common = sum(map(min, c1, c2))
-    m1 = sum(c1) - common
-    m2 = sum(c2) - common
+    m1 = total1 - common
+    m2 = total2 - common
     paired = min(m1, m2)
     return (
         paired * costs.edge_substitute
@@ -278,19 +286,48 @@ def _count_cost(c1: list[int], c2: list[int], costs: CostModel) -> float:
 
 
 @lru_cache(maxsize=256)  # 169 shapes at the default node budget of 12
-def _assignment_layout(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The square assignment matrix of m1 pred and m2 truth nodes before its
-    costs (forbidden cells infinite, so no scale of costs lets the assignment
-    take one) and the flat cell of each entry of an (m1 + 1) x (m2 + 1) cost
-    block, row major, bar the unused corner: [u, t] maps u to t, [u, m2]
-    deletes u at [u, m2 + u], [m1, t] inserts t at [m1 + t, t]."""
-    size = m1 + m2
-    template = np.full((size, size), np.inf)
-    template[m1:, m2:] = 0.0
-    rows, cols = np.ogrid[: m1 + 1, : m2 + 1]
-    cells = ((rows + (rows == m1) * cols) * size + cols + (cols == m2) * rows).ravel()[:-1]
-    template.flags.writeable = cells.flags.writeable = False  # shared by every call
-    return template, cells
+def _bound_layout(r: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square assignment matrix of r open pred nodes and m open truth
+    nodes, as indices into a state's cost rows (see ``_bound_index``): the
+    template, every forbidden cell at the infinite cell (-2) and the last
+    block at the zero cell (-1); the flat cell of each entry of an (r + 1) x
+    (m + 1) cost block, row major, bar the unused corner ([u, t] maps u to t,
+    [u, m] deletes u at [u, m + u], [r, t] inserts t at [r + t, t]); and the
+    block's row numbers, as a column."""
+    size = r + m
+    template = np.full((size, size), -2, dtype=np.intp)
+    template[r:, m:] = -1
+    rows, cols = np.arange(r + 1)[:, None], np.arange(m + 1)
+    cells = ((rows + (rows == r) * cols) * size + cols + (cols == m) * rows).ravel()[:-1]
+    template.flags.writeable = cells.flags.writeable = rows.flags.writeable = False  # shared
+    return template, cells, rows
+
+
+@lru_cache(maxsize=2048)
+def _bound_index(r: int, n2: int, used_mask: int) -> np.ndarray:
+    """Where each cell of a state's square assignment matrix comes from.
+
+    The state has r open pred nodes and uses the truth nodes of
+    ``used_mask``; its cost rows from its depth on are read flat, n2 + 1
+    cells a row (column n2 deletes, the last row inserts), and end with one
+    infinite and one zero cell. The matrix is (r + m) square for m open
+    truth nodes: [u, t] maps u to t, [u, m + u] deletes u, [r + t, t]
+    inserts t, the other cells of those two blocks are forbidden (infinite,
+    so no scale of costs lets the assignment take one) and the last block
+    is zero. Shared by every pair with the same r, n2 and mask."""
+    columns = [j for j in range(n2) if not used_mask >> j & 1] + [n2]
+    template, cells, rows = _bound_layout(r, len(columns) - 1)
+    index = template.copy()
+    index.put(cells, (rows * (n2 + 1) + columns).ravel()[:-1])
+    index.flags.writeable = False  # shared by every call
+    return index
+
+
+def _loops(table: np.ndarray) -> np.ndarray:
+    """The [u, u, t, t] cells of an (n1, n1, n2, n2) table as a writable
+    (n1, n2) view: the pairings of a pred node with a truth node."""
+    n1, n2 = table.shape[1], table.shape[3]
+    return table.reshape(n1 * n1, n2 * n2)[:: n1 + 1, :: n2 + 1]
 
 
 def _anchor_costs(pair: _Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,15 +367,18 @@ def _anchor_costs(pair: _Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return {**groups, **{(b, a): edges for (a, b), edges in groups.items()}}
 
     directed, d_deleted, d_inserted = class_costs(pv.directed, tv.directed)
-    bidir, b_deleted, b_inserted = class_costs(both_ways(pv.bidir), both_ways(tv.bidir))
-    anchored = directed + directed.transpose(1, 0, 3, 2) + bidir
-    deleted = d_deleted + d_deleted.T + b_deleted
-    inserted = d_inserted + d_inserted.T + b_inserted
+    anchored = directed + directed.transpose(1, 0, 3, 2)
+    deleted = d_deleted + d_deleted.T
+    inserted = d_inserted + d_inserted.T
     # The transposed terms count every directed self-loop twice.
-    u, t = np.ix_(np.arange(n1), np.arange(n2))
-    anchored[u, u, t, t] = directed[u, u, t, t] + bidir[u, u, t, t]
-    np.fill_diagonal(deleted, d_deleted.diagonal() + b_deleted.diagonal())
-    np.fill_diagonal(inserted, d_inserted.diagonal() + b_inserted.diagonal())
+    _loops(anchored)[...] = _loops(directed)
+    deleted.ravel()[:: n1 + 1] = d_deleted.diagonal()
+    inserted.ravel()[:: n2 + 1] = d_inserted.diagonal()
+    if pv.bidir or tv.bidir:  # else every bidirectional cost is zero
+        bidir, b_deleted, b_inserted = class_costs(both_ways(pv.bidir), both_ways(tv.bidir))
+        anchored += bidir
+        deleted += b_deleted
+        inserted += b_inserted
     return anchored, deleted, inserted
 
 
@@ -352,6 +392,9 @@ def _match_group(
 ) -> tuple[list[tuple[_Edge, _Edge]], list[_Edge], list[_Edge]]:
     """Deterministic pairing within one edge group: equal normalized values
     first, then leftovers in sorted order as substitutions."""
+    if len(pred_edges) == 1 and len(truth_edges) <= 1:
+        # One edge against at most one: they pair whatever their values.
+        return list(zip(pred_edges, truth_edges)), pred_edges[len(truth_edges):], []
     pred_sorted = sorted(pred_edges, key=_edge_sort_key)
     truth_sorted = sorted(truth_edges, key=_edge_sort_key)
     remaining = defaultdict(list)
@@ -469,13 +512,13 @@ def ged_exact(
     # free[k][c]: label counts of the class-c (directed, bidirectional) pred
     # edges with both endpoints undecided at depth k, loops excluded: the
     # part of the edge set the assignment bound cannot anchor.
-    free = np.zeros((n1 + 1, 2, pair.labels), dtype=np.int64)
+    free = [[[0] * pair.labels, [0] * pair.labels] for _ in range(n1 + 1)]
     for c, groups in enumerate((pv.directed, pv.bidir)):
         for (a, b), edges in groups.items():
             if a != b:
                 for edge in edges:
-                    free[: min(a, b) + 1, c, edge.label] += 1
-    free = free.tolist()
+                    for counts in free[: min(a, b) + 1]:
+                        counts[c][edge.label] += 1
     # The truth edges, loops excluded, as an endpoint bitmask, a class and a
     # label, for counting those whose endpoints are both unused.
     loose = [
@@ -485,95 +528,104 @@ def ged_exact(
         if a != b
         for edge in edges
     ]
+    # A class with no such edge on either side adds nothing to any bound.
+    classes = [c for c in (0, 1) if any(free[0][c]) or any(c == e[1] for e in loose)]
 
     anchored, deleted, inserted = _anchor_costs(pair)
-    # base[u, t] prices deciding pred node u as truth node t, self-loops
-    # included; column n2 is deleting u, row n1 is inserting t.
-    base = np.zeros((n1 + 1, n2 + 1))
-    base[:n1, :n2] = pair.node_costs + np.einsum("uutt->ut", anchored)
+    # A state's cost rows: row u < n1 prices deciding pred node u as truth
+    # node t, or deleting it at column n2, row n1 prices inserting t, each
+    # with the edges to the state's decided nodes. Flat, with one infinite
+    # and one zero cell after them for the assignment matrix to read (see
+    # ``_bound_index``). The root's rows are the node costs plus self-loops.
+    width = n2 + 1
+    cells = (n1 + 1) * width
+    root = np.zeros(cells + 2)
+    root[cells] = np.inf
+    base = root[:cells].reshape(n1 + 1, width)
+    base[:n1, :n2] = pair.node_costs + _loops(anchored)
     base[:n1, n2] = costs.node_delete + deleted.diagonal()
     base[n1, :n2] = costs.node_insert + inserted.diagonal()
     # step[a, j] is what deciding pred node a as truth node j (j == n2 for a
-    # deletion) adds to a state's anchor sums: the edges between a and every
+    # deletion) adds to a state's cost rows: the edges between a and every
     # other node u priced by how u is decided. At [u, t] it is the cost of
     # matching the edges between u and a to those between t and j, at
     # [u, n2] deleting the edges between u and a, at [n1, t] inserting those
     # between t and j. A deletion deletes the edges between u and a however
-    # u is decided, and anchors no truth edge. It holds
-    # n1 * (n2 + 1) * (n1 + 1) * (n2 + 1) floats: 211 KB at 12 nodes.
-    step = np.zeros((n1, n2 + 1, n1 + 1, n2 + 1))
-    step[:, :n2, :n1, :n2] = anchored.transpose(1, 3, 0, 2)
-    step[:, :n2, :n1, n2] = deleted.T[:, None, :]
-    step[:, :n2, n1, :n2] = inserted.T[None, :, :]
-    step[:, n2, :n1, :] = deleted.T[:, :, None]
+    # u is decided, and anchors no truth edge. The two cells after the rows
+    # stay zero. It holds n1 * (n2 + 1) * ((n1 + 1) * (n2 + 1) + 2) floats:
+    # 213 KB at 12 nodes.
+    step = np.zeros((n1, width, cells + 2))
+    step_rows = step[:, :, :cells].reshape(n1, width, n1 + 1, width)
+    step_rows[:, :n2, :n1, :n2] = anchored.transpose(1, 3, 0, 2)
+    step_rows[:, :n2, :n1, n2] = deleted.T[:, None, :]
+    step_rows[:, :n2, n1, :n2] = inserted.T[None, :, :]
+    step_rows[:, n2, :n1, :] = deleted.T[:, :, None]
     # The used-mask bit of each decision; a deletion uses no truth node.
     bits = [1 << j for j in range(n2)] + [0]
-    # Used mask -> the open columns (unused truth nodes and deletion) and the
-    # per-class label counts of the loose truth edges with no endpoint used.
-    open_truth: dict[int, tuple[np.ndarray, list[list[int]]]] = {}
+    # Used mask -> per class, the label counts of the loose truth edges with
+    # no endpoint used.
+    pending_at: dict[int, list[list[int]]] = {}
 
-    def lower_bound(k: int, used_mask: int, sums: np.ndarray) -> float:
-        """Assignment lower bound of a state with k decided pred nodes.
-        ``sums`` is the state's anchor sums: ``step`` summed over its
-        decisions in ascending order. An edge with a decided endpoint
-        resolves the moment its other endpoint is decided, so the sums price
-        it exactly per candidate decision, put into a copy of the cached
-        matrix template of the state's shape. Edges with both endpoints open
-        fall back to the multiset relaxation of ``free[k]`` against the used
-        mask's cached pending truth counts; the two parts cover disjoint edge
-        sets, so the sum stays admissible. At depth n1 the bound is exact:
-        the cost of the truth nodes and edges still to insert."""
-        opened = open_truth.get(used_mask)
-        if opened is None:
-            pending = [[0] * pair.labels, [0] * pair.labels]
-            for ends, c, label in loose:
-                if not ends & used_mask:
-                    pending[c][label] += 1
-            columns = np.array([j for j in range(n2 + 1) if not used_mask & bits[j]])
-            opened = open_truth[used_mask] = columns, pending
-        columns, (directed, bidirectional) = opened
-        template, cells = _assignment_layout(n1 - k, len(columns) - 1)
-        matrix = template.copy()
-        matrix.put(cells, (base[k:] + sums[k:])[:, columns].ravel()[:-1])
+    def lower_bound(k: int, used_mask: int, state: np.ndarray) -> float:
+        """Assignment lower bound of a state with k decided pred nodes and
+        cost rows ``state``. An edge with a decided endpoint resolves the
+        moment its other endpoint is decided, so the rows price it exactly
+        per candidate decision. Edges with both endpoints open fall back to
+        the multiset relaxation of ``free[k]`` against the used mask's
+        cached pending truth counts; the two parts cover disjoint edge sets,
+        so the sum stays admissible. At depth n1 the bound is exact: the
+        cost of the truth nodes and edges still to insert."""
+        matrix = state[k * width:].take(_bound_index(n1 - k, n2, used_mask))
         rows, cols = linear_sum_assignment(matrix)
-        return float(matrix[rows, cols].sum()) + (
-            _count_cost(free[k][0], directed, costs)
-            + _count_cost(free[k][1], bidirectional, costs)
-        )
+        bound = float(np.add.reduce(matrix[rows, cols]))
+        if classes:
+            pending = pending_at.get(used_mask)
+            if pending is None:
+                pending = pending_at[used_mask] = [[0] * pair.labels, [0] * pair.labels]
+                for ends, c, label in loose:
+                    if not ends & used_mask:
+                        pending[c][label] += 1
+            open_cost = 0.0
+            for c in classes:
+                open_cost += _count_cost(free[k][c], pending[c], costs)
+            bound += open_cost
+        return bound
 
-    # Heap entries: (f, decisions, used mask, g, parent's anchor sums,
+    # Heap entries: (key, decisions, used mask, g, parent's cost rows,
     # bounded). Truth nodes are numbered in id order, deletion (n2) last, so
-    # equal f values pop in truth-id order of decisions, the deterministic
+    # equal keys pop in truth-id order of decisions, the deterministic
     # tie-break; no two states share decisions, so entries never compare past
-    # them. A child enters unbounded under its g, which is never above its
-    # f; popped, it gets its bound and re-enters under f = g + h. Bounded
-    # states therefore pop in the order they would if every child were
-    # bounded when made, and a bounded state at depth n1 is a complete edit
-    # path of cost f. Queued states hold only their parent's sums and add
+    # them. Keys follow pathmax: a child enters unbounded under the larger of
+    # its parent's key and its g; popped, it gets its bound h and re-enters
+    # under the larger of that key and g + h. The parent's key bounds every
+    # completion through the child from below, so every key stays a lower
+    # bound, and a bounded state at depth n1 is a complete edit path whose
+    # key is its cost. No push is below the key just popped, so popped keys
+    # never decrease. An unbounded key is never above the bounded one, so
+    # bounded states pop in the order they would if every child were
+    # bounded when made. Queued states hold only their parent's rows and add
     # their own step when bounded and again when expanded, so one array
     # serves all of a parent's children.
-    start_sums = np.zeros((n1 + 1, n2 + 1))
-    heap: list = [(lower_bound(0, 0, start_sums), (), 0, 0.0, start_sums, True)]
+    heap: list = [(lower_bound(0, 0, root), (), 0, 0.0, root, True)]
     while heap:
-        f, decisions, used_mask, g, parent_sums, bounded = heapq.heappop(heap)
+        key, decisions, used_mask, g, parent_state, bounded = heapq.heappop(heap)
         k = len(decisions)
         if bounded and k == n1:
             mapping = [None if j == n2 else j for j in decisions]
             result = _result_from_mapping(pair, mapping, exact=True)
-            assert abs(result.distance - f) < 1e-6, "internal cost mismatch"
+            assert abs(result.distance - key) < 1e-6, "internal cost mismatch"
             return result
-        sums = parent_sums + step[k - 1, decisions[-1]] if decisions else parent_sums
+        state = parent_state + step[k - 1, decisions[-1]] if decisions else parent_state
         if not bounded:
-            f = g + lower_bound(k, used_mask, sums)
-            heapq.heappush(heap, (f, decisions, used_mask, g, parent_sums, True))
+            key = max(key, g + lower_bound(k, used_mask, state))
+            heapq.heappush(heap, (key, decisions, used_mask, g, parent_state, True))
             continue
-        row = base[k] + sums[k]
-        for j in range(n2 + 1):
+        for j, cost in enumerate(state[k * width:(k + 1) * width].tolist()):
             if used_mask & bits[j]:
                 continue
-            new_g = g + float(row[j])
+            new_g = g + cost
             heapq.heappush(
-                heap, (new_g, decisions + (j,), used_mask | bits[j], new_g, sums, False)
+                heap, (max(key, new_g), decisions + (j,), used_mask | bits[j], new_g, state, False)
             )
     raise AssertionError("A* search exhausted without a terminal state")
 
@@ -723,9 +775,10 @@ class GedReport:
         )
 
 
-# Fewest pairs per process before scoring spreads over processes: the
-# median exact pair costs about 0.44 ms, so 32 pairs are about 14 ms of work
-# against about 3 ms to start and stop a two-process pool.
+# Fewest pairs per process before scoring spreads over processes. On a
+# 2-vCPU Xeon VM the median exact pair of the benchmark's ged workload costs
+# about 0.55 ms, so 32 pairs are about 18 ms of work against about 12 ms to
+# fork, use and stop a two-process pool with scipy loaded.
 _PAIRS_PER_PROCESS = 32
 # Pairs per task a worker process takes: each task is one pickled round
 # trip, which costs about as much as the median pair.
@@ -797,6 +850,13 @@ def _score_in_processes(pairs, costs: CostModel, node_budget: int, workers: int)
         pool.shutdown(cancel_futures=True)
 
 
+def check_node_budget(node_budget: int) -> None:
+    """Raise ValueError on a negative or bool ``node_budget``: a negative one
+    would silently score every pair by ``ged_approx``."""
+    if isinstance(node_budget, bool) or node_budget < 0:
+        raise ValueError(f"node budget must be a non-negative integer, got {shown(node_budget)}")
+
+
 def evaluate_predictions(
     pairs: list[tuple[FlowGraph | None, FlowGraph]],
     costs: CostModel | None = None,
@@ -811,6 +871,7 @@ def evaluate_predictions(
     spread over one process per usable CPU when there are enough of them
     (see ``_worker_count``); the scores are the same either way.
     """
+    check_node_budget(node_budget)
     if not pairs:
         raise ValueError("pairs must be non-empty")
     costs = costs or CostModel()

@@ -391,6 +391,34 @@ class TestGed:
         err = capsys.readouterr().err
         assert "scored 3 pairs (3 above the node budget of 3, by ged_approx)" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "-12"])
+    def test_negative_budget_is_an_error_line(self, tmp_path, capsys, budget):
+        # Before, every pair went to ged_approx and the command exited 0.
+        graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("".join(
+            json.dumps({"graph_id": g.graph_id, "predicted": json.loads(serialize_json(g))}) + "\n"
+            for g in graphs
+        ))
+        report_path = tmp_path / "out.md"
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(graphs_path)]
+        assert main(argv + ["--budget", budget, "--report", str(report_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: node budget must be a non-negative integer, got {budget}"
+        ]
+        assert not report_path.exists()
+
+    def test_empty_truth_file_is_named(self, tmp_path, capsys):
+        truth_path = tmp_path / "truth.jsonl"
+        truth_path.write_text("\n")
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("")
+        report_path = tmp_path / "out.md"
+        argv = ["ged", "--pred", str(preds_path), "--truth", str(truth_path)]
+        assert main(argv + ["--report", str(report_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: no truth graphs in {truth_path}"]
+        assert not report_path.exists()
+
     def test_bad_costs_exit_1(self, tmp_path, capsys):
         graphs, graphs_path, _ = write_corpus(tmp_path, count=2)
         preds_path = tmp_path / "preds.jsonl"

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import multiprocessing
 import os
 import random
@@ -296,12 +297,26 @@ class TestGedExact:
         "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
     )
     def test_anchor_costs_match_counter_reference(self, costs):
+        # Each pair also goes in with the bidirectional edges of one side or
+        # of both made directed: with none on either side the tables skip
+        # the bidirectional class, and with them on one side only no cell
+        # pairs two bidirectional groups.
+        def one_way(graph):
+            return replace(graph, edges=tuple(replace(e, bidirectional=False) for e in graph.edges))
+
+        def has_bidir(graph):
+            return any(e.bidirectional for e in graph.edges)
+
         rng = pair_rng(10)
+        sides = []
         for _ in range(60):
             a, b = random_graph(rng, max_nodes=7), random_graph(rng, max_nodes=7)
-            got = _anchor_costs(_Pair(a, b, costs))
-            for array, expected in zip(got, reference_anchor_costs(a, b, costs)):
-                assert array.tobytes() == expected.tobytes()
+            for pred, truth in ((a, b), (one_way(a), b), (a, one_way(b)), (one_way(a), one_way(b))):
+                sides.append((has_bidir(pred), has_bidir(truth)))
+                got = _anchor_costs(_Pair(pred, truth, costs))
+                for array, expected in zip(got, reference_anchor_costs(pred, truth, costs)):
+                    assert array.tobytes() == expected.tobytes()
+        assert {(False, False), (False, True), (True, False), (True, True)} <= set(sides)
 
     @pytest.mark.parametrize(
         "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
@@ -318,13 +333,16 @@ class TestGedExact:
             assert _count_cost(c1, c2, costs).hex() == expected.hex()
 
     @pytest.mark.parametrize("costs, expected", [
-        (UNIT, [47, 8, 14, 31, 3, 12]),
-        (NON_DYADIC, [45, 7, 14, 19, 3, 20]),
+        (UNIT, [41, 3, 13, 28, 2, 9]),
+        (NON_DYADIC, [40, 3, 13, 15, 2, 9]),
     ], ids=["unit", "non-dyadic"])
     def test_search_effort_is_pinned(self, monkeypatch, costs, expected):
         # A bound that gets weaker but stays admissible returns the same
         # distances and only expands more states. The number of assignments
-        # solved per pair, one per bound, shows it.
+        # solved per pair, one per bound, shows it. Under pathmax keys a
+        # child of a state keyed at the distance waits at that key, not at
+        # its lower g, so it is bounded only if it comes before the solution
+        # in tie-break order.
         calls = []
         solve = ged_module.linear_sum_assignment
         monkeypatch.setattr(
@@ -339,6 +357,43 @@ class TestGedExact:
             ged_exact(a, b, costs)
             counts.append(len(calls))
         assert counts == expected
+
+    @pytest.mark.parametrize(
+        "costs", [UNIT, DYADIC, NON_DYADIC], ids=["unit", "dyadic", "non-dyadic"]
+    )
+    def test_popped_keys_never_decrease(self, monkeypatch, costs):
+        # Pathmax keys: a child is queued under at least its parent's key and
+        # a bounded state under at least the key it was popped at, so the
+        # keys popped never decrease and the last one, the complete state's,
+        # is the distance. Every key popped so far is then a lower bound on
+        # the distance, which a capped search can report as certain.
+        popped = []
+
+        class Recording:
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                entry = heapq.heappop(heap)
+                popped.append(entry[0])
+                return entry
+
+        monkeypatch.setattr(ged_module, "heapq", Recording)
+        rng = pair_rng(17)
+        pairs = [
+            (same_label_digraph(rng, 6, rng.randint(5, 10)),
+             same_label_digraph(rng, 6, rng.randint(5, 10)))
+            for _ in range(6)
+        ]
+        pairs += [(random_graph(rng, 7), random_graph(rng, 7)) for _ in range(60)]
+        for a, b in pairs:
+            popped.clear()
+            result = ged_exact(a, b, costs)
+            assert all(x <= y for x, y in zip(popped, popped[1:]))
+            if costs is NON_DYADIC:  # the key and the path cost round apart
+                assert popped[-1] == pytest.approx(result.distance, rel=0, abs=1e-9)
+            else:
+                assert popped[-1] == result.distance
 
     @pytest.mark.parametrize("costs", [UNIT, DYADIC], ids=["unit", "dyadic"])
     def test_same_label_ties_pop_in_order(self, costs):
@@ -644,6 +699,17 @@ class TestEvaluatePredictions:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             evaluate_predictions([])
+
+    @pytest.mark.parametrize("budget", [-1, True, False])
+    def test_negative_or_bool_budget_rejected(self, budget):
+        a = chain(["a", "b"])
+        with pytest.raises(ValueError, match="node budget must be a non-negative integer"):
+            evaluate_predictions([(a, a)], node_budget=budget)
+
+    def test_zero_budget_scores_by_approximation(self):
+        a = chain(["a", "b"])
+        report = evaluate_predictions([(a, a), (FlowGraph(), FlowGraph())], node_budget=0)
+        assert [score.result.exact for score in report.pair_scores] == [False, True]
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="at least one pair"):
