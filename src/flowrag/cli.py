@@ -175,6 +175,14 @@ def _cmd_ged(args) -> int:
     )
 
     check_node_budget(args.budget)
+    # Checked before any input is read, so a bad report path fails at once
+    # rather than after every pair is scored.
+    report_dir = Path(args.report).parent
+    if not report_dir.is_dir():
+        raise FlowragError(
+            f"cannot write the report {shown(args.report)}: "
+            f"{shown(str(report_dir))} is not a directory"
+        )
     truths = read_graphs_jsonl(args.truth)
     if not truths:
         raise FlowragError(f"no truth graphs in {args.truth}")

@@ -303,6 +303,9 @@ def _bound_layout(r: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return template, cells, rows
 
 
+# An entry is an (r + m) square intp matrix: at most 4.6 KB at the default
+# node budget of 12, so a full cache holds under 10 MB. It lives as long as
+# the process, and forked scoring workers inherit it.
 @lru_cache(maxsize=2048)
 def _bound_index(r: int, n2: int, used_mask: int) -> np.ndarray:
     """Where each cell of a state's square assignment matrix comes from.
@@ -775,17 +778,21 @@ class GedReport:
         )
 
 
-# Fewest pairs per process before scoring spreads over processes. On a
-# 2-vCPU Xeon VM the median exact pair of the benchmark's ged workload costs
-# about 0.55 ms, so 32 pairs are about 18 ms of work against about 12 ms to
-# fork, use and stop a two-process pool with scipy loaded.
+# Fewest pairs per process, the caller's included, before scoring spreads
+# over processes. On a 2-vCPU Xeon VM with scipy loaded, forking, using and
+# stopping a one-worker pool costs about 13 ms, and the benchmark's ged
+# workload pairs take 0.56 ms on average (median 0.38 ms), so two processes
+# break even near 70 pairs: its first 64 seed-3 pairs took 31 ms forked
+# against 30 ms in process, its first 96 took 44 against 46 ms.
 _PAIRS_PER_PROCESS = 32
-# Pairs per task a worker process takes: each task is one pickled round
-# trip, which costs about as much as the median pair.
-_PAIRS_PER_TASK = 12
+# Pairs per claim from the shared counter. A claim takes about a
+# microsecond under the counter's lock, and the ged workload's 300 seed-3
+# pairs scored in 125-127 ms alike at 1, 2, 4, 8 and 12 pairs per claim, so
+# one pair per claim, which ends the two sides closest together.
+_PAIRS_PER_TASK = 1
 
-# What a worker process scores: (pairs, costs, node_budget), set once per
-# worker by ``_start_worker`` and never in the calling process.
+# What a forked worker scores: (pairs, costs, node_budget, counter), set
+# once per worker by ``_start_worker`` and never in the calling process.
 _worker_job: tuple | None = None
 
 
@@ -807,23 +814,39 @@ def _score_pair(
     )
 
 
-def _start_worker(pairs, costs: CostModel, node_budget: int) -> None:
+def _start_worker(pairs, costs: CostModel, node_budget: int, counter) -> None:
     global _worker_job
-    _worker_job = (pairs, costs, node_budget)
+    _worker_job = (pairs, costs, node_budget, counter)
 
 
-def _score_at(index: int) -> PairScore:
-    pairs, costs, node_budget = _worker_job
-    predicted, truth = pairs[index]
-    return _score_pair(predicted, truth, costs, node_budget)
+def _claims(counter, count: int) -> Iterable[range]:
+    """Pair indices claimed from the shared ``counter``, ``_PAIRS_PER_TASK``
+    at a time, until every one of the ``count`` pairs is claimed."""
+    while True:
+        with counter.get_lock():
+            start = counter.value
+            counter.value = start + _PAIRS_PER_TASK
+        if start >= count:
+            return
+        yield range(start, min(start + _PAIRS_PER_TASK, count))
+
+
+def _score_claims() -> list[tuple[int, PairScore]]:
+    """A worker's share: each pair it claims, scored, with its input index."""
+    pairs, costs, node_budget, counter = _worker_job
+    return [
+        (i, _score_pair(*pairs[i], costs, node_budget))
+        for task in _claims(counter, len(pairs))
+        for i in task
+    ]
 
 
 def _worker_count(count: int) -> int:
-    """Processes to score ``count`` pairs in: one per CPU this process may
-    run on, with at least ``_PAIRS_PER_PROCESS`` pairs each. Forked workers
-    inherit the pairs without pickling, but forking a process that runs
-    other threads can deadlock the child, so without ``fork`` or with a
-    second thread running the answer is 1."""
+    """Processes to score ``count`` pairs in, the caller's included: one per
+    CPU this process may run on, with at least ``_PAIRS_PER_PROCESS`` pairs
+    each. Forked workers inherit the pairs without pickling, but forking a
+    process that runs other threads can deadlock the child, so without
+    ``fork`` or with a second thread running the answer is 1."""
     if (
         not hasattr(os, "sched_getaffinity")
         or "fork" not in multiprocessing.get_all_start_methods()
@@ -834,20 +857,44 @@ def _worker_count(count: int) -> int:
 
 
 def _score_in_processes(pairs, costs: CostModel, node_budget: int, workers: int) -> list:
-    """Score the pairs on ``workers`` forked processes, in input order. Every
-    worker is gone when this returns or raises."""
+    """Score the pairs in this process and ``workers - 1`` forked ones, in
+    input order. Every side claims its next pairs from one counter made
+    before the fork, so only the workers' scores are pickled, and the
+    caller's caches outlive the call. A worker that dies or raises stops
+    the caller's claims; a caller that raises takes every claim left, so
+    each worker stops after its current pair. Every worker is gone when
+    this returns or raises."""
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("q", 0)
     pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
+        workers - 1,
+        mp_context=context,
         initializer=_start_worker,
-        initargs=(pairs, costs, node_budget),
+        initargs=(pairs, costs, node_budget, counter),
     )
+    scores: list = [None] * len(pairs)
     try:
-        return list(pool.map(_score_at, range(len(pairs)), chunksize=_PAIRS_PER_TASK))
+        try:
+            shares = [pool.submit(_score_claims) for _ in range(workers - 1)]
+            for task in _claims(counter, len(pairs)):
+                for i in task:
+                    scores[i] = _score_pair(*pairs[i], costs, node_budget)
+                # A share is done once every pair is claimed or its worker
+                # died or raised; either way the caller claims no more.
+                if any(share.done() for share in shares):
+                    break
+        finally:
+            # However the caller stopped, no worker claims another pair.
+            with counter.get_lock():
+                counter.value = len(pairs)
+        for share in shares:
+            for i, score in share.result():
+                scores[i] = score
     except BrokenProcessPool as exc:
         raise FlowragError(f"a GED worker process died: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+    return scores
 
 
 def check_node_budget(node_budget: int) -> None:
@@ -867,9 +914,12 @@ def evaluate_predictions(
 
     A ``None`` prediction stands for an unparseable model output and is
     scored as the full reconstruction of the truth graph. Pairs that fit the
-    budget use the exact solver, larger ones the approximation. Pairs are
-    spread over one process per usable CPU when there are enough of them
-    (see ``_worker_count``); the scores are the same either way.
+    budget use the exact solver, larger ones the approximation. With enough
+    pairs and more than one usable CPU (see ``_worker_count``), the caller
+    scores beside one forked worker per extra CPU, each side claiming its
+    next pair from a shared counter; the scores are the same either way.
+    The caller's solver caches fill as it scores and last across calls,
+    and each later fork inherits them.
     """
     check_node_budget(node_budget)
     if not pairs:

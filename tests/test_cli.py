@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from flowrag.graph_model import (
     read_graphs_jsonl,
     serialize_json,
 )
+from flowrag.jsonio import shown
 from flowrag.synthgen import read_qa_jsonl
 
 from helpers import NEEDS_FORK, StubEmbedServer, disjoint_corpus
@@ -321,6 +323,22 @@ class TestGed:
         assert warnings[1].startswith("warning: 2 truths have no prediction")
         assert "scored 4 pairs" in err
 
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_report_directory_checked_before_any_input(self, tmp_path, capsys, parent):
+        report_dir = tmp_path / "out"
+        if parent == "file":
+            report_dir.write_text("")
+        report_path = report_dir / "report.md"
+        # Neither input exists: the report's directory is checked first.
+        argv = ["ged", "--pred", str(tmp_path / "preds.jsonl"),
+                "--truth", str(tmp_path / "truth.jsonl"), "--report", str(report_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: cannot write the report {shown(str(report_path))}: "
+            f"{shown(str(report_dir))} is not a directory\n"
+        )
+
     @NEEDS_FORK
     def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         graphs, graphs_path, _ = write_corpus(tmp_path, count=64)
@@ -331,10 +349,16 @@ class TestGed:
         ))
         parent = os.getpid()
         solve = ged_module.ged_exact
+        caller_solves = []
 
         def dying(predicted, truth, *args):
-            if truth.graph_id == graphs[40].graph_id and os.getpid() != parent:
+            # The worker dies on the first pair it claims; the caller pauses
+            # on each of its own, so the worker claims one before the caller
+            # has claimed them all.
+            if os.getpid() != parent:
                 os._exit(1)
+            caller_solves.append(truth.graph_id)
+            time.sleep(0.005)
             return solve(predicted, truth, *args)
 
         # Forked workers inherit the patched solver.
@@ -346,6 +370,8 @@ class TestGed:
         err = capsys.readouterr().err
         assert err.startswith("error: a GED worker process died: ")
         assert "Traceback" not in err
+        # The caller stopped claiming pairs once the worker was gone.
+        assert len(caller_solves) < len(graphs) // 2
         assert not report_path.exists()
         assert multiprocessing.active_children() == []
 

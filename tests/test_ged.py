@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -757,6 +758,19 @@ def expected_scores(pairs, costs) -> tuple:
     return tuple(scores)
 
 
+def record_pools(monkeypatch) -> list:
+    """The worker count of each process pool started from now on."""
+    started = []
+
+    class Recorded(ged_module.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(ged_module, "ProcessPoolExecutor", Recorded)
+    return started
+
+
 def forbid_processes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -771,17 +785,10 @@ class TestEvaluateInProcesses:
         expected = expected_scores(pairs, NON_DYADIC)
         assert any(p is None for p, _ in pairs)
         assert any(s.result.exact for s in expected) and not all(s.result.exact for s in expected)
-        started = []
-
-        class Recorded(ged_module.ProcessPoolExecutor):
-            def __init__(self, workers, **kwargs):
-                started.append(workers)
-                super().__init__(workers, **kwargs)
-
-        monkeypatch.setattr(ged_module, "ProcessPoolExecutor", Recorded)
+        started = record_pools(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         report = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
-        assert started == [2]  # 72 pairs hold two processes' worth, not three
+        assert started == [1]  # 72 pairs hold two processes' worth: the caller and one fork
         assert report.pair_scores == expected
         assert multiprocessing.active_children() == []
 
@@ -810,6 +817,93 @@ class TestEvaluateInProcesses:
             other.join(timeout=10)
         assert not other.is_alive()
         assert report.pair_scores == expected_scores(pairs, NON_DYADIC)
+
+    @pytest.mark.parametrize(
+        "per_task, processes", [(1, 2), (5, 2), (1, 6)], ids=["one", "five", "six-processes"]
+    )
+    def test_every_pair_scored_once_in_input_order(self, monkeypatch, per_task, processes):
+        """A claim lost to a race would score a pair twice or never; six
+        processes on fewer CPUs make the claims race most."""
+        pairs = mixed_batch()
+        index = {truth.graph_id: i for i, (_, truth) in enumerate(pairs)}
+        # Inherited by the fork: per pair, how often it was scored and
+        # whether the caller scored it.
+        fork = multiprocessing.get_context("fork")
+        scored, by_caller = fork.Array("i", len(pairs)), fork.Array("i", len(pairs))
+        parent = os.getpid()
+        score = ged_module._score_pair
+
+        def counted(predicted, truth, *args):
+            with scored.get_lock():
+                scored[index[truth.graph_id]] += 1
+            if os.getpid() == parent:
+                by_caller[index[truth.graph_id]] = 1
+                time.sleep(0.002)  # so the workers claim pairs too
+            return score(predicted, truth, *args)
+
+        monkeypatch.setattr(ged_module, "_score_pair", counted)
+        monkeypatch.setattr(ged_module, "_PAIRS_PER_TASK", per_task)
+        monkeypatch.setattr(ged_module, "_PAIRS_PER_PROCESS", len(pairs) // processes)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+        report = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
+        assert report.pair_scores == expected_scores(pairs, NON_DYADIC)
+        assert list(scored) == [1] * len(pairs)
+        assert 0 < sum(by_caller) < len(pairs)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_leaves_no_worker(self, monkeypatch):
+        pairs = mixed_batch()
+        parent = os.getpid()
+        score = ged_module._score_pair
+        worker_scored = multiprocessing.get_context("fork").Value("i", 0)
+
+        def failing(predicted, truth, *args):
+            if os.getpid() == parent:
+                raise ValueError(f"cannot score {truth.graph_id} here")
+            with worker_scored.get_lock():
+                worker_scored.value += 1
+            return score(predicted, truth, *args)
+
+        forked = record_pools(monkeypatch)
+        monkeypatch.setattr(ged_module, "_score_pair", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match="^cannot score g000 here$"):
+            evaluate_predictions(pairs, UNIT, MIXED_BUDGET)
+        assert forked == [1]
+        # The caller took every claim left when it raised.
+        assert worker_scored.value < len(pairs) // 2
+        assert multiprocessing.active_children() == []
+
+    def test_warm_caches_change_no_score(self, monkeypatch):
+        """The caller's caches outlive a call and the next fork inherits
+        them; neither changes a score."""
+        pairs = mixed_batch()
+        expected = expected_scores(pairs, NON_DYADIC)
+        parent = os.getpid()
+        score = ged_module._score_pair
+        # Per call and side (caller, worker): the cache's size when that
+        # side began its first pair; the fork copies ``call`` as it stands.
+        first_size = multiprocessing.get_context("fork").Array("i", [-1] * 4)
+        call = [0]
+
+        def recorded(*args):
+            at = 2 * call[0] + (os.getpid() != parent)
+            if first_size[at] == -1:
+                first_size[at] = ged_module._bound_index.cache_info().currsize
+            return score(*args)
+
+        forked = record_pools(monkeypatch)
+        monkeypatch.setattr(ged_module, "_score_pair", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ged_module._bound_index.cache_clear()
+        first = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
+        call[0] = 1
+        second = evaluate_predictions(pairs, NON_DYADIC, MIXED_BUDGET)
+        assert forked == [1, 1]
+        assert first_size[0] == first_size[1] == 0
+        assert first_size[2] > 0 and first_size[3] > 0  # both sides start warm
+        assert first.pair_scores == second.pair_scores == expected
+        assert multiprocessing.active_children() == []
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         pairs = mixed_batch()
