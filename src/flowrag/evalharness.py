@@ -7,16 +7,18 @@ accuracy can only move down relative to the graph-only scenario.
 
 Each record of a run is judged once: the first rank at which its hits
 answer the question decides its outcome at every k, and each strategy's
-cells are summed from a tally of (category, outcomes). The trace repeats
-values: a repeated question's records share their hit objects, records
-with equal outcomes share one judgments dict, and questions and graph ids
-recur in every strategy. ``write_trace_jsonl`` encodes each such string,
-hit list and judgments dict once per strategy and joins every line from
-those fragments, so its bytes are ``jsonio.encode`` of the record. Its
-cache is emptied when the strategy changes, because no hit list is shared
-across strategies. On the retrieval benchmark's seed-3 inputs 5 841 records
-hold 1 131 distinct hit lists and 461 distinct questions, and the trace is
-written in about 40 % of the time a whole encoding of each record takes.
+cells are summed from a tally of (category, outcomes). Each distinct
+question is embedded once and ranked once per strategy. The trace repeats
+values: a repeated question's records share one hit list, records with
+equal outcomes share one judgments dict, and questions and graph ids recur
+in every strategy. ``write_trace_jsonl`` encodes each such string, hit list
+and judgments dict once per strategy and joins every line from those
+fragments, so its bytes are ``jsonio.encode`` of the record. Its cache is
+emptied when the strategy changes, because no hit list is shared across
+strategies. On the retrieval benchmark's seed-3 inputs 5 841 records hold
+461 distinct questions and 1 383 hit lists, one per question and strategy,
+of which 1 131 differ in their hits; the trace is written in about 40 % of
+the time a whole encoding of each record takes.
 """
 from __future__ import annotations
 
@@ -294,7 +296,13 @@ def run_eval(
     graphs: list[FlowGraph], qa: list[QaItem], config: EvalConfig
 ) -> EvalReport:
     """Index each strategy's chunks, retrieve for every question, judge at
-    every k, and aggregate per category and overall."""
+    every k, and aggregate per category and overall.
+
+    Each distinct question text is embedded once and ranked once per
+    strategy, by one ``query_batch`` call; the records of a repeated
+    question hold its one hit list. A QA item whose graph is not in the
+    corpus, or whose question is empty, is a ``DatasetError`` before
+    anything is embedded."""
     if not graphs:
         raise DatasetError("graph corpus is empty")
     if not qa:
@@ -302,7 +310,20 @@ def run_eval(
     known_ids = {g.graph_id for g in graphs}
     missing = sorted({item.graph_id for item in qa} - known_ids)
     if missing:
-        raise DatasetError(f"QA items reference graphs missing from the corpus: {missing}")
+        raise DatasetError(
+            f"QA items reference graph ids missing from the corpus ({len(missing)} in all), "
+            f"the first {shown(missing[0])}"
+        )
+    # Each distinct question is embedded and ranked once; a record reads its
+    # question's hits through its slot.
+    slot_of: dict[str, int] = {}
+    slots = []
+    for position, item in enumerate(qa, start=1):
+        if not item.question:
+            raise DatasetError(
+                f"QA item {position} (graph {shown(item.graph_id)}) has an empty question"
+            )
+        slots.append(slot_of.setdefault(item.question, len(slot_of)))
     node_ids_by_graph = {g.graph_id: g.node_ids() for g in graphs}
     categories = tuple(
         c.value for c in (QaCategory.DECISION, QaCategory.NODE, QaCategory.EDGE)
@@ -360,7 +381,7 @@ def run_eval(
         for wrong in range(len(config.ks) + 1)
     ]
     try:
-        question_vectors = embed_batch(config.provider, [item.question for item in qa])
+        question_vectors = embed_batch(config.provider, list(slot_of))
     except TransportError as exc:
         raise EvalAborted(f"question embedding failed: {exc}", partial=None) from exc
     questions = np.stack([v.as_array() for v in question_vectors])
@@ -384,9 +405,12 @@ def run_eval(
         del vectors
         name = strategy.value
         tally: Counter[tuple[str, int]] = Counter()
-        # Records hold the hits query_batch returned (a repeated question's
-        # records share them) and are encoded only when the trace is written.
-        for item, hits in zip(qa, index.query_batch(questions, kmax)):
+        # Records hold the hit lists query_batch returned (a repeated
+        # question's records share one) and are encoded only when the trace
+        # is written.
+        ranked = index.query_batch(questions, kmax)
+        for item, slot in zip(qa, slots):
+            hits = ranked[slot]
             wrong = bisect_left(
                 config.ks,
                 _first_correct_rank(strategy, hits, item, node_ids_by_graph, config.allnodes_union),

@@ -10,20 +10,25 @@ write check, merges the new chunks into the stored ones (a known chunk id
 keeps its place, a new one is appended) and rebuilds the rows, norms and
 ranking orders from the merged list, so every row has a chunk.
 
-``query_batch`` scores each distinct query once, up to ``_QUERY_BLOCK`` of
-them with one float32 matrix product over the rows: each query is scaled to
-norm ``2**-shift`` (so that no finite row can overflow a partial sum) and
-each product is divided by its row's float64 norm. The result lies within
+``query_batch`` ranks each distinct query once, a block of up to
+``_QUERY_BLOCK`` of them at a time, with array operations over the whole
+block and no loop over its queries. One float32 matrix product scores the
+block against the rows: each query is scaled to norm ``2**-shift`` (so that
+no finite row can overflow a partial sum) and each product is divided by
+its row's float64 norm. The result lies within
 ``err[r] = gamma(d + 4) + d * 2**(shift - 149) / norm[r]`` of the exact score
 (see ``_error_bounds``), so ``approx - err`` and ``approx + err`` bound it.
 The k-th chunk's score is at least the k-th largest lower bound, counting
 each row once per chunk; every row whose upper bound reaches that floor is
 a candidate, and no other row can rank. The slack is thus doubled: both the
-k-th score and each candidate's are approximate. A zero query scores every
-row 0, so every row is a candidate and chunk ids decide. Each candidate row
-is rescored with the row-at-a-time float64 formula
-``np.dot(row, q) / (norm * qnorm)``, and the first k chunks of each, in
-chunk-id order, are merged by (-score, chunk id).
+k-th score and each candidate's are approximate. One lexsort of the block's
+(query, row) pairs by (query, -lower bound), one cumulative sum of their
+chunk counts and one ``searchsorted`` find each query's floor. A zero query
+scores every row 0, so every row is a candidate and chunk ids decide. Each
+candidate pair is rescored with the row-at-a-time float64 formula
+``np.dot(row, q) / (norm * qnorm)``; the first k chunks of each candidate
+row, in chunk-id order, are gathered for the whole block with one
+``np.repeat`` and ordered by one lexsort on (query, -score, chunk id).
 Reported scores are therefore bit-identical to a linear scan's over the
 chunks, and ties break by ascending chunk id so runs are deterministic.
 
@@ -38,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -267,8 +273,10 @@ class VectorIndex:
 
     def query_batch(self, queries: np.ndarray, k: int) -> list[list[RetrievalHit]]:
         """``[query(q, k) for q in queries]`` for an (n, dimension) array of
-        queries. Each distinct query row is scored once, in blocks of one
-        matrix product; its copies get equal hit lists."""
+        queries. Each distinct query row is ranked once, in blocks of
+        ``_QUERY_BLOCK``. When every row is distinct the ranked lists are
+        returned as they are; otherwise each copy of a row gets its own list
+        of the same hits."""
         if not self._chunks:
             raise FlowragError("query on an empty index")
         if k < 1:
@@ -290,13 +298,14 @@ class VectorIndex:
         ranked: list[list[RetrievalHit]] = []
         for start in range(0, len(distinct), _QUERY_BLOCK):
             block = distinct[start : start + _QUERY_BLOCK].astype(np.float64)
-            for query, rows in zip(block, self._candidates(block, k)):
-                ranked.append(self._top_k(query, rows, k))
+            ranked += self._rank_block(block, k)
+        if len(firsts) == len(queries):
+            return ranked
         return [list(ranked[i]) for i in query_of]
 
-    def _candidates(self, block: np.ndarray, k: int) -> list[np.ndarray]:
-        """For each float64 query of ``block``, the rows whose exact score can
-        reach its k-th best chunk's, for k at most the chunk count."""
+    def _rank_block(self, block: np.ndarray, k: int) -> list[list[RetrievalHit]]:
+        """Exact top-k of each float64 query of ``block``, for k at most the
+        chunk count, with array operations over the whole block."""
         lengths = np.sqrt(np.einsum("ij,ij->i", block, block))
         factor = np.divide(
             2.0 ** -_query_shift(block.shape[1]),
@@ -312,55 +321,63 @@ class VectorIndex:
         # The least of k rows' lower bounds is at most the k-th best row's,
         # and every row has a chunk, so at most the k-th best chunk's and
         # its score: the least of the maxima of k row groups is a floor.
+        # Every query keeps at least the k rows holding those maxima.
         n_rows = len(self._rows)
         if n_rows > k:
             groups = np.arange(k) * n_rows // k
             floor = np.maximum.reduceat(lower, groups, axis=1).min(axis=1)
-            hits = np.flatnonzero(upper >= floor[:, np.newaxis])
+            pairs = np.flatnonzero(upper >= floor[:, np.newaxis])
         else:
-            hits = np.arange(upper.size)
-        owner, row_ids = np.divmod(hits, n_rows)
-        bounds = np.searchsorted(owner, np.arange(len(block) + 1))
-        counts = self._counts
-        candidates = []
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            # Walk the rows by lower bound until their chunks cover k: that
-            # row's lower bound, the k-th best chunk's, is the tightest floor.
-            rows = row_ids[lo:hi]
-            walk = rows[np.argsort(-lower[i, rows])]
-            kth = lower[i, walk[np.searchsorted(np.cumsum(counts[walk]), k)]]
-            candidates.append(rows[upper[i, rows] >= kth])
-        return candidates
-
-    def _top_k(self, query: np.ndarray, rows: np.ndarray, k: int) -> list[RetrievalHit]:
-        """Exact top-k of one float64 query among the chunks of ``rows``."""
-        query_norm = float(np.linalg.norm(query))
-        row_scores = np.empty(len(rows))
-        candidates = zip(self._rows[rows].astype(np.float64), self._norms[rows])
-        for i, (row, norm) in enumerate(candidates):
-            denom = norm * query_norm
-            row_scores[i] = 0.0 if denom == 0.0 else np.dot(row, query) / denom
+            pairs = np.arange(upper.size)
+        owner, rows = np.divmod(pairs, n_rows)  # grouped by query
+        lower, upper = lower.ravel()[pairs], upper.ravel()[pairs]
+        # Walk each query's rows by falling lower bound until their chunks
+        # cover k: that row's lower bound, the k-th best chunk's, is the
+        # tightest floor, whatever the order of equal lower bounds.
+        walk = np.lexsort((-lower, owner))
+        covered = np.concatenate([[0], np.cumsum(self._counts[rows[walk]])])
+        before = covered[np.searchsorted(owner, np.arange(len(block)))]
+        kth = lower[walk[np.searchsorted(covered, before + k) - 1]]
+        keep = upper >= kth[owner]
+        owner, rows = owner[keep], rows[keep]
+        # Each candidate pair is rescored with the row-at-a-time float64
+        # formula, so its score has a linear scan's bits.
+        query_norms = np.array([np.linalg.norm(query) for query in block])
+        dots = np.fromiter(
+            map(np.dot, self._rows[rows].astype(np.float64), block[owner]),
+            dtype=np.float64,
+            count=len(rows),
+        )
+        denoms = self._norms[rows] * query_norms[owner]
+        scores = np.divide(dots, denoms, out=np.zeros_like(dots), where=denoms != 0.0)
         # Only the first k chunks of a row, in chunk-id order, can rank.
         take = np.minimum(self._counts[rows], k)
-        chosen = np.concatenate([
-            self._members[self._starts[row] : self._starts[row] + n]
-            for row, n in zip(rows, take)
-        ])
-        scores = np.repeat(row_scores, take)
-        order = np.lexsort((self._id_rank[chosen], -scores))[:k]
-        hits = []
-        for rank, (position, score) in enumerate(zip(chosen[order], scores[order]), start=1):
-            chunk = self._chunks[position]
-            hits.append(
-                RetrievalHit(
-                    chunk_id=chunk.chunk_id,
-                    score=float(score),
-                    rank=rank,
-                    graph_id=chunk.graph_id,
-                    node_id=chunk.node_id,
-                )
+        pair_of = np.repeat(np.arange(len(rows)), take)
+        ends = np.cumsum(take)
+        chosen = self._members[
+            np.repeat(self._starts[rows] - ends + take, take) + np.arange(ends[-1])
+        ]
+        chosen_owner = owner[pair_of]
+        order = np.lexsort((self._id_rank[chosen], -scores[pair_of], chosen_owner))
+        # Each query holds at least k chunks; its first k in that order rank.
+        firsts = np.searchsorted(chosen_owner, np.arange(len(block)))
+        top = order[(firsts[:, np.newaxis] + np.arange(k)).ravel()]
+        chunks = self._chunks
+        hits = [
+            RetrievalHit(
+                chunk_id=chunk.chunk_id,
+                score=score,
+                rank=rank,
+                graph_id=chunk.graph_id,
+                node_id=chunk.node_id,
             )
-        return hits
+            for chunk, score, rank in zip(
+                map(chunks.__getitem__, chosen[top].tolist()),
+                scores[pair_of[top]].tolist(),
+                cycle(range(1, k + 1)),
+            )
+        ]
+        return [hits[i : i + k] for i in range(0, len(hits), k)]
 
     def save(self, path: str | Path) -> None:
         with create(path) as fh:

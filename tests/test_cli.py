@@ -829,6 +829,32 @@ class TestMalformedFiles:
             capsys, code
         )
 
+    def eval_error(self, tmp_path, capsys, graphs_path, qa_path) -> str:
+        config_path = tmp_path / "eval.json"
+        config_path.write_text("{}")
+        code = main(["eval", "--graphs", str(graphs_path), "--qa", str(qa_path),
+                     "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+        line = self.one_error(capsys, code)
+        assert len(line) < 200
+        return line
+
+    def test_empty_question_names_its_qa_item(self, tmp_path, capsys):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=4)
+        records = [json.loads(line) for line in qa_path.read_text().splitlines()]
+        records[2]["question"] = ""
+        qa_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        line = self.eval_error(tmp_path, capsys, graphs_path, qa_path)
+        assert line == "error: QA item 3 (graph 'g002') has an empty question"
+
+    def test_missing_graphs_are_counted_not_listed(self, tmp_path, capsys):
+        _, graphs_path, qa_path = write_corpus(tmp_path, count=300)
+        graphs_path.write_text(graphs_path.read_text().splitlines()[0] + "\n")
+        line = self.eval_error(tmp_path, capsys, graphs_path, qa_path)
+        assert line == (
+            "error: QA items reference graph ids missing from the corpus (299 in all), "
+            "the first 'g001'"
+        )
+
     def test_ingest_of_empty_chunks_file(self, tmp_path, capsys):
         chunks_path = tmp_path / "chunks.jsonl"
         chunks_path.write_text("\n")

@@ -401,6 +401,26 @@ class TestRunEval:
             a is not b for a, b in zip(first["hits"], report.trace[1]["hits"], strict=True)
         )
 
+    def test_each_distinct_question_is_ranked_once(self, monkeypatch):
+        graphs, qa = disjoint_corpus(4)
+        qa = qa + qa[:2] + qa[:1]  # the first question three times, the second twice
+        calls = []
+        query_batch = evalharness_module.VectorIndex.query_batch
+
+        def recording(self, queries, k):
+            calls.append(len(queries))
+            return query_batch(self, queries, k)
+
+        monkeypatch.setattr(evalharness_module.VectorIndex, "query_batch", recording)
+        report = run_eval(graphs, qa, EvalConfig(provider=LOCAL, ks=(1, 3)))
+        assert calls == [4] * 3  # once per strategy, one row per distinct question
+        for strategy in ("per-node", "all-nodes", "full-json"):
+            records = [r for r in report.trace if r["strategy"] == strategy]
+            assert [r["question"] for r in records] == [item.question for item in qa]
+            assert records[0]["hits"] is records[4]["hits"] is records[6]["hits"]
+            assert records[1]["hits"] is records[5]["hits"]
+            assert records[0]["hits"] is not records[1]["hits"]
+
     def test_records_share_one_judgments_dict_per_outcome(self):
         graphs, qa = disjoint_corpus(4)
         # Right and wrong gold graphs, so both outcomes occur.

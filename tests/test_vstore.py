@@ -563,6 +563,64 @@ class TestQueryBatch:
         assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
 
+class TestBlockRanker:
+    """One ``query_batch`` call whose blocks mix every case the block ranker
+    handles, checked against the linear scan."""
+
+    @staticmethod
+    def entries_and_queries():
+        rng = random.Random(61)
+        e1, e2 = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)
+        pool = [e1, e2] * 5  # two rows of five chunks each, ids interleaved
+        pool += [(1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+        # Other rows score below 0 against the tie query.
+        pool += [
+            (-rng.random(), -rng.random(), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for _ in range(12)
+        ]
+        order = list(range(len(pool)))
+        rng.shuffle(order)
+        entries = [(make_chunk(i), EmbeddingVector(values=pool[i])) for i in order]
+        tie = [1.0, 1.0, 0.0, 0.0]  # e1's and e2's ten chunks score 1/sqrt(2) each
+        queries = [tie, [0.0, 0.0, 0.0, 0.0]]
+        queries += [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(70)]
+        # Copies of the first two queries far enough on to land in later
+        # blocks: one equal in bytes, one equal only in value (-0.0), and
+        # one scaled, which ranks alike.
+        queries += [tie, [0.0, -0.0, 0.0, 0.0], [1.0, 1.0, -0.0, 0.0], [4.0, 4.0, 0.0, 0.0]]
+        return entries, np.array(queries, dtype=np.float32)
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_mixed_blocks_match_scan(self, k, monkeypatch):
+        entries, queries = self.entries_and_queries()
+        index = VectorIndex()
+        index.upsert([IndexEntry(chunk=c, vector=v) for c, v in entries])
+        assert len(index._rows) == len(entries) - 8 and max(index._counts) == 5
+        blocks = []
+        rank_block = VectorIndex._rank_block
+
+        def recording(self, block, *args):
+            blocks.append(len(block))
+            return rank_block(self, block, *args)
+
+        monkeypatch.setattr(VectorIndex, "_rank_block", recording)
+        batch = index.query_batch(queries, k)
+        # The byte-equal copy is ranked once; the -0.0 copies are other rows.
+        assert blocks == [64, len(queries) - 1 - 64]
+        for query, hits in zip(queries, batch):
+            expected = scan_oracle(entries, EmbeddingVector(values=tuple(query)), k)
+            assert [(h.score, h.chunk_id) for h in hits] == expected
+            assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+        tie, zero = hits_key(batch[0]), hits_key(batch[1])
+        assert hits_key(batch[72]) == hits_key(batch[74]) == hits_key(batch[75]) == tie
+        assert hits_key(batch[73]) == zero
+        assert batch[72] is not batch[0]
+        if k == 3:
+            # The k-th place falls among ten tied chunks of two rows (ids 0-9).
+            assert [h.chunk_id for h in batch[0]] == ["c0010", "c0000", "c0001"]
+            assert batch[0][1].score == batch[0][2].score == 1 / 2**0.5
+
+
 @st.composite
 def upserts_and_queries(draw):
     """Upserts over a few chunk ids (later ones replace earlier ones) and
@@ -614,13 +672,13 @@ class TestDistinctRows:
     def test_copies_of_a_query_are_scored_once(self, monkeypatch):
         index = build_index(random.Random(60), 30, dim=4)
         scored = []
-        top_k = VectorIndex._top_k
+        rank_block = VectorIndex._rank_block
 
-        def counting(self, query, *args):
-            scored.append(query.tobytes())
-            return top_k(self, query, *args)
+        def counting(self, block, *args):
+            scored.extend(query.tobytes() for query in block)
+            return rank_block(self, block, *args)
 
-        monkeypatch.setattr(VectorIndex, "_top_k", counting)
+        monkeypatch.setattr(VectorIndex, "_rank_block", counting)
         a, b = [0.5, -1.0, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]
         signed = [0.5, -1.0, -0.0, 2.0]  # equal to a, but not in its bytes
         batch = index.query_batch(np.array([a, b, a, a, signed, b], dtype=np.float32), 4)
