@@ -248,6 +248,12 @@ def _cmd_query(args) -> int:
     index = VectorIndex.load(args.snapshot)
     provider = _load_provider(args.provider_config)
     vector = embed_batch(provider, [args.text])[0]
+    if not vector.as_array().any():
+        print(
+            f"warning: the query text {shown(args.text)} embeds to the zero vector; "
+            "every hit scores 0 and hits come in chunk-id order",
+            file=sys.stderr,
+        )
     hits = index.query(vector, args.k)
     for hit in hits:
         sys.stdout.write(json.dumps(hit.to_dict(), ensure_ascii=False) + "\n")

@@ -2,10 +2,13 @@
 HTTP client.
 
 The local provider exists so the whole evaluation pipeline runs with zero
-network access: it tokenizes on non-alphanumeric boundaries, case-folds,
-hashes each token into a fixed number of buckets with a keyed 64-bit hash
-(sign from a second hash), accumulates counts and L2-normalizes. Everything
-is derived from blake2b, so vectors are identical across runs and platforms.
+network access: it case-folds, takes each run of ASCII letters and digits
+(``[0-9a-z]``) as a token, hashes each token into a fixed number of buckets
+with a keyed 64-bit hash (sign from a second hash), accumulates counts and
+L2-normalizes. Any other character, an accented or CJK letter included, only
+separates tokens: "Prüfe" gives ``pr`` and ``fe``, and a text with no token
+at all, such as "信号" or "???", embeds to the zero vector. Everything is
+derived from blake2b, so vectors are identical across runs and platforms.
 
 The remote protocol is deliberately minimal:
 

@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -45,6 +46,8 @@ from .graph_model import FlowGraph, serialize_json
 from .jsonio import config_kwargs, create, encode, expect, expect_list, member, read_json, shown
 from .synthgen import QaCategory, QaItem
 from .vstore import IndexEntry, RetrievalHit, VectorIndex
+
+logger = logging.getLogger(__name__)
 
 
 class DatasetError(FlowragError):
@@ -302,7 +305,8 @@ def run_eval(
     strategy, by one ``query_batch`` call; the records of a repeated
     question hold its one hit list. A QA item whose graph is not in the
     corpus, or whose question is empty, is a ``DatasetError`` before
-    anything is embedded."""
+    anything is embedded. Questions that embed to the zero vector, whose
+    hits all score 0, get one logged warning: their count and the first."""
     if not graphs:
         raise DatasetError("graph corpus is empty")
     if not qa:
@@ -386,6 +390,16 @@ def run_eval(
         raise EvalAborted(f"question embedding failed: {exc}", partial=None) from exc
     questions = np.stack([v.as_array() for v in question_vectors])
     del question_vectors
+    zero = ~questions.any(axis=1)
+    if zero.any():
+        # Slots are numbered in first-seen order, so the first zero slot is
+        # the first such question in the QA set.
+        logger.warning(
+            "%d QA items ask a question that embeds to the zero vector (first: %s); "
+            "every chunk scores 0 against it, so its hits come in chunk-id order",
+            int(zero[slots].sum()),
+            shown(list(slot_of)[int(np.argmax(zero))]),
+        )
 
     for strategy in config.strategies:
         chunks = chunk_graphs(graphs, strategy) + text_chunks

@@ -39,9 +39,11 @@ order in which the truth lists its nodes.
 
 * ``ged_approx`` solves one linear assignment over node-level costs (value
   substitution plus a local edge-label mismatch estimate, computed for all
-  node pairs at once from per-node label-count arrays), then prices the
-  edit script induced by that assignment. Among equal-cost assignments the
-  solver prefers kept ids, then earlier truth columns, which are in id
+  node pairs at once from two (3, nodes, labels) count arrays by the
+  count-level products of ``_multiset_cost``, so its memory grows with
+  nodes x labels and nodes x nodes, never with their product), then prices
+  the edit script induced by that assignment. Among equal-cost assignments
+  the solver prefers kept ids, then earlier truth columns, which are in id
   order. The result is always a feasible edit path, hence an upper bound on
   the exact distance.
 
@@ -235,29 +237,36 @@ def _group_counts(groups: dict, labels: int) -> np.ndarray:
 def _signature_counts(view: _View, labels: int) -> np.ndarray:
     """Per node: counts of outgoing, incoming, and bidirectional edge values,
     shape (3, nodes, labels), for the local estimate of the approximate
-    solver."""
-    counts = np.zeros((3, len(view.nodes), labels), dtype=np.int64)
-    for (si, di), edges in view.directed.items():
-        for edge in edges:
-            counts[0, si, edge.label] += 1
-            counts[1, di, edge.label] += 1
-    for (a, b), edges in view.bidir.items():
-        for edge in edges:
-            counts[2, a, edge.label] += 1
-            if b != a:
-                counts[2, b, edge.label] += 1
-    return counts
+    solver. A bidirectional loop counts once."""
+    n = len(view.nodes)
+    cells = [
+        row * labels + edge.label
+        for (si, di), edges in view.directed.items()
+        for edge in edges
+        for row in (si, n + di)
+    ] + [
+        row * labels + edge.label
+        for (a, b), edges in view.bidir.items()
+        for edge in edges
+        for row in {2 * n + a, 2 * n + b}
+    ]
+    return np.bincount(cells, minlength=3 * n * labels).reshape(3, n, labels)
 
 
 def _multiset_cost(c1: np.ndarray, c2: np.ndarray, costs: CostModel) -> np.ndarray:
-    """Optimal matching cost of value multisets given as label counts (last
-    axis; the other axes broadcast): equal values pair for free, leftovers
-    pair as substitutions, the remainder is deleted or inserted. This is
-    exact for a {0, substitute} cost matrix because substitute <= delete +
-    insert."""
-    common = np.minimum(c1, c2).sum(-1)
-    m1 = c1.sum(-1) - common
-    m2 = c2.sum(-1) - common
+    """Optimal matching costs of value multisets given as label counts, rows
+    of shape (..., a, labels) against (..., b, labels), as (..., a, b): equal
+    values pair for free, leftovers pair as substitutions, the remainder is
+    deleted or inserted. This is exact for a {0, substitute} cost matrix
+    because substitute <= delete + insert. The common counts, the sums of
+    min(c1, c2) over labels, add one float64 product (c1 >= k) @ (c2 >= k)^T
+    per count level k, exact for these integers, so no a x b x labels array
+    is built; with no level they stay 0 and the sums broadcast to (a, b)."""
+    common = 0.0
+    for k in range(1, int(min(c1.max(initial=0), c2.max(initial=0))) + 1):
+        common = common + (c1 >= k).astype(float) @ np.swapaxes(c2 >= k, -1, -2).astype(float)
+    m1 = c1.sum(-1)[..., :, None] - common
+    m2 = c2.sum(-1)[..., None, :] - common
     paired = np.minimum(m1, m2)
     return (
         paired * costs.edge_substitute
@@ -361,9 +370,7 @@ def _anchor_costs(pair: _Pair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         deleted[pu, pa] = costs.edge_delete * pred.sum(1)
         inserted[tt, tj] = costs.edge_insert * truth.sum(1)
         table = deleted[:, :, None, None] + inserted[None, None, :, :]
-        table[pu[:, None], pa[:, None], tt, tj] = _multiset_cost(
-            pred[:, None, :], truth[None, :, :], costs
-        )
+        table[pu[:, None], pa[:, None], tt, tj] = _multiset_cost(pred, truth, costs)
         return table, deleted, inserted
 
     def both_ways(groups):
@@ -656,9 +663,7 @@ def _approx_mapping(pair: _Pair) -> list[int | None]:
     if n1 == 0 or not tv.nodes:
         return [None] * n1
     outgoing, incoming, bidirectional = _multiset_cost(
-        _signature_counts(pv, pair.labels)[:, :, None, :],
-        _signature_counts(tv, pair.labels)[:, None, :, :],
-        costs,
+        _signature_counts(pv, pair.labels), _signature_counts(tv, pair.labels), costs
     )
     base = pair.node_costs + (outgoing + incoming + bidirectional)
     unmapped_pair = costs.node_delete + costs.node_insert
@@ -785,11 +790,6 @@ class GedReport:
 # break even near 70 pairs: its first 64 seed-3 pairs took 31 ms forked
 # against 30 ms in process, its first 96 took 44 against 46 ms.
 _PAIRS_PER_PROCESS = 32
-# Pairs per claim from the shared counter. A claim takes about a
-# microsecond under the counter's lock, and the ged workload's 300 seed-3
-# pairs scored in 125-127 ms alike at 1, 2, 4, 8 and 12 pairs per claim, so
-# one pair per claim, which ends the two sides closest together.
-_PAIRS_PER_TASK = 1
 
 # What a forked worker scores: (pairs, costs, node_budget, counter), set
 # once per worker by ``_start_worker`` and never in the calling process.
@@ -819,26 +819,23 @@ def _start_worker(pairs, costs: CostModel, node_budget: int, counter) -> None:
     _worker_job = (pairs, costs, node_budget, counter)
 
 
-def _claims(counter, count: int) -> Iterable[range]:
-    """Pair indices claimed from the shared ``counter``, ``_PAIRS_PER_TASK``
-    at a time, until every one of the ``count`` pairs is claimed."""
+def _claims(counter, count: int) -> Iterable[int]:
+    """Pair indices claimed from the shared ``counter``, one at a time, until
+    every one of the ``count`` pairs is claimed. A claim takes about a
+    microsecond under the counter's lock."""
     while True:
         with counter.get_lock():
-            start = counter.value
-            counter.value = start + _PAIRS_PER_TASK
-        if start >= count:
+            i = counter.value
+            counter.value = i + 1
+        if i >= count:
             return
-        yield range(start, min(start + _PAIRS_PER_TASK, count))
+        yield i
 
 
 def _score_claims() -> list[tuple[int, PairScore]]:
     """A worker's share: each pair it claims, scored, with its input index."""
     pairs, costs, node_budget, counter = _worker_job
-    return [
-        (i, _score_pair(*pairs[i], costs, node_budget))
-        for task in _claims(counter, len(pairs))
-        for i in task
-    ]
+    return [(i, _score_pair(*pairs[i], costs, node_budget)) for i in _claims(counter, len(pairs))]
 
 
 def _worker_count(count: int) -> int:
@@ -876,9 +873,8 @@ def _score_in_processes(pairs, costs: CostModel, node_budget: int, workers: int)
     try:
         try:
             shares = [pool.submit(_score_claims) for _ in range(workers - 1)]
-            for task in _claims(counter, len(pairs)):
-                for i in task:
-                    scores[i] = _score_pair(*pairs[i], costs, node_budget)
+            for i in _claims(counter, len(pairs)):
+                scores[i] = _score_pair(*pairs[i], costs, node_budget)
                 # A share is done once every pair is claimed or its worker
                 # died or raised; either way the caller claims no more.
                 if any(share.done() for share in shares):

@@ -188,6 +188,35 @@ def same_label_digraph(rng: random.Random, nodes: int, edges: int) -> FlowGraph:
     )
 
 
+def distinct_edge_graph(nodes: int, tag: str) -> FlowGraph:
+    """``nodes`` nodes and as many edges, one from each node, each edge value
+    its own: every edge value is a label column of its own, and two graphs
+    of different ``tag`` share none."""
+    ids = [f"N{i}" for i in range(nodes)]
+    return FlowGraph(
+        nodes=tuple(FlowNode(node_id, f"step {i % 7}") for i, node_id in enumerate(ids)),
+        edges=tuple(
+            FlowEdge(ids[i], ids[(7 * i + 3) % nodes], value=f"{tag} {i}") for i in range(nodes)
+        ),
+    )
+
+
+def reference_multiset_cost(c1: np.ndarray, c2: np.ndarray, costs) -> np.ndarray:
+    """``_multiset_cost`` as the solvers once computed it: the common counts
+    from an (..., a, b, labels) array of ``np.minimum``, then the same
+    arithmetic in the same order."""
+    c1, c2 = c1[..., :, None, :], c2[..., None, :, :]
+    common = np.minimum(c1, c2).sum(-1)
+    m1 = c1.sum(-1) - common
+    m2 = c2.sum(-1) - common
+    paired = np.minimum(m1, m2)
+    return (
+        paired * costs.edge_substitute
+        + (m1 - paired) * costs.edge_delete
+        + (m2 - paired) * costs.edge_insert
+    )
+
+
 # ---------------------------------------------------------------------------
 # References for the array-native cost tables: the exact solver's edge-cost
 # table and the assignment matrix of ``ged_approx``, built pair by pair from

@@ -471,7 +471,10 @@ class TestGed:
 
 
 class TestPipeline:
-    def test_chunk_ingest_query(self, tmp_path, capsys):
+    @staticmethod
+    def ingest(tmp_path):
+        """Per-node chunks of a small corpus, indexed by the local provider:
+        the graphs, the provider config and the snapshot."""
         graphs, graphs_path, _ = write_corpus(tmp_path)
         chunks_path = tmp_path / "chunks.jsonl"
         assert main(
@@ -487,6 +490,10 @@ class TestPipeline:
                 "--snapshot", str(snapshot),
             ]
         ) == 0
+        return graphs, provider, snapshot
+
+    def test_chunk_ingest_query(self, tmp_path, capsys):
+        graphs, provider, snapshot = self.ingest(tmp_path)
         capsys.readouterr()
         target = graphs[1].nodes[2]
         assert main(
@@ -502,6 +509,22 @@ class TestPipeline:
         assert hits[0]["graph_id"] == graphs[1].graph_id
         assert hits[0]["node_id"] == target.id
         assert [h["rank"] for h in hits] == [1, 2, 3]
+
+    def test_query_with_no_token_warns(self, tmp_path, capsys):
+        _, provider, snapshot = self.ingest(tmp_path)
+        capsys.readouterr()
+        argv = ["query", "--snapshot", str(snapshot), "--text", "信号", "--k", "3",
+                "--provider-config", str(provider)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: the query text '信号' embeds to the zero vector; "
+            "every hit scores 0 and hits come in chunk-id order\n"
+        )
+        assert len(captured.err) < 200
+        hits = [json.loads(line) for line in captured.out.splitlines()]
+        assert [h["score"] for h in hits] == [0.0] * 3
+        assert [h["chunk_id"] for h in hits] == sorted(h["chunk_id"] for h in hits)
 
     def test_chunk_warns_once_for_skipped_connectors(self, tmp_path, caplog):
         from flowrag.graph_model import write_graphs_jsonl

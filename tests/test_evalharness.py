@@ -247,6 +247,26 @@ class TestRunEval:
             f"(first: node {empty[0][1]!r} of graph {empty[0][0]!r})"
         ]
 
+    def test_question_with_no_token_warns_once(self, caplog):
+        # The local embedder reads only [0-9a-z] runs: "???" and "信号" embed
+        # to the zero vector, so every chunk scores 0 against them.
+        graphs, qa = disjoint_corpus(3)
+        blank = [
+            QaItem(question, graphs[i].graph_id, frozenset({"N1"}), QaCategory.NODE)
+            for i, question in enumerate(("???", "信号", "???"))
+        ]
+        with caplog.at_level(logging.WARNING, logger="flowrag.evalharness"):
+            report = run_eval(graphs, qa + blank, EvalConfig(provider=LOCAL))
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 QA items ask a question that embeds to the zero vector (first: '???'); "
+            "every chunk scores 0 against it, so its hits come in chunk-id order"
+        ]
+        scores = [
+            hit.score for record in report.trace if record["question"] == "???"
+            for hit in record["hits"]
+        ]
+        assert scores and set(scores) == {0.0}
+
     def test_text_chunks_never_increase_accuracy(self):
         graphs, qa = disjoint_corpus(8)
         # Text that reuses graph vocabulary so it actually competes.
