@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .chunker import ChunkStrategy, chunk_graphs, read_chunks_jsonl, write_chunks_jsonl
-from .embed import ProviderConfig, embed_batch
+from .embed import ProviderConfig, embed_batch, embed_rows
 from .errors import ConfigError, FlowragError
 from .evalharness import (
     EvalAborted,
@@ -36,7 +36,7 @@ from .synthgen import (
     read_qa_jsonl,
     write_qa_jsonl,
 )
-from .vstore import IndexEntry, VectorIndex
+from .vstore import VectorIndex
 
 
 def _load_provider(path: str | None) -> ProviderConfig:
@@ -236,9 +236,9 @@ def _cmd_ingest(args) -> int:
     if not chunks:
         raise FlowragError(f"no chunks in {args.chunks}")
     provider = _load_provider(args.provider_config)
-    vectors = embed_batch(provider, [c.text for c in chunks])
+    rows, row_of = embed_rows(provider, [c.text for c in chunks])
     index = VectorIndex()
-    index.upsert([IndexEntry(chunk=c, vector=v) for c, v in zip(chunks, vectors)])
+    index.upsert_rows(chunks, rows, row_of)
     index.save(args.snapshot)
     print(f"indexed {len(chunks)} chunks into {args.snapshot}", file=sys.stderr)
     return 0

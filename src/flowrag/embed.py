@@ -9,6 +9,9 @@ L2-normalizes. Any other character, an accented or CJK letter included, only
 separates tokens: "Prüfe" gives ``pr`` and ``fe``, and a text with no token
 at all, such as "信号" or "???", embeds to the zero vector. Everything is
 derived from blake2b, so vectors are identical across runs and platforms.
+Rows are computed ``_EMBED_BLOCK`` texts at a time, with one ``np.bincount``
+per block (``_hash_rows``), and equal, bit for bit, a loop that adds one
+token at a time to each text's buckets.
 
 The remote protocol is deliberately minimal:
 
@@ -17,8 +20,10 @@ The remote protocol is deliberately minimal:
     response {"embeddings": [[...], ...]}         (HTTP 200)
     errors   {"error": "message"}                 (any other status)
 
-``embed_batch`` embeds each distinct text of one call once and hands its
-copies the same vector; nothing is cached across calls. Requests are sent
+``embed_rows`` embeds each distinct text of one call once and returns the
+rows as one read-only float32 matrix, with each text's row number;
+``embed_batch`` wraps it and hands a text's copies the same vector, a view
+of that matrix. Nothing is cached across calls. Requests are sent
 in batches of at most ``batch_size``; transport failures and HTTP 5xx are
 retried three times with exponential backoff starting at 250 ms, HTTP 4xx is
 never retried.
@@ -37,7 +42,6 @@ import functools
 import hashlib
 import http.client
 import json
-import math
 import numbers
 import re
 import ssl
@@ -75,6 +79,31 @@ def _is_real(kind: type) -> bool:
     return kind is not bool and issubclass(kind, numbers.Real)
 
 
+def _float32_vector(values) -> np.ndarray:
+    """A new float32 copy of ``values``, a flat sequence or array of real
+    numbers; EmbedInputError for anything else."""
+    # A float32 array would read "0.5" and True as numbers and None as NaN.
+    if isinstance(values, np.ndarray):
+        if not _is_real(values.dtype.type):
+            raise EmbedInputError(
+                f"vector values must be real numbers, got a {values.dtype} array"
+            )
+    else:
+        try:
+            types = set(map(type, values))
+        except TypeError as exc:
+            raise EmbedInputError(
+                f"expected a flat vector, got {type(values).__name__}"
+            ) from exc
+        if not all(map(_is_real, types)):
+            bad = next(v for v in values if not _is_real(type(v)))
+            raise EmbedInputError(f"vector values must be real numbers, found {shown(bad)}")
+    array = np.array(values, dtype=np.float32)
+    if array.ndim != 1:
+        raise EmbedInputError(f"expected a flat vector, got shape {array.shape}")
+    return array
+
+
 class EmbeddingVector:
     """Fixed-length vector of 32-bit reals, held as one read-only float32
     array, so in-memory scoring and snapshots agree."""
@@ -82,27 +111,17 @@ class EmbeddingVector:
     __slots__ = ("_array",)
 
     def __init__(self, values):
-        # A float32 array would read "0.5" and True as numbers and None as NaN.
-        if isinstance(values, np.ndarray):
-            if not _is_real(values.dtype.type):
-                raise EmbedInputError(
-                    f"vector values must be real numbers, got a {values.dtype} array"
-                )
-        else:
-            try:
-                types = set(map(type, values))
-            except TypeError as exc:
-                raise EmbedInputError(
-                    f"expected a flat vector, got {type(values).__name__}"
-                ) from exc
-            if not all(map(_is_real, types)):
-                bad = next(v for v in values if not _is_real(type(v)))
-                raise EmbedInputError(f"vector values must be real numbers, found {shown(bad)}")
-        array = np.array(values, dtype=np.float32)
-        if array.ndim != 1:
-            raise EmbedInputError(f"expected a flat vector, got shape {array.shape}")
+        array = _float32_vector(values)
         array.flags.writeable = False
         self._array = array
+
+    @classmethod
+    def _of_row(cls, row: np.ndarray) -> "EmbeddingVector":
+        """A vector over ``row``, a row of a read-only float32 matrix that
+        nothing writes to, shared rather than copied."""
+        vector = cls.__new__(cls)
+        vector._array = row
+        return vector
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -179,6 +198,11 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 # http.client refuses to send these in a host or path.
 _UNSENDABLE_RE = re.compile(r"[\x00-\x20\x7f]")
 
+# Texts per bincount in the local kernel: a block's code arrays and its
+# (texts, dimension) float64 sums are the kernel's only temporaries, about
+# 0.45 MB at 32 and 2.1 MB at 256 for 100-token texts (BENCH_30.json).
+_EMBED_BLOCK = 32
+
 _RETRY_ATTEMPTS = 3
 _BACKOFF_BASE_S = 0.25
 
@@ -188,26 +212,48 @@ def _token_hash(token: str, key: bytes) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _hash_embed(texts: list[str], dimension: int) -> list[EmbeddingVector]:
-    """One vector per text; each distinct token is hashed once per call."""
-    slots: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
-    vectors = []
-    for text in texts:
-        buckets = np.zeros(dimension, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.casefold()):
-            slot = slots.get(token)
-            if slot is None:
-                slot = slots[token] = (
-                    _token_hash(token, b"bucket") % dimension,
-                    1.0 if _token_hash(token, b"sign") & 1 else -1.0,
-                )
-            buckets[slot[0]] += slot[1]
-        # Bucket counts are small integers, so the squared norm is exact.
-        norm = math.sqrt(float(np.dot(buckets, buckets)))
-        if norm > 0:
-            buckets /= norm
-        vectors.append(EmbeddingVector(buckets))
-    return vectors
+class _BucketCodes(dict):
+    """token -> 2 * bucket + sign bit, for one call: a token missing from
+    the table is hashed once, on its first lookup."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        bucket = _token_hash(token, b"bucket") % self.dimension
+        code = self[token] = 2 * bucket + (_token_hash(token, b"sign") & 1)
+        return code
+
+
+def _hash_rows(texts: list[str], dimension: int) -> np.ndarray:
+    """One float32 row per text, computed ``_EMBED_BLOCK`` texts at a time.
+
+    Each text's tokens become bucket codes at once, so no token string
+    outlives its text unless it is new to the call. Per block: one
+    ``np.bincount`` over the (text, bucket) cells with weights of +1.0 and
+    -1.0, the row norms and one division. Bucket sums and squared norms are
+    integers below 2**53, so they are exact in any order, and sqrt and
+    division are correctly rounded: each row has the bits of a loop that
+    adds one token at a time to one text's buckets."""
+    codes = _BucketCodes(dimension)
+    rows = np.empty((len(texts), dimension), dtype=np.float32)
+    for start in range(0, len(texts), _EMBED_BLOCK):
+        parts = [
+            np.fromiter(map(codes.__getitem__, _TOKEN_RE.findall(text.casefold())), np.intp)
+            for text in texts[start : start + _EMBED_BLOCK]
+        ]
+        code = np.concatenate(parts)
+        cells = np.repeat(np.arange(len(parts)) * dimension, list(map(len, parts)))
+        cells += code >> 1
+        # With no token at all, bincount counts in integers.
+        sums = np.bincount(
+            cells, weights=(code & 1) * 2.0 - 1.0, minlength=len(parts) * dimension
+        ).astype(np.float64, copy=False).reshape(len(parts), dimension)
+        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, np.newaxis]
+        np.divide(sums, norms, out=sums, where=norms > 0)
+        rows[start : start + len(parts)] = sums
+    return rows
 
 
 def _split_endpoint(endpoint: str):
@@ -313,7 +359,7 @@ class _RemoteClient:
         self._checkin(conn)
         return reply
 
-    def embed_one_batch(self, texts: list[str]) -> list[EmbeddingVector]:
+    def embed_one_batch(self, texts: list[str]) -> list[np.ndarray]:
         body = json.dumps({"model": self.config.model_name, "inputs": texts}).encode()
         last_error = ""
         for attempt in range(1, _RETRY_ATTEMPTS + 1):
@@ -334,7 +380,8 @@ class _RemoteClient:
                 time.sleep(_BACKOFF_BASE_S * 2 ** (attempt - 1))
         raise TransportError(last_error, attempts=_RETRY_ATTEMPTS)
 
-    def _parse(self, reply: bytes) -> list[EmbeddingVector]:
+    def _parse(self, reply: bytes) -> list[np.ndarray]:
+        """One checked float32 vector per row of a 200 reply."""
         try:
             embeddings = decode(reply)["embeddings"]
         except (ValueError, KeyError, TypeError) as exc:
@@ -347,7 +394,7 @@ class _RemoteClient:
                 raise ProtocolError("embedding rows must be non-empty arrays")
             try:
                 with np.errstate(over="ignore"):  # overflow to inf is rejected below
-                    vector = EmbeddingVector(row)
+                    vector = _float32_vector(row)
             except EmbedInputError as exc:  # a JSON value other than a number
                 # decode gives bool for true and false; type() keeps it out.
                 bad = next(item for item in row if type(item) not in NUMBER)
@@ -356,7 +403,7 @@ class _RemoteClient:
                 ) from exc
             except OverflowError as exc:  # an integer beyond any float
                 raise ProtocolError(f"embedding row {i} holds a non-finite value") from exc
-            if not np.isfinite(vector.as_array()).all():
+            if not np.isfinite(vector).all():
                 raise ProtocolError(f"embedding row {i} holds a non-finite value")
             vectors.append(vector)
         return vectors
@@ -380,27 +427,40 @@ def _client(config: ProviderConfig) -> _RemoteClient:
     return _RemoteClient(config)
 
 
-def embed_batch(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVector]:
-    """Embed texts in order; one vector per input text. Each distinct text is
-    embedded once, and its copies share that one read-only vector."""
+def embed_rows(provider: ProviderConfig, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Embed texts as rows of one read-only float32 matrix: returns the rows
+    of the distinct texts, in first-seen order, and each text's row number,
+    so text i embeds to ``rows[row_of[i]]``. Each distinct text is embedded
+    once; nothing is cached across calls."""
     if not texts:
         raise EmbedInputError("texts must be non-empty")
     for i, text in enumerate(texts):
         if not text:
             raise EmbedInputError(f"text at index {i} is empty")
     slot_of: dict[str, int] = {}
-    slots = [slot_of.setdefault(text, len(slot_of)) for text in texts]
-    distinct = list(slot_of)
+    row_of = np.fromiter(
+        (slot_of.setdefault(text, len(slot_of)) for text in texts), dtype=np.intp, count=len(texts)
+    )
     if provider.kind is ProviderKind.LOCAL_HASHED:
-        vectors = _hash_embed(distinct, provider.dimension)
+        rows = _hash_rows(list(slot_of), provider.dimension)
     else:
-        vectors = _remote_embed(provider, distinct)
-    if len(distinct) == len(texts):
+        rows = _remote_rows(provider, list(slot_of))
+    rows.flags.writeable = False
+    return rows, row_of
+
+
+def embed_batch(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVector]:
+    """Embed texts in order; one vector per input text. Each distinct text is
+    embedded once, and its copies share that one read-only vector: a view of
+    ``embed_rows``'s matrix, not a copy."""
+    rows, row_of = embed_rows(provider, texts)
+    vectors = list(map(EmbeddingVector._of_row, rows))
+    if len(vectors) == len(texts):
         return vectors
-    return [vectors[slot] for slot in slots]
+    return [vectors[row] for row in row_of.tolist()]
 
 
-def _remote_embed(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingVector]:
+def _remote_rows(provider: ProviderConfig, texts: list[str]) -> np.ndarray:
     client = _client(provider)
     batches = [
         texts[i : i + provider.batch_size]
@@ -411,16 +471,20 @@ def _remote_embed(provider: ProviderConfig, texts: list[str]) -> list[EmbeddingV
     else:
         with ThreadPoolExecutor(max_workers=provider.max_concurrency) as pool:
             results = list(pool.map(client.embed_one_batch, batches))
-    vectors: list[EmbeddingVector] = []
-    for batch, batch_vectors in zip(batches, results):
-        if len(batch_vectors) != len(batch):
+    for batch, vectors in zip(batches, results):
+        if len(vectors) != len(batch):
             raise ProtocolError(
-                f"embedding service returned {len(batch_vectors)} vectors "
+                f"embedding service returned {len(vectors)} vectors "
                 f"for {len(batch)} inputs"
             )
-        vectors.extend(batch_vectors)
-    dimensions = {v.dimension for v in vectors}
+    dimensions = {len(vector) for vectors in results for vector in vectors}
     if len(dimensions) > 1:
         raise ProtocolError(f"inconsistent embedding dimensions: {sorted(dimensions)}")
-    return vectors
-
+    # Each batch's vectors are dropped once copied, so the replies and the
+    # matrix are never both held whole.
+    rows = np.empty((len(texts), dimensions.pop()), dtype=np.float32)
+    for i, batch in enumerate(batches):
+        start = i * provider.batch_size
+        rows[start : start + len(batch)] = results[i]
+        results[i] = None
+    return rows

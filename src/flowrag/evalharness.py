@@ -8,7 +8,10 @@ accuracy can only move down relative to the graph-only scenario.
 Each record of a run is judged once: the first rank at which its hits
 answer the question decides its outcome at every k, and each strategy's
 cells are summed from a tally of (category, outcomes). Each distinct
-question is embedded once and ranked once per strategy. The trace repeats
+question is embedded once and ranked once per strategy. Texts go from the
+embedder to the index as rows of one float32 matrix (``embed_rows``, then
+``VectorIndex.upsert_rows``), with no vector object per text or chunk and
+no matrix of copies for texts that repeat. The trace repeats
 values: a repeated question's records share one hit list, records with
 equal outcomes share one judgments dict, and questions and graph ids recur
 in every strategy. ``write_trace_jsonl`` encodes each such string, hit list
@@ -40,12 +43,12 @@ from typing import Iterable
 import numpy as np
 
 from .chunker import Chunk, ChunkStrategy, chunk_graphs, chunk_text
-from .embed import ProviderConfig, TransportError, embed_batch
+from .embed import ProviderConfig, TransportError, embed_rows
 from .errors import ConfigError, FlowragError
 from .graph_model import FlowGraph, serialize_json
 from .jsonio import config_kwargs, create, encode, expect, expect_list, member, read_json, shown
 from .synthgen import QaCategory, QaItem
-from .vstore import IndexEntry, RetrievalHit, VectorIndex
+from .vstore import RetrievalHit, VectorIndex
 
 logger = logging.getLogger(__name__)
 
@@ -301,11 +304,12 @@ def run_eval(
     """Index each strategy's chunks, retrieve for every question, judge at
     every k, and aggregate per category and overall.
 
-    Each distinct question text is embedded once and ranked once per
-    strategy, by one ``query_batch`` call; the records of a repeated
-    question hold its one hit list. A QA item whose graph is not in the
-    corpus, or whose question is empty, is a ``DatasetError`` before
-    anything is embedded. Questions that embed to the zero vector, whose
+    Each strategy's chunks are embedded with one ``embed_rows`` call and
+    indexed from its rows with ``upsert_rows``. Each distinct question text
+    is embedded once and ranked once per strategy, by one ``query_batch``
+    call; the records of a repeated question hold its one hit list. A QA
+    item whose graph is not in the corpus, or whose question is empty, is a
+    ``DatasetError`` before anything is embedded. Questions that embed to the zero vector, whose
     hits all score 0, get one logged warning: their count and the first."""
     if not graphs:
         raise DatasetError("graph corpus is empty")
@@ -385,11 +389,10 @@ def run_eval(
         for wrong in range(len(config.ks) + 1)
     ]
     try:
-        question_vectors = embed_batch(config.provider, list(slot_of))
+        # The texts are distinct, so row i is question slot i's.
+        questions, _ = embed_rows(config.provider, list(slot_of))
     except TransportError as exc:
         raise EvalAborted(f"question embedding failed: {exc}", partial=None) from exc
-    questions = np.stack([v.as_array() for v in question_vectors])
-    del question_vectors
     zero = ~questions.any(axis=1)
     if zero.any():
         # Slots are numbered in first-seen order, so the first zero slot is
@@ -406,17 +409,15 @@ def run_eval(
         if strategy is ChunkStrategy.FULL_JSON:
             corpus_hash = _corpus_hash(c.text.encode("utf-8") for c in chunks[: len(graphs)])
         try:
-            vectors = embed_batch(config.provider, [c.text for c in chunks])
+            rows, row_of = embed_rows(config.provider, [c.text for c in chunks])
         except TransportError as exc:
             raise EvalAborted(
                 f"chunk embedding failed for strategy {strategy.value}: {exc}",
                 partial=build_report(trace),
             ) from exc
         index = VectorIndex()
-        index.upsert(
-            [IndexEntry(chunk=c, vector=v) for c, v in zip(chunks, vectors)]
-        )
-        del vectors
+        index.upsert_rows(chunks, rows, row_of)
+        del rows, row_of
         name = strategy.value
         tally: Counter[tuple[str, int]] = Counter()
         # Records hold the hit lists query_batch returned (a repeated

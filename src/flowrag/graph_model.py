@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from pathlib import Path
 from typing import Iterable
 
@@ -154,41 +155,67 @@ def _expect(value, types, path: str, what: str):
     return value
 
 
-def _node_from_obj(obj, path: str) -> FlowNode:
-    _expect(obj, dict, path, "object")
+def _item_path(array: str, i: int, key: str | None = None) -> str:
+    """The path of item ``i`` of ``$.<array>``, or of its ``key``; built
+    only for an error, so a record that passes every check formats none."""
+    path = f"$.{array}[{i}]"
+    return path if key is None else f"{path}.{key}"
+
+
+def _node_from_obj(obj, i: int) -> FlowNode:
+    if not isinstance(obj, dict):
+        raise GraphSchemaError("expected object", _item_path("nodes", i))
     if "id" not in obj:
-        raise GraphSchemaError("missing required key 'id'", f"{path}.id")
+        raise GraphSchemaError("missing required key 'id'", _item_path("nodes", i, "id"))
     if "value" not in obj:
-        raise GraphSchemaError("missing required key 'value'", f"{path}.value")
-    node_id = _expect(obj["id"], str, f"{path}.id", "string")
-    value = _expect(obj["value"], str, f"{path}.value", "string")
-    shape = NodeShape.UNSPECIFIED
-    if obj.get("shape") is not None:
-        name = _expect(obj["shape"], str, f"{path}.shape", "string")
-        if name not in _SHAPES_BY_NAME:
-            raise GraphSchemaError(f"unknown shape {shown(name)}", f"{path}.shape")
-        shape = _SHAPES_BY_NAME[name]
+        raise GraphSchemaError("missing required key 'value'", _item_path("nodes", i, "value"))
+    node_id = obj["id"]
+    if not isinstance(node_id, str):
+        raise GraphSchemaError("expected string", _item_path("nodes", i, "id"))
+    value = obj["value"]
+    if not isinstance(value, str):
+        raise GraphSchemaError("expected string", _item_path("nodes", i, "value"))
+    name = obj.get("shape")
+    if name is None:
+        return FlowNode(id=node_id, value=value)
+    if not isinstance(name, str):
+        raise GraphSchemaError("expected string", _item_path("nodes", i, "shape"))
+    shape = _SHAPES_BY_NAME.get(name)
+    if shape is None:
+        raise GraphSchemaError(f"unknown shape {shown(name)}", _item_path("nodes", i, "shape"))
     return FlowNode(id=node_id, value=value, shape=shape)
 
 
-def _edge_from_obj(obj, path: str) -> FlowEdge:
-    _expect(obj, dict, path, "object")
-    for key in ("from", "to"):
-        if key not in obj:
-            raise GraphSchemaError(f"missing required key '{key}'", f"{path}.{key}")
-    src = _expect(obj["from"], str, f"{path}.from", "string")
-    dst = _expect(obj["to"], str, f"{path}.to", "string")
+def _edge_from_obj(obj, i: int) -> FlowEdge:
+    if not isinstance(obj, dict):
+        raise GraphSchemaError("expected object", _item_path("edges", i))
+    if "from" not in obj:
+        raise GraphSchemaError("missing required key 'from'", _item_path("edges", i, "from"))
+    if "to" not in obj:
+        raise GraphSchemaError("missing required key 'to'", _item_path("edges", i, "to"))
+    src = obj["from"]
+    if not isinstance(src, str):
+        raise GraphSchemaError("expected string", _item_path("edges", i, "from"))
+    dst = obj["to"]
+    if not isinstance(dst, str):
+        raise GraphSchemaError("expected string", _item_path("edges", i, "to"))
     value = obj.get("value")
-    if value is not None:
-        value = _expect(value, str, f"{path}.value", "string or null")
+    if value is not None and not isinstance(value, str):
+        raise GraphSchemaError("expected string or null", _item_path("edges", i, "value"))
     bidirectional = obj.get("bidirectional", False)
-    _expect(bidirectional, bool, f"{path}.bidirectional", "boolean")
-    line_style = LineStyle.SOLID
-    if obj.get("line_style") is not None:
-        name = _expect(obj["line_style"], str, f"{path}.line_style", "string")
-        if name not in _STYLES_BY_NAME:
-            raise GraphSchemaError(f"unknown line_style {shown(name)}", f"{path}.line_style")
-        line_style = _STYLES_BY_NAME[name]
+    if not isinstance(bidirectional, bool):
+        raise GraphSchemaError("expected boolean", _item_path("edges", i, "bidirectional"))
+    name = obj.get("line_style")
+    if name is None:
+        line_style = LineStyle.SOLID
+    elif not isinstance(name, str):
+        raise GraphSchemaError("expected string", _item_path("edges", i, "line_style"))
+    else:
+        line_style = _STYLES_BY_NAME.get(name)
+        if line_style is None:
+            raise GraphSchemaError(
+                f"unknown line_style {shown(name)}", _item_path("edges", i, "line_style")
+            )
     return FlowEdge(
         src=src, dst=dst, value=value, bidirectional=bidirectional, line_style=line_style
     )
@@ -222,12 +249,8 @@ def graph_from_doc(doc) -> FlowGraph:
         if key not in doc:
             raise GraphSchemaError(f"missing required key '{key}'", f"$.{key}")
         _expect(doc[key], list, f"$.{key}", "array")
-    nodes = tuple(
-        _node_from_obj(obj, f"$.nodes[{i}]") for i, obj in enumerate(doc["nodes"])
-    )
-    edges = tuple(
-        _edge_from_obj(obj, f"$.edges[{i}]") for i, obj in enumerate(doc["edges"])
-    )
+    nodes = tuple(map(_node_from_obj, doc["nodes"], count()))
+    edges = tuple(map(_edge_from_obj, doc["edges"], count()))
     return FlowGraph(nodes=nodes, edges=edges, graph_id=graph_id)
 
 

@@ -4,11 +4,14 @@ The index stores each distinct vector once: one C-contiguous float32 row
 matrix, 4 * dimension bytes per distinct row, with float64 row norms and a
 chunk -> row index array. Rows are told apart by their exact float32 bytes,
 so ``-0.0`` and ``0.0`` stay separate rows; duplicates are found through a
-hash of each row's bytes, compared against the row itself on a hit. Every
-write (``upsert`` or ``load``) goes through ``_put``, which holds every
-write check, merges the new chunks into the stored ones (a known chunk id
-keeps its place, a new one is appended) and rebuilds the rows, norms and
-ranking orders from the merged list, so every row has a chunk.
+hash of each row's bytes, compared against the row itself on a hit. A
+write takes chunks, rows and each chunk's row number (``upsert_rows``;
+``upsert`` passes one row per entry), so only the rows handed over are
+hashed, not one per chunk. Every write (``upsert_rows``, ``upsert`` or
+``load``) goes through ``_put``, which holds every write check, merges the
+new chunks into the stored ones (a known chunk id keeps its place, a new
+one is appended) and rebuilds the rows, norms and ranking orders from the
+merged list, so every row has a chunk.
 
 ``query_batch`` ranks each distinct query once, a block of up to
 ``_QUERY_BLOCK`` of them at a time, with array operations over the whole
@@ -200,58 +203,89 @@ class VectorIndex:
 
     def upsert(self, entries: list[IndexEntry]) -> int:
         """Insert or replace entries; all-or-nothing on bad input."""
-        if entries:
-            self._put(
-                [entry.chunk for entry in entries],
-                [entry.vector.as_array() for entry in entries],
-                FlowragError,
-            )
-        return len(entries)
+        return self.upsert_rows(
+            [entry.chunk for entry in entries],
+            [entry.vector.as_array() for entry in entries],
+            np.arange(len(entries)),
+        )
 
-    def _put(self, chunks: list[Chunk], vectors, error: type[FlowragError]) -> None:
-        """Write one float32 vector per chunk (a 2-D array or a list of 1-D
-        arrays): merge them into the stored chunks, where a known chunk id
-        keeps its place and a new one is appended, then rebuild the rows,
-        norms and ranking orders from the merged list. Every write check is
-        here, before anything changes: a chunk id repeated among ``chunks``
-        or a non-finite value raises ``error``; a vector with no component,
-        or of another dimension than the index's (the first vector's, for an
-        empty index), raises ``DimensionMismatchError`` naming its chunk."""
+    def upsert_rows(self, chunks: list[Chunk], rows, row_of) -> int:
+        """Insert or replace ``chunks``, chunk i holding the float32 vector
+        ``rows[row_of[i]]``; all-or-nothing on bad input. ``rows`` is a 2-D
+        float32 array or a list of 1-D ones. Rows equal in bytes are stored
+        once and rows that no chunk holds are not stored; a read-only array
+        of rows that are all distinct and held in order is kept, not copied."""
+        if chunks:
+            self._put(chunks, rows, row_of, FlowragError)
+        return len(chunks)
+
+    def _put(self, chunks: list[Chunk], rows, row_of, error: type[FlowragError]) -> None:
+        """Write ``chunks``, chunk i holding the float32 vector
+        ``rows[row_of[i]]`` (``rows`` a 2-D array or a list of 1-D arrays):
+        merge them into the stored chunks, where a known chunk id keeps its
+        place and a new one is appended, then rebuild the rows, norms and
+        ranking orders from the merged list. Every write check is here,
+        before anything changes: a chunk id repeated among ``chunks``, a row
+        number that names no row, or a non-finite value raises ``error``; a
+        vector with no component, or of another dimension than the index's
+        (the first vector's, for an empty index), raises
+        ``DimensionMismatchError``. A bad vector is named by the first chunk,
+        in merged order, that holds it."""
         # Repeats are checked before the merge, which would keep the last alone.
         seen: set[str] = set()
         for chunk in chunks:
             if chunk.chunk_id in seen:
                 raise error(f"duplicate chunk_id {shown(chunk.chunk_id)}")
             seen.add(chunk.chunk_id)
+        row_of = np.asarray(row_of)
+        if (
+            row_of.dtype.kind not in "iu"
+            or row_of.shape != (len(chunks),)
+            or not 0 <= row_of.min() <= row_of.max() < len(rows)
+        ):
+            raise error(f"row_of must give each chunk a row number below {len(rows)}")
         if self._chunks:
-            # Merging into an empty index changes nothing; skipping it spares
-            # a bulk write one view per row (about 1 MB at 6 000 chunks).
-            merged = {
-                c.chunk_id: (c, self._rows[r]) for c, r in zip(self._chunks, self._row_of)
-            }
-            merged.update((c.chunk_id, (c, v)) for c, v in zip(chunks, vectors))
+            # The stored rows are numbered ahead of the new ones. Merging into
+            # an empty index changes nothing, and skipping it keeps a bulk
+            # write's rows one array.
+            offset = len(self._rows)
+            merged = {c.chunk_id: (c, r) for c, r in zip(self._chunks, self._row_of.tolist())}
+            merged.update((c.chunk_id, (c, offset + r)) for c, r in zip(chunks, row_of.tolist()))
             chunks = [chunk for chunk, _ in merged.values()]
-            vectors = [vector for _, vector in merged.values()]
-        firsts, row_of = _distinct(vectors)
+            row_of = np.fromiter((r for _, r in merged.values()), dtype=np.intp, count=len(merged))
+            rows = [*self._rows, *rows]
+        # Distinct rows by bytes, then the ones some chunk holds, numbered in
+        # the order of their first chunks.
+        firsts, distinct_of = _distinct(rows)
+        held = distinct_of[row_of]
+        kept, first_chunk = np.unique(held, return_index=True)
+        order = np.argsort(first_chunk)
+        kept, first_chunk = kept[order], first_chunk[order].tolist()
+        number = np.empty(len(firsts), dtype=np.intp)
+        number[kept] = np.arange(len(kept))
+        row_of = number[held]
+        sources = [firsts[i] for i in kept.tolist()]  # each stored row's place in rows
         # Equal rows have equal lengths, so the first chunk of a wrong length
-        # is the first copy of its row.
-        dimension = self.dimension or len(vectors[firsts[0]])
+        # is the first chunk of its row.
+        dimension = self.dimension or len(rows[sources[0]])
         if dimension < 1:
             raise DimensionMismatchError("vectors need at least one component")
-        for i in firsts:
-            if len(vectors[i]) != dimension:
+        for source, chunk in zip(sources, first_chunk):
+            if len(rows[source]) != dimension:
                 raise DimensionMismatchError(
-                    f"chunk {shown(chunks[i].chunk_id)} has dimension "
-                    f"{len(vectors[i])}, index uses {dimension}"
+                    f"chunk {shown(chunks[chunk].chunk_id)} has dimension "
+                    f"{len(rows[source])}, index uses {dimension}"
                 )
-        if isinstance(vectors, np.ndarray) and len(firsts) == len(vectors):
-            rows = vectors  # every row distinct: the rows are the input
-        else:
-            rows = np.stack([vectors[i] for i in firsts])
+        if not isinstance(rows, np.ndarray):
+            rows = np.stack([rows[i] for i in sources])
+        elif sources != list(range(len(rows))):
+            rows = rows[sources]
+        elif rows.flags.writeable:
+            rows = rows.copy()  # the caller could still write to its array
         bad = _first_non_finite(rows)
         if bad is not None:
             raise error(
-                f"chunk {shown(chunks[firsts[bad]].chunk_id)} has a non-finite vector value"
+                f"chunk {shown(chunks[first_chunk[bad]].chunk_id)} has a non-finite vector value"
             )
         norms = _norms(rows)
         by_id = np.array(
@@ -447,7 +481,6 @@ class VectorIndex:
         # An empty snapshot stores no row, but its dimension is saved back.
         index._rows = np.zeros((0, dimension), dtype=np.float32)
         if count:
-            index._put(
-                chunks, np.frombuffer(blob, dtype="<f4").reshape(count, dimension), SnapshotError
-            )
+            rows = np.frombuffer(blob, dtype="<f4").reshape(count, dimension)
+            index._put(chunks, rows, np.arange(count), SnapshotError)
         return index

@@ -1,9 +1,10 @@
 """Shared test helpers: random graph builders, independent oracles,
-Counter-based references for the GED cost tables, and a loopback stub
-embedding server."""
+Counter-based references for the GED cost tables, the per-text local
+embedder, and a loopback stub embedding server."""
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from flowrag.embed import _TOKEN_RE, _token_hash
 from flowrag.ged import _ID_TIE_EPS, GedResult, _Pair, _result_from_mapping
 from flowrag.graph_model import FlowEdge, FlowGraph, FlowNode, LineStyle, NodeShape
 
@@ -389,6 +391,23 @@ def mismatch_qa(qa_items):
 # ---------------------------------------------------------------------------
 # Loopback stub embedding server implementing the /embed wire protocol.
 # ---------------------------------------------------------------------------
+
+
+def reference_hash_rows(texts: list[str], dimension: int) -> np.ndarray:
+    """The local embedder as a per-text loop that adds one token at a time
+    to its text's float64 buckets, then divides by the norm: the reference
+    that the blocked bincount kernel must equal byte for byte."""
+    rows = np.zeros((len(texts), dimension), dtype=np.float32)
+    for row, text in enumerate(texts):
+        buckets = np.zeros(dimension, dtype=np.float64)
+        for token in _TOKEN_RE.findall(text.casefold()):
+            sign = 1.0 if _token_hash(token, b"sign") & 1 else -1.0
+            buckets[_token_hash(token, b"bucket") % dimension] += sign
+        norm = math.sqrt(float(np.dot(buckets, buckets)))
+        if norm > 0:
+            buckets /= norm
+        rows[row] = buckets
+    return rows
 
 
 def stub_vector(text: str, dimension: int) -> list[float]:

@@ -5,10 +5,13 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowrag.embed as embed_module
 from flowrag.embed import (
@@ -19,10 +22,11 @@ from flowrag.embed import (
     ProviderKind,
     TransportError,
     embed_batch,
+    embed_rows,
 )
 from flowrag.errors import ConfigError
 
-from helpers import StubEmbedServer, stub_vector
+from helpers import StubEmbedServer, reference_hash_rows, stub_vector
 
 
 LOCAL64 = ProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=64)
@@ -88,6 +92,97 @@ class TestLocalHashed:
     def test_tokenless_text_gives_zero_vector(self):
         (vector,) = embed_batch(LOCAL64, ["!!!"])
         assert all(v == 0.0 for v in vector.values)
+
+
+# Words that tokenize unevenly: "ß" case-folds to "ss" and "İ" to "i" plus a
+# combining dot, so both change length; CJK and punctuation only separate.
+_WORDS = ["alarm", "ALARM", "node", "ß", "İ", "straße", "信号", "Prüfe", "x?", "7", "a1b2", "??"]
+_TEXTS = st.lists(
+    st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), min_size=1, max_size=12).map(" ".join),
+    min_size=1,
+    max_size=80,
+).map(lambda texts: [text or "-" for text in texts])
+
+
+class TestKernel:
+    """The blocked bincount kernel against the per-text loop, byte for byte."""
+
+    BLOCK = embed_module._EMBED_BLOCK
+
+    def assert_matches_reference(self, texts, dimension):
+        rows, row_of = embed_rows(ProviderConfig(ProviderKind.LOCAL_HASHED, dimension), texts)
+        assert rows.dtype == np.float32 and rows.shape == (len(set(texts)), dimension)
+        assert rows[row_of].tobytes() == reference_hash_rows(texts, dimension).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_TEXTS, st.sampled_from([1, 7, 64, 256]))
+    def test_rows_equal_the_per_text_loop(self, texts, dimension):
+        self.assert_matches_reference(texts, dimension)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_boundaries(self, extra):
+        count = self.BLOCK + extra
+        texts = [f"send alarm {i} to node {i % 5}" for i in range(count)]
+        self.assert_matches_reference(texts, 64)
+        # The same, three blocks long, with tokenless texts at the edges.
+        texts = ["!!!"] + [f"retry {i} {'x ' * (i % 9)}" for i in range(3 * count)] + ["信号"]
+        self.assert_matches_reference(texts, 256)
+
+    def test_uneven_case_folds_cjk_and_repeated_tokens(self):
+        texts = ["ß", "SS", "İ", "i", "信号", "信号 alarm", "alarm alarm alarm", "alarm", "ﬁx"]
+        self.assert_matches_reference(texts, 16)
+        rows, row_of = embed_rows(LOCAL64, texts)
+        assert rows[row_of[0]].tobytes() == rows[row_of[1]].tobytes()
+        assert rows[row_of[2]].tobytes() == rows[row_of[3]].tobytes()
+        assert not rows[row_of[4]].any()
+
+    def test_duplicates_in_different_blocks(self):
+        # embed_rows embeds each distinct text once, so the kernel is called
+        # directly to see one text in two blocks.
+        texts = ["alarm to node"] + [f"filler {i}" for i in range(self.BLOCK)] + ["alarm to node"]
+        rows = embed_module._hash_rows(texts, 64)
+        assert rows[0].tobytes() == rows[-1].tobytes()
+        assert rows.tobytes() == reference_hash_rows(texts, 64).tobytes()
+        distinct, row_of = embed_rows(LOCAL64, texts)
+        assert len(distinct) == len(texts) - 1 and row_of[0] == row_of[-1] == 0
+
+    def test_rows_are_read_only_and_numbered_by_first_sight(self):
+        rows, row_of = embed_rows(LOCAL64, ["b", "a", "b", "c", "a"])
+        assert row_of.tolist() == [0, 1, 0, 2, 1]
+        assert not rows.flags.writeable
+        assert rows.tobytes() == reference_hash_rows(["b", "a", "c"], 64).tobytes()
+
+    def test_embed_batch_vectors_share_the_rows(self):
+        texts = ["b", "a", "b"]
+        vectors = embed_batch(LOCAL64, texts)
+        rows, _ = embed_rows(LOCAL64, texts)
+        assert [v.as_array().tobytes() for v in vectors] == [
+            rows[0].tobytes(), rows[1].tobytes(), rows[0].tobytes()
+        ]
+        assert vectors[0].as_array().base is vectors[1].as_array().base
+        with pytest.raises(ValueError):
+            vectors[0].as_array()[0] = 1.0
+
+    def test_transient_memory_is_bounded_by_the_block(self, monkeypatch):
+        # 2 000 texts of about 100 tokens: codes and sums for the whole call
+        # at once take about 11 MB, for one block of 32 texts about 0.5 MB.
+        words = [f"word{i}" for i in range(300)]
+        texts = [
+            " ".join(words[(i * 7 + j * j) % 300] for j in range(100)) + f" t{i}"
+            for i in range(2000)
+        ]
+
+        def transient(block):
+            monkeypatch.setattr(embed_module, "_EMBED_BLOCK", block)
+            tracemalloc.start()
+            try:
+                rows = embed_module._hash_rows(texts, 256)
+                return tracemalloc.get_traced_memory()[1] - rows.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert transient(self.BLOCK) < 2_000_000
+        assert transient(len(texts)) > 2_000_000
 
 
 class TestEmbeddingVector:

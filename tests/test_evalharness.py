@@ -10,7 +10,7 @@ import flowrag.chunker as chunker_module
 import flowrag.embed as embed_module
 import flowrag.evalharness as evalharness_module
 from flowrag.chunker import ChunkStrategy
-from flowrag.embed import ProviderConfig, ProviderKind, TransportError
+from flowrag.embed import EmbeddingVector, ProviderConfig, ProviderKind, TransportError
 from flowrag.errors import ConfigError, FlowragError
 from flowrag.graph_model import serialize_json
 from flowrag.evalharness import (
@@ -28,7 +28,7 @@ from flowrag.evalharness import (
     write_trace_jsonl,
 )
 from flowrag.synthgen import GenSpec, QaCategory, QaItem, generate_graph, generate_qa
-from flowrag.vstore import RetrievalHit
+from flowrag.vstore import IndexEntry, RetrievalHit
 
 from helpers import StubEmbedServer, disjoint_corpus, mismatch_qa
 
@@ -379,9 +379,9 @@ class TestRunEval:
             # Calls: the questions, then one per strategy.
             if len(calls) == 4:
                 raise TransportError("connection reset", attempts=3)
-            return embed_module.embed_batch(provider, texts)
+            return embed_module.embed_rows(provider, texts)
 
-        monkeypatch.setattr(evalharness_module, "embed_batch", failing_third_strategy)
+        monkeypatch.setattr(evalharness_module, "embed_rows", failing_third_strategy)
         with pytest.raises(EvalAborted) as excinfo:
             run_eval(graphs, qa, config)
         partial = excinfo.value.partial
@@ -393,6 +393,44 @@ class TestRunEval:
                 assert cell == full.cells[(strategy, k, category)]
         assert len(partial.trace) == 2 * len(qa)
         assert any(cell.numerator for cell in partial.cells.values())
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+    def test_no_vector_object_per_chunk(self, monkeypatch, remote):
+        # Texts are embedded and indexed as rows of one float32 matrix.
+        graphs, qa = disjoint_corpus(4)
+        built = []
+        vector_init, entry_init = EmbeddingVector.__init__, IndexEntry.__init__
+
+        def counting_vector(self, *args, **kwargs):
+            built.append("EmbeddingVector")
+            vector_init(self, *args, **kwargs)
+
+        def counting_entry(self, *args, **kwargs):
+            built.append("IndexEntry")
+            entry_init(self, *args, **kwargs)
+
+        def counting_view(cls, row):
+            built.append("EmbeddingVector")
+            return vector_of_row(row)
+
+        vector_of_row = EmbeddingVector._of_row
+        monkeypatch.setattr(EmbeddingVector, "__init__", counting_vector)
+        monkeypatch.setattr(EmbeddingVector, "_of_row", classmethod(counting_view))
+        monkeypatch.setattr(IndexEntry, "__init__", counting_entry)
+        if remote:
+            with StubEmbedServer(dimension=8) as server:
+                provider = ProviderConfig(
+                    kind=ProviderKind.REMOTE, endpoint=server.endpoint, model_name="stub"
+                )
+                report = run_eval(graphs, qa, EvalConfig(provider=provider, ks=(1,)))
+        else:
+            report = run_eval(graphs, qa, EvalConfig(provider=LOCAL, ks=(1,)))
+        assert len(report.trace) == 3 * len(qa)
+        assert built == []
+        # The counters see the public constructors.
+        embed_module.embed_batch(LOCAL, ["alarm"])
+        IndexEntry(chunk=None, vector=None)
+        assert built == ["EmbeddingVector", "IndexEntry"]
 
     def test_trace_written(self, tmp_path):
         graphs, qa = disjoint_corpus(2)

@@ -826,3 +826,104 @@ class TestFloat32Rows:
             assert rows.dtype == np.float32 and rows.flags.c_contiguous
             assert rows.shape == (32, 24)
             assert rows.nbytes == 32 * 24 * 4
+
+
+def index_state(index: VectorIndex) -> tuple:
+    """The stored rows, norms and chunk-to-row array, as bytes."""
+    return (
+        index._rows.tobytes(),
+        index._rows.shape,
+        index._norms.tobytes(),
+        index._row_of.tolist(),
+        [c.chunk_id for c in index._chunks],
+    )
+
+
+class TestUpsertRows:
+    """The chunks-plus-rows write against ``upsert(entries)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(upserts_and_queries())
+    def test_matches_upsert_of_entries(self, case):
+        pool, batches, queries, k = case
+        pool_rows = np.array(pool, dtype=np.float32)
+        by_rows, by_entries = VectorIndex(), VectorIndex()
+        for batch in batches:
+            ids, picks = list(batch), list(batch.values())
+            chunks = [make_chunk(i) for i in ids]
+            # Every pool row, held or not, with each chunk's row number.
+            assert by_rows.upsert_rows(chunks, pool_rows, picks) == len(chunks)
+            by_entries.upsert([pool_entry(i, pool[p]) for i, p in batch.items()])
+            assert index_state(by_rows) == index_state(by_entries)
+        query_rows = np.array(queries, dtype=np.float32)
+        assert by_rows.query_batch(query_rows, k) == by_entries.query_batch(query_rows, k)
+        assert snapshot_bytes(by_rows) == snapshot_bytes(by_entries)
+
+    def test_rows_equal_in_bytes_share_one_row(self):
+        # Two texts that embed alike give two equal rows: one is stored.
+        rows = np.array([[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]], dtype=np.float32)
+        index = VectorIndex()
+        index.upsert_rows([make_chunk(i) for i in range(4)], rows, [0, 1, 2, 0])
+        assert index._rows.tolist() == [[np.float32(0.6), np.float32(0.8)], [1.0, 0.0]]
+        assert index._row_of.tolist() == [0, 1, 0, 0]
+
+    def test_signed_zero_rows_stay_apart(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=np.float32)
+        index = VectorIndex()
+        index.upsert_rows([make_chunk(0), make_chunk(1)], rows, [0, 1])
+        assert len(index._rows) == 2
+        assert [h.score for h in index.query_batch(rows[:1], 2)[0]] == [1.0, 1.0]
+
+    def test_non_finite_row_named_by_its_first_chunk(self):
+        rows = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, np.inf]], dtype=np.float32)
+        index = build_index(random.Random(80), 3, dim=2)
+        saved = snapshot_bytes(index)
+        with pytest.raises(FlowragError, match="chunk 'c0012' has a non-finite vector value"):
+            index.upsert_rows([make_chunk(i) for i in (11, 12, 13, 14)], rows, [0, 2, 1, 2])
+        assert snapshot_bytes(index) == saved
+
+    def test_row_no_chunk_holds_is_not_stored_or_checked(self):
+        rows = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]], dtype=np.float32)
+        index = VectorIndex()
+        index.upsert_rows([make_chunk(0), make_chunk(1)], rows, [2, 0])
+        assert index._rows.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert index._row_of.tolist() == [0, 1]
+
+    def test_dimension_mismatch_names_its_chunk(self):
+        rows = [np.ones(3, dtype=np.float32), np.ones(4, dtype=np.float32)]
+        index = VectorIndex()
+        with pytest.raises(DimensionMismatchError, match="chunk 'c0005' has dimension 4, index uses 3"):
+            index.upsert_rows([make_chunk(i) for i in (4, 5, 6)], rows, [0, 1, 1])
+        assert len(index) == 0
+
+    def test_merge_into_a_non_empty_index(self):
+        rng = random.Random(81)
+        pool = [random_vector(rng, 5) for _ in range(4)]
+        rows = np.stack([v.as_array() for v in pool])
+        by_rows, by_entries = VectorIndex(), VectorIndex()
+        first, second = [3, 1, 0, 1, 2], {2: 0, 3: 3, 9: 3, 6: 2}
+        by_rows.upsert_rows([make_chunk(i) for i in range(5)], rows, first)
+        by_entries.upsert([IndexEntry(make_chunk(i), pool[p]) for i, p in enumerate(first)])
+        by_rows.upsert_rows([make_chunk(i) for i in second], rows, list(second.values()))
+        by_entries.upsert([IndexEntry(make_chunk(i), pool[p]) for i, p in second.items()])
+        assert index_state(by_rows) == index_state(by_entries)
+        query = pool[0].as_array()[np.newaxis, :]
+        assert by_rows.query_batch(query, 8) == by_entries.query_batch(query, 8)
+
+    @pytest.mark.parametrize("row_of", [[0], [0, 2], [0, -1], [0.0, 1.0], [[0, 1]]])
+    def test_bad_row_numbers_rejected(self, row_of):
+        rows = np.eye(2, dtype=np.float32)
+        index = VectorIndex()
+        with pytest.raises(FlowragError, match="row_of must give each chunk a row number below 2"):
+            index.upsert_rows([make_chunk(0), make_chunk(1)], rows, row_of)
+        assert len(index) == 0
+
+    def test_read_only_rows_are_kept_and_writeable_ones_copied(self):
+        rows = np.eye(3, dtype=np.float32)
+        index = VectorIndex()
+        index.upsert_rows([make_chunk(i) for i in range(3)], rows, [0, 1, 2])
+        assert index._rows is not rows and not np.shares_memory(index._rows, rows)
+        rows.flags.writeable = False
+        index = VectorIndex()
+        index.upsert_rows([make_chunk(i) for i in range(3)], rows, [0, 1, 2])
+        assert index._rows is rows
