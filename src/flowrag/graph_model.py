@@ -149,73 +149,54 @@ _SHAPES_BY_NAME = {s.value: s for s in NodeShape}
 _STYLES_BY_NAME = {s.value: s for s in LineStyle}
 
 
-def _expect(value, types, path: str, what: str):
+def _path(where) -> str:
+    """The JSON path of ``where``, keys and array positions under ``$``;
+    built only for an error, so a record that passes every check formats none."""
+    return "$" + "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in where)
+
+
+def _expect(value, types, what: str, *where):
     if not isinstance(value, types):
-        raise GraphSchemaError(f"expected {what}", path)
+        raise GraphSchemaError(f"expected {what}", _path(where))
     return value
 
 
-def _item_path(array: str, i: int, key: str | None = None) -> str:
-    """The path of item ``i`` of ``$.<array>``, or of its ``key``; built
-    only for an error, so a record that passes every check formats none."""
-    path = f"$.{array}[{i}]"
-    return path if key is None else f"{path}.{key}"
-
-
 def _node_from_obj(obj, i: int) -> FlowNode:
-    if not isinstance(obj, dict):
-        raise GraphSchemaError("expected object", _item_path("nodes", i))
-    if "id" not in obj:
-        raise GraphSchemaError("missing required key 'id'", _item_path("nodes", i, "id"))
-    if "value" not in obj:
-        raise GraphSchemaError("missing required key 'value'", _item_path("nodes", i, "value"))
-    node_id = obj["id"]
-    if not isinstance(node_id, str):
-        raise GraphSchemaError("expected string", _item_path("nodes", i, "id"))
-    value = obj["value"]
-    if not isinstance(value, str):
-        raise GraphSchemaError("expected string", _item_path("nodes", i, "value"))
-    name = obj.get("shape")
-    if name is None:
-        return FlowNode(id=node_id, value=value)
-    if not isinstance(name, str):
-        raise GraphSchemaError("expected string", _item_path("nodes", i, "shape"))
-    shape = _SHAPES_BY_NAME.get(name)
-    if shape is None:
-        raise GraphSchemaError(f"unknown shape {shown(name)}", _item_path("nodes", i, "shape"))
+    _expect(obj, dict, "object", "nodes", i)
+    for key in ("id", "value"):
+        if key not in obj:
+            raise GraphSchemaError(f"missing required key '{key}'", _path(("nodes", i, key)))
+    node_id = _expect(obj["id"], str, "string", "nodes", i, "id")
+    value = _expect(obj["value"], str, "string", "nodes", i, "value")
+    shape = NodeShape.UNSPECIFIED
+    if obj.get("shape") is not None:
+        name = _expect(obj["shape"], str, "string", "nodes", i, "shape")
+        if name not in _SHAPES_BY_NAME:
+            raise GraphSchemaError(f"unknown shape {shown(name)}", _path(("nodes", i, "shape")))
+        shape = _SHAPES_BY_NAME[name]
     return FlowNode(id=node_id, value=value, shape=shape)
 
 
 def _edge_from_obj(obj, i: int) -> FlowEdge:
-    if not isinstance(obj, dict):
-        raise GraphSchemaError("expected object", _item_path("edges", i))
-    if "from" not in obj:
-        raise GraphSchemaError("missing required key 'from'", _item_path("edges", i, "from"))
-    if "to" not in obj:
-        raise GraphSchemaError("missing required key 'to'", _item_path("edges", i, "to"))
-    src = obj["from"]
-    if not isinstance(src, str):
-        raise GraphSchemaError("expected string", _item_path("edges", i, "from"))
-    dst = obj["to"]
-    if not isinstance(dst, str):
-        raise GraphSchemaError("expected string", _item_path("edges", i, "to"))
+    _expect(obj, dict, "object", "edges", i)
+    for key in ("from", "to"):
+        if key not in obj:
+            raise GraphSchemaError(f"missing required key '{key}'", _path(("edges", i, key)))
+    src = _expect(obj["from"], str, "string", "edges", i, "from")
+    dst = _expect(obj["to"], str, "string", "edges", i, "to")
     value = obj.get("value")
-    if value is not None and not isinstance(value, str):
-        raise GraphSchemaError("expected string or null", _item_path("edges", i, "value"))
+    if value is not None:
+        value = _expect(value, str, "string or null", "edges", i, "value")
     bidirectional = obj.get("bidirectional", False)
-    if not isinstance(bidirectional, bool):
-        raise GraphSchemaError("expected boolean", _item_path("edges", i, "bidirectional"))
-    name = obj.get("line_style")
-    if name is None:
-        line_style = LineStyle.SOLID
-    elif not isinstance(name, str):
-        raise GraphSchemaError("expected string", _item_path("edges", i, "line_style"))
-    else:
-        line_style = _STYLES_BY_NAME.get(name)
-        if line_style is None:
+    _expect(bidirectional, bool, "boolean", "edges", i, "bidirectional")
+    line_style = LineStyle.SOLID
+    if obj.get("line_style") is not None:
+        name = _expect(obj["line_style"], str, "string", "edges", i, "line_style")
+        if name not in _STYLES_BY_NAME:
             raise GraphSchemaError(
-                f"unknown line_style {shown(name)}", _item_path("edges", i, "line_style")
+                f"unknown line_style {shown(name)}", _path(("edges", i, "line_style"))
             )
+        line_style = _STYLES_BY_NAME[name]
     return FlowEdge(
         src=src, dst=dst, value=value, bidirectional=bidirectional, line_style=line_style
     )
@@ -242,13 +223,13 @@ def parse_json(text: bytes | str) -> FlowGraph:
 
 def graph_from_doc(doc) -> FlowGraph:
     """Build a validated :class:`FlowGraph` from a decoded graph document."""
-    _expect(doc, dict, "$", "object")
+    _expect(doc, dict, "object")
     graph_id = doc.get("graph_id", "")
-    _expect(graph_id, str, "$.graph_id", "string")
+    _expect(graph_id, str, "string", "graph_id")
     for key in ("nodes", "edges"):
         if key not in doc:
             raise GraphSchemaError(f"missing required key '{key}'", f"$.{key}")
-        _expect(doc[key], list, f"$.{key}", "array")
+        _expect(doc[key], list, "array", key)
     nodes = tuple(map(_node_from_obj, doc["nodes"], count()))
     edges = tuple(map(_edge_from_obj, doc["edges"], count()))
     return FlowGraph(nodes=nodes, edges=edges, graph_id=graph_id)

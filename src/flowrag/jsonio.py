@@ -180,9 +180,6 @@ def member(value, kind: type[E], what: str) -> E:
 def expect_list(value, kinds, what: str) -> list | tuple:
     """``value`` if it is a JSON array, or a tuple, whose every item is one
     of ``kinds``."""
-    types = kinds if isinstance(kinds, tuple) else (kinds,)
     for item in expect(value, (list, tuple), what):
-        # expect's test, so that the item's name is built only for an error
-        if not isinstance(item, types) or (isinstance(item, bool) and bool not in types):
-            expect(item, kinds, f"each item of {what}")
+        expect(item, kinds, f"each item of {what}")
     return value

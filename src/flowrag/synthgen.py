@@ -186,8 +186,7 @@ class QaItem:
         return cls(
             question=expect(data["question"], str, "question"),
             graph_id=expect(data["graph_id"], str, "graph_id"),
-            # __post_init__ makes the one frozenset.
-            gold_node_ids=expect_list(data["gold_node_ids"], str, "gold_node_ids"),
+            gold_node_ids=frozenset(expect_list(data["gold_node_ids"], str, "gold_node_ids")),
             category=member(data["category"], QaCategory, "category"),
         )
 

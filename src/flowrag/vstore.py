@@ -5,13 +5,13 @@ matrix, 4 * dimension bytes per distinct row, with float64 row norms and a
 chunk -> row index array. Rows are told apart by their exact float32 bytes,
 so ``-0.0`` and ``0.0`` stay separate rows; duplicates are found through a
 hash of each row's bytes, compared against the row itself on a hit. A
-write takes chunks, rows and each chunk's row number (``upsert_rows``;
-``upsert`` passes one row per entry), so only the rows handed over are
-hashed, not one per chunk. Every write (``upsert_rows``, ``upsert`` or
-``load``) goes through ``_put``, which holds every write check, merges the
-new chunks into the stored ones (a known chunk id keeps its place, a new
-one is appended) and rebuilds the rows, norms and ranking orders from the
-merged list, so every row has a chunk.
+write takes chunks, rows and each chunk's row number (``upsert_rows`` takes
+a float32 row matrix; ``upsert`` passes one row per entry), so only the
+rows handed over are hashed, not one per chunk. Every write
+(``upsert_rows``, ``upsert`` or ``load``) goes through ``_put``, which holds
+every write check, merges the new chunks into the stored ones (a known
+chunk id keeps its place, a new one is appended) and rebuilds the rows,
+norms and ranking orders from the merged list, so every row has a chunk.
 
 ``query_batch`` ranks each distinct query once, a block of up to
 ``_QUERY_BLOCK`` of them at a time, with array operations over the whole
@@ -203,18 +203,33 @@ class VectorIndex:
 
     def upsert(self, entries: list[IndexEntry]) -> int:
         """Insert or replace entries; all-or-nothing on bad input."""
-        return self.upsert_rows(
-            [entry.chunk for entry in entries],
-            [entry.vector.as_array() for entry in entries],
-            np.arange(len(entries)),
-        )
+        if entries:
+            self._put(
+                [entry.chunk for entry in entries],
+                [entry.vector.as_array() for entry in entries],
+                np.arange(len(entries)),
+                FlowragError,
+            )
+        return len(entries)
 
-    def upsert_rows(self, chunks: list[Chunk], rows, row_of) -> int:
-        """Insert or replace ``chunks``, chunk i holding the float32 vector
-        ``rows[row_of[i]]``; all-or-nothing on bad input. ``rows`` is a 2-D
-        float32 array or a list of 1-D ones. Rows equal in bytes are stored
-        once and rows that no chunk holds are not stored; a read-only array
-        of rows that are all distinct and held in order is kept, not copied."""
+    def upsert_rows(self, chunks: list[Chunk], rows: np.ndarray, row_of) -> int:
+        """Insert or replace ``chunks``, chunk i holding the vector
+        ``rows[row_of[i]]``; all-or-nothing on bad input. ``rows`` must be a
+        2-D C-contiguous float32 array. Rows equal in bytes are stored once
+        and rows that no chunk holds are not stored; a read-only array of
+        rows that are all distinct and held in order is kept, not copied."""
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.float32
+            and rows.ndim == 2
+            and rows.flags.c_contiguous
+        ):
+            got = (
+                f"{rows.dtype} array of shape {rows.shape}"
+                if isinstance(rows, np.ndarray)
+                else type(rows).__name__
+            )
+            raise FlowragError(f"rows must be a 2-D C-contiguous float32 array, got {got}")
         if chunks:
             self._put(chunks, rows, row_of, FlowragError)
         return len(chunks)

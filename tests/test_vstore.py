@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -890,11 +891,46 @@ class TestUpsertRows:
         assert index._row_of.tolist() == [0, 1]
 
     def test_dimension_mismatch_names_its_chunk(self):
-        rows = [np.ones(3, dtype=np.float32), np.ones(4, dtype=np.float32)]
+        index = build_index(random.Random(82), 3, dim=3)
+        saved = snapshot_bytes(index)
+        rows = np.ones((2, 4), dtype=np.float32)
+        rows[1, 0] = 2.0
+        # Chunk 1 keeps its place ahead of the new chunks 4 and 6, so it is
+        # the first chunk, in merged order, of a wrong-length row.
+        with pytest.raises(DimensionMismatchError, match="chunk 'c0001' has dimension 4, index uses 3"):
+            index.upsert_rows([make_chunk(i) for i in (4, 1, 6)], rows, [1, 0, 1])
+        assert snapshot_bytes(index) == saved
+
+    @pytest.mark.parametrize(
+        "rows, got",
+        [
+            (np.array([[1e39, 0.0]]), "float64 array of shape (1, 2)"),
+            (np.array([[1, 0]], dtype=np.int32), "int32 array of shape (1, 2)"),
+            (np.array([1.0, 0.0], dtype=np.float32), "float32 array of shape (2,)"),
+            (np.eye(3, dtype=np.float32)[:, :2], "float32 array of shape (3, 2)"),
+            (np.eye(2, dtype=">f4"), ">f4 array of shape (2, 2)"),
+            ([np.ones(2, dtype=np.float32)], "list"),
+        ],
+        ids=["float64", "int32", "one-dimensional", "not-c-contiguous", "big-endian", "list"],
+    )
+    def test_rows_other_than_a_float32_matrix_rejected(self, rows, got):
+        index = build_index(random.Random(83), 2, dim=2)
+        saved = snapshot_bytes(index)
+        with pytest.raises(FlowragError, match=re.escape(
+            f"rows must be a 2-D C-contiguous float32 array, got {got}"
+        )):
+            index.upsert_rows([make_chunk(7)], rows, [0])
+        assert snapshot_bytes(index) == saved
+
+    def test_rows_write_survives_a_snapshot_round_trip(self, tmp_path):
+        rows = np.array([[0.6, 0.8], [3.0e38, -1.0], [0.6, 0.8]], dtype=np.float32)
+        rows.flags.writeable = False
         index = VectorIndex()
-        with pytest.raises(DimensionMismatchError, match="chunk 'c0005' has dimension 4, index uses 3"):
-            index.upsert_rows([make_chunk(i) for i in (4, 5, 6)], rows, [0, 1, 1])
-        assert len(index) == 0
+        index.upsert_rows([make_chunk(i) for i in range(4)], rows, [2, 1, 0, 1])
+        index.save(tmp_path / "rows.idx")
+        loaded = VectorIndex.load(tmp_path / "rows.idx")
+        assert index_state(loaded) == index_state(index)
+        assert loaded.query_batch(rows, 4) == index.query_batch(rows, 4)
 
     def test_merge_into_a_non_empty_index(self):
         rng = random.Random(81)
